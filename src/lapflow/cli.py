@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import generate, ground, laplacian, load_edge_list
-from .spectral import ConvergenceError, chain_length, estimate_condition
+from .graph_core import generate, ground, laplacian, load_edge_list, open_target
+from .spectral import ConvergenceError, estimated_chain
 from .reference_solver import direct_solve, richardson_iterations
 from .distributed_solver import edist_rsolve
 from .newton_flow import (
     DivergenceError,
     OptimizeConfig,
+    Trace,
     load_flow_problem,
     make_flow_problem,
     optimize,
@@ -112,12 +113,6 @@ def _build_graph(parser, cfg, directed=False):
     return generate(cfg.graph, params, seed=cfg.seed)
 
 
-def _open_out(cfg):
-    if cfg.out is None:
-        return sys.stdout, False
-    return open(cfg.out, "w"), True
-
-
 def _write_comments(fh, items):
     for key in items:
         fh.write("# %s=%s\n" % (key, items[key]))
@@ -130,15 +125,14 @@ def cmd_solve(cfg, parser=None):
     s = ground(L, cfg.ground_node)
     rng = np.random.default_rng(cfg.seed)
     b = rng.standard_normal(s.n)
-    kappa = estimate_condition(s, tol=1e-6) * 1.05
-    spec = chain_length(max(1.0, kappa), "estimated")
-    log.info("solve: n=%d kappa~%.3g d=%d", s.n, kappa, spec.d)
+    spec = estimated_chain(s)
+    log.info("solve: n=%d kappa~%.3g d=%d", s.n, spec.kappa, spec.d)
     x, eng = edist_rsolve(s, b, spec, cfg.R, cfg.eps)
     residual = float(np.linalg.norm(s.matrix() @ x - b))
     items = cfg.header_items()
     items.update(
         eps=cfg.eps, R=cfg.R, ground=cfg.ground_node,
-        kappa_estimate=repr(float(kappa)), chain_d=spec.d,
+        kappa_estimate=repr(spec.kappa), chain_d=spec.d,
         residual=repr(residual),
         rounds=eng.transcript.rounds,
         messages=eng.transcript.messages_total,
@@ -150,15 +144,11 @@ def cmd_solve(cfg, parser=None):
         err = x - xstar
         rel = math.sqrt(float(err @ (M @ err)) / float(xstar @ (M @ xstar)))
         items["mnorm_rel_error"] = repr(rel)
-    fh, own = _open_out(cfg)
-    try:
+    with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, items)
         fh.write("node,x\n")
         for k in range(x.shape[0]):
             fh.write("%d,%r\n" % (k, float(x[k])))
-    finally:
-        if own:
-            fh.close()
     print("solve: n=%d residual=%.3e messages=%d" % (s.n, residual, eng.transcript.messages_total))
     return EXIT_OK
 
@@ -196,20 +186,10 @@ def cmd_flow(cfg, parser=None):
     try:
         trace = optimize(problem, method, _flow_config(cfg))
     except DivergenceError as exc:
-        fh, own = _open_out(cfg)
-        try:
-            exc.trace.to_csv(fh, extra_header=extra)
-        finally:
-            if own:
-                fh.close()
+        exc.trace.to_csv(cfg.out or sys.stdout, extra_header=extra)
         print("flow: diverged (%s); partial trace written" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    fh, own = _open_out(cfg)
-    try:
-        trace.to_csv(fh, extra_header=extra)
-    finally:
-        if own:
-            fh.close()
+    trace.to_csv(cfg.out or sys.stdout, extra_header=extra)
     msgs = sum(trace.column("messages"))
     print(
         "flow: method=%s iterations=%d converged=%s messages=%d"
@@ -223,31 +203,21 @@ def cmd_bench(cfg, parser=None):
     problem = _build_problem(parser, cfg)
     extra = cfg.header_items()
     extra.update(cost=problem.costs[0].name, nodes=problem.n, arcs=problem.E)
-    fh, own = _open_out(cfg)
-    try:
+    with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, extra)
-        fh.write("method,iter,objective,feasibility,grad_lnorm,step,phase,messages\n")
+        fh.write("method," + ",".join(Trace.COLUMNS) + "\n")
         for method in ("sddm_newton", "exact_newton", "add_neumann", "subgradient"):
             try:
                 trace = optimize(problem, method, _flow_config(cfg))
             except DivergenceError as exc:
                 trace = exc.trace
             for row in trace.rows:
-                fh.write(
-                    "%s,%d,%r,%r,%r,%r,%s,%d\n"
-                    % (
-                        method, row["iter"], row["objective"], row["feasibility"],
-                        row["grad_lnorm"], row["step"], row["phase"], row["messages"],
-                    )
-                )
+                fh.write("%s,%s\n" % (method, Trace.format_row(row)))
             msgs = sum(trace.column("messages"))
             print(
                 "bench: method=%s iterations=%d converged=%s messages=%d"
                 % (method, trace.iterations, trace.converged, msgs)
             )
-    finally:
-        if own:
-            fh.close()
     return EXIT_OK
 
 
@@ -279,9 +249,7 @@ def cmd_scale(cfg, parser=None):
         s = ground(laplacian(g), 0)
         rng = np.random.default_rng(cfg.seed)
         b = rng.standard_normal(s.n)
-        kappa = estimate_condition(s, tol=1e-6) * 1.05
-        spec = chain_length(max(1.0, kappa), "estimated")
-        _, eng = edist_rsolve(s, b, spec, cfg.R, cfg.eps)
+        _, eng = edist_rsolve(s, b, estimated_chain(s), cfg.R, cfg.eps)
         rows.append(
             (n_actual, eng.transcript.rounds, eng.transcript.messages_total,
              richardson_iterations(cfg.eps))
@@ -294,15 +262,11 @@ def cmd_scale(cfg, parser=None):
         slope = float(np.polyfit(xs, ys, 1)[0])
     items = cfg.header_items()
     items.update(family=cfg.family, eps=cfg.eps, R=cfg.R, loglog_slope=repr(slope))
-    fh, own = _open_out(cfg)
-    try:
+    with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, items)
         fh.write("n,rounds,messages,iterations\n")
         for row in rows:
             fh.write("%d,%d,%d,%d\n" % row)
-    finally:
-        if own:
-            fh.close()
     print("scale: family=%s slope=%.3f" % (cfg.family, slope))
     return EXIT_OK
 

@@ -1,7 +1,9 @@
 """Distributed solvers on the simulator: full-communication and R-hop variants.
 
-Both engines run the same mathematics as the reference chain solver, but
-organized as synchronous rounds on netsim with per-round message charges:
+Both engines run the reference solver's own chain recursion (crude_solve)
+and Richardson loop (richardson_iterates); an engine only supplies the
+power appliers, which run as synchronous rounds on netsim with per-round
+message charges:
 
 * FullCommEngine squares the walk operator d times (each node extends its
   row using rows gathered from the half-power radius), then each solve runs
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .graph_core import WeightedGraph
+from .graph_core import WeightedGraph, open_target
 from .netsim import SimConfig, Simulator
-from .reference_solver import richardson_iterations
+from .reference_solver import DENSE_LIMIT, crude_solve, richardson_iterates
 
 __all__ = [
     "NodeSolverState",
@@ -37,9 +39,6 @@ __all__ = [
     "f1_rows",
     "results_to_csv",
 ]
-
-# above this size the power matrices are kept compressed (CSR)
-DENSE_LIMIT = 200
 
 
 @dataclass
@@ -128,9 +127,6 @@ class _EngineBase:
         """One 1-hop round computing M0 y."""
         return self.sim.apply_round(self._op_M, y)
 
-    def rsolve(self, b0):
-        raise NotImplementedError
-
     def esolve(self, b0, eps, iterates=None, marks=None):
         """Preconditioned Richardson refinement of the crude solver.
 
@@ -139,29 +135,15 @@ class _EngineBase:
         {"round":..., "messages":...} snapshot to `marks` after the initial
         crude solve and after every iteration.
         """
-        q = richardson_iterations(eps)
-        chi = self.rsolve(b0)
-        y = chi.copy()
-        self._mark(marks)
-        for _ in range(q):
-            u1 = self.apply_M(y)
-            u2 = self.rsolve(u1)
-            y = y - u2 + chi
-            if iterates is not None:
+        for t, y in enumerate(richardson_iterates(self.rsolve, self.apply_M, b0, eps)):
+            if iterates is not None and t > 0:
                 iterates.append(y.copy())
-            self._mark(marks)
+            if marks is not None:
+                marks.append({
+                    "round": self.sim.completed_rounds,
+                    "messages": self.transcript.messages_total,
+                })
         return y
-
-    def _mark(self, marks):
-        if marks is not None:
-            marks.append({
-                "round": self.sim.completed_rounds,
-                "messages": self.transcript.messages_total,
-            })
-
-    def _record(self, levels, xs):
-        self._last_levels = levels
-        self._last_xs = xs
 
     def _cached_powers(self):
         raise NotImplementedError
@@ -215,6 +197,9 @@ class FullCommEngine(_EngineBase):
         q = {2 ** s: _q_from_p(mat, self.D) for s, mat in enumerate(self._ppow)}
         return {"p": p, "q": q}
 
+    def _apply_p(self, s, v):
+        return self.sim.apply_round(self._ops[s], v)
+
     def _apply_q(self, s, x):
         # published values are D-scaled, so Q^p x = (P^p (D x)) / D without
         # remote diagonal knowledge
@@ -222,17 +207,8 @@ class FullCommEngine(_EngineBase):
 
     def rsolve(self, b0):
         """Crude solve; d forward and d backward gather rounds."""
-        b = np.asarray(b0, dtype=float).ravel()
-        levels = [b]
-        for i in range(1, self.d + 1):
-            b = b + self.sim.apply_round(self._ops[i - 1], b)
-            levels.append(b)
-        x = levels[self.d] / self.D
-        xs = [x]
-        for i in range(self.d - 1, -1, -1):
-            x = 0.5 * (levels[i] / self.D + x + self._apply_q(i, x))
-            xs.append(x)
-        self._record(levels, xs)
+        x, self._last_levels, self._last_xs = crude_solve(
+            b0, self.D, self.d, self._apply_p, self._apply_q)
         return x
 
 
@@ -259,16 +235,14 @@ class RHopEngine(_EngineBase):
         super().__init__(splitting, d, sim)
         # Part One: rows of P^R and Q^R by 1-hop row extension, R-1 rounds
         # per routine (the published payload is each node's current row)
-        c0 = self._P1
-        for _ in range(1, R):
-            self.sim.account_round(1, payload=_row_nnz(c0))
-            c0 = self._P1 @ c0
-        c1 = self._Q1
-        for _ in range(1, R):
-            self.sim.account_round(1, payload=_row_nnz(c1))
-            c1 = self._Q1 @ c1
-        self._op_C0 = self.sim.certify(c0, R)
-        self._op_C1 = self.sim.certify(c1, R)
+        cached = []
+        for one_hop in (self._P1, self._Q1):
+            c = one_hop
+            for _ in range(1, R):
+                self.sim.account_round(1, payload=_row_nnz(c))
+                c = one_hop @ c
+            cached.append(self.sim.certify(c, R))
+        self._op_C0, self._op_C1 = cached
 
     def _cached_powers(self):
         p = {1: self._P1, self.R: self._op_C0.matrix}
@@ -289,19 +263,11 @@ class RHopEngine(_EngineBase):
 
     def rsolve(self, b0):
         """Crude solve under strict R-hop locality."""
-        b = np.asarray(b0, dtype=float).ravel()
-        levels = [b]
-        for i in range(1, self.d + 1):
-            u = self._chain(b, 2 ** (i - 1), self._op_P1, self._op_C0)
-            b = b + u
-            levels.append(b)
-        x = levels[self.d] / self.D
-        xs = [x]
-        for i in range(self.d - 1, -1, -1):
-            eta = self._chain(x, 2 ** i, self._op_Q1, self._op_C1)
-            x = 0.5 * (levels[i] / self.D + x + eta)
-            xs.append(x)
-        self._record(levels, xs)
+        x, self._last_levels, self._last_xs = crude_solve(
+            b0, self.D, self.d,
+            lambda i, v: self._chain(v, 2 ** i, self._op_P1, self._op_C0),
+            lambda i, v: self._chain(v, 2 ** i, self._op_Q1, self._op_C1),
+        )
         return x
 
 
@@ -345,12 +311,7 @@ def results_to_csv(target, x0, xtilde):
     """Write per-node solver results as `node,x0,xtilde` rows."""
     x0 = np.asarray(x0, dtype=float).ravel()
     xtilde = np.asarray(xtilde, dtype=float).ravel()
-    own = isinstance(target, str)
-    fh = open(target, "w") if own else target
-    try:
+    with open_target(target) as fh:
         fh.write("node,x0,xtilde\n")
         for k in range(x0.shape[0]):
             fh.write("%d,%r,%r\n" % (k, float(x0[k]), float(xtilde[k])))
-    finally:
-        if own:
-            fh.close()

@@ -1,5 +1,7 @@
 """Graph construction, experiment topologies, Laplacian assembly, hop distances."""
 
+import contextlib
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
@@ -12,10 +14,12 @@ __all__ = [
     "ground",
     "generate",
     "hop_distances",
+    "hop_matrix",
     "orient",
     "diameter_endpoints",
     "load_edge_list",
     "save_edge_list",
+    "open_target",
 ]
 
 
@@ -106,9 +110,8 @@ class WeightedGraph:
         return ncomp == 1
 
     def diameter(self):
-        """Maximum hop distance over all node pairs (unweighted)."""
-        dmat = _all_hops(self)
-        return int(dmat.max())
+        """Maximum hop distance over all node pairs (unweighted); ValueError if disconnected."""
+        return int(_connected_hops(self).max())
 
 
 class StandardSplitting:
@@ -238,18 +241,25 @@ def hop_distances(g, k):
     return d.astype(int)
 
 
-def _all_hops(g):
-    d = csgraph.shortest_path(g.adjacency_matrix(), method="D", unweighted=True)
-    return d.astype(int)
+def hop_matrix(g):
+    """All-pairs unweighted hop distances as floats; inf marks unreachable pairs."""
+    return csgraph.shortest_path(g.adjacency_matrix(), method="D", unweighted=True)
+
+
+def _connected_hops(g):
+    hops = hop_matrix(g)
+    if np.isinf(hops).any():
+        raise ValueError("graph is disconnected, so its diameter is infinite")
+    return hops
 
 
 def diameter_endpoints(g):
-    """Lexicographically smallest node pair (u, v) realizing the diameter."""
-    dmat = _all_hops(g)
-    best = dmat.max()
+    """Lexicographically smallest pair (u, v) at the diameter; ValueError if disconnected."""
+    hops = _connected_hops(g)
+    best = hops.max()
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if dmat[u, v] == best:
+            if hops[u, v] == best:
                 return u, v
     raise ValueError("graph has no pair at positive distance")
 
@@ -386,9 +396,19 @@ def load_edge_list(path):
     return WeightedGraph(n, edges)
 
 
-def save_edge_list(g, path):
-    """Write a graph in the plain-text format read by load_edge_list."""
-    with open(path, "w") as fh:
+def save_edge_list(g, target):
+    """Write a graph in the plain-text format read by load_edge_list to a path or file object."""
+    with open_target(target) as fh:
         fh.write("%d %d\n" % (g.n, g.m))
         for (i, j, w) in g.edges:
             fh.write("%d %d %r\n" % (i, j, w))
+
+
+@contextlib.contextmanager
+def open_target(target):
+    """Yield target as a writable file; a str path is opened, and closed on exit."""
+    if isinstance(target, str):
+        with open(target, "w") as fh:
+            yield fh
+    else:
+        yield target

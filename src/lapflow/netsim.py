@@ -22,7 +22,8 @@ import numbers
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
+
+from .graph_core import hop_matrix, open_target
 
 __all__ = [
     "SimConfig",
@@ -60,7 +61,7 @@ class SimConfig:
     @classmethod
     def full_comm(cls, graph):
         """Unrestricted communication: radius = diameter, enforcement off."""
-        hops = _hop_matrix(graph)
+        hops = hop_matrix(graph)
         finite = hops[np.isfinite(hops)]
         diam = int(finite.max()) if finite.size else 0
         return cls(graph, R=max(1, diam), strict_enforcement=False)
@@ -106,15 +107,10 @@ class SimTranscript:
 
     def to_csv(self, target):
         """Write `round,messages,max_hop` rows; target is a path or file object."""
-        own = isinstance(target, str)
-        fh = open(target, "w") if own else target
-        try:
+        with open_target(target) as fh:
             fh.write("round,messages,max_hop\n")
             for t, (msg, hop) in enumerate(zip(self.messages_per_round, self.max_hop_per_round), start=1):
                 fh.write("%d,%d,%d\n" % (t, msg, hop))
-        finally:
-            if own:
-                fh.close()
 
 
 class LocalOperator:
@@ -123,14 +119,6 @@ class LocalOperator:
     def __init__(self, matrix, radius):
         self.matrix = matrix
         self.radius = radius
-
-
-def _hop_matrix(graph):
-    if graph.m == 0:
-        h = np.full((graph.n, graph.n), np.inf)
-        np.fill_diagonal(h, 0.0)
-        return h
-    return csgraph.shortest_path(graph.adjacency_matrix(), method="D", unweighted=True)
 
 
 def _payload_size(value):
@@ -156,7 +144,7 @@ class Simulator:
         self.config = config
         self.graph = config.graph
         self.n = config.graph.n
-        self.hops = _hop_matrix(config.graph)
+        self.hops = hop_matrix(config.graph)
         self.transcript = SimTranscript()
         self._visible = {}
         self._staged = []

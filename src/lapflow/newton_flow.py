@@ -20,11 +20,12 @@ from .graph_core import (
     WeightedGraph,
     diameter_endpoints,
     ground,
-    load_edge_list,
+    open_target,
     orient,
+    save_edge_list,
 )
 from .reference_solver import direct_solve, richardson_iterations
-from .spectral import chain_length, estimate_condition
+from .spectral import estimated_chain
 from .distributed_solver import FullCommEngine, RHopEngine
 
 __all__ = [
@@ -222,13 +223,10 @@ def make_flow_problem(g, cost="exp", magnitude=1.0, x_box=5.0, source=None, sink
     return FlowProblem(fg, b, cost)
 
 
-def save_flow_problem(problem, path):
-    """Write edge list, b vector and cost name in plain text."""
-    g = problem.graph.graph
-    with open(path, "w") as fh:
-        fh.write("%d %d\n" % (g.n, g.m))
-        for (i, j, w) in g.edges:
-            fh.write("%d %d %r\n" % (i, j, w))
+def save_flow_problem(problem, target):
+    """Write edge list, b vector and cost name in plain text to a path or file object."""
+    with open_target(target) as fh:
+        save_edge_list(problem.graph.graph, fh)
         fh.write("b " + " ".join(repr(float(v)) for v in problem.b) + "\n")
         cost = problem.costs[0]
         if cost.param is not None:
@@ -353,31 +351,19 @@ class ConvergenceConstants:
                 raise ValueError("phase thresholds must satisfy 0 < eta0 < eta1")
 
 
-def alpha_star(consts, eps):
+def alpha_star(gamma, Gamma, mu2, mun, eps):
     """Step size (e^{-eps^2}/(1+eps)^2) (gamma/Gamma * mu2/mun)^2, clipped to (0,1].
 
-    `consts` needs gamma, Gamma, mu2, mun; eps must stay below
-    (mu2/mun) sqrt(gamma/Gamma) for the terminal phase to contract.
+    eps must stay below (mu2/mun) sqrt(gamma/Gamma) for the terminal phase
+    to contract.
     """
-    bound = (consts.mu2 / consts.mun) * math.sqrt(consts.gamma / consts.Gamma)
+    bound = (mu2 / mun) * math.sqrt(gamma / Gamma)
     if eps < 0 or eps >= bound:
         raise ValueError(
             "eps=%g is outside [0, %g); pick a smaller solver accuracy" % (eps, bound)
         )
-    val = (math.exp(-eps ** 2) / (1.0 + eps) ** 2) * (
-        (consts.gamma / consts.Gamma) * (consts.mu2 / consts.mun)
-    ) ** 2
+    val = (math.exp(-eps ** 2) / (1.0 + eps) ** 2) * ((gamma / Gamma) * (mu2 / mun)) ** 2
     return min(1.0, val)
-
-
-class _BaseConsts:
-    # minimal duck-typed carrier so alpha_star can run before the full
-    # dataclass exists
-    def __init__(self, gamma, Gamma, mu2, mun):
-        self.gamma = gamma
-        self.Gamma = Gamma
-        self.mu2 = mu2
-        self.mun = mun
 
 
 def convergence_constants(problem, eps=0.0):
@@ -390,7 +376,7 @@ def convergence_constants(problem, eps=0.0):
     mu2 = float(evals[1])
     mun = float(evals[-1])
     B = mun * delta / (gamma * math.sqrt(mu2))
-    a = alpha_star(_BaseConsts(gamma, Gamma, mu2, mun), eps)
+    a = alpha_star(gamma, Gamma, mu2, mun, eps)
     xi = math.sqrt(max(0.0, 1.0 - a + a * eps * (mun / mu2) * math.sqrt(Gamma / gamma)))
     zeta = B * (a * Gamma * (1.0 + eps)) ** 2 / (2.0 * mu2 ** 2)
     if zeta > 0:
@@ -435,8 +421,7 @@ def newton_direction(state, problem, eps=1e-4, R=1, solver_mode="rhop_distribute
         y = direct_solve(Hg, rhs)
         eps_prime = 0.0
     else:
-        kappa = estimate_condition(Hg, tol=1e-6) * 1.05
-        spec = chain_length(max(1.0, kappa), "estimated")
+        spec = estimated_chain(Hg)
         if solver_mode == "full_distributed":
             eng = FullCommEngine(Hg, spec)
         elif solver_mode == "rhop_distributed":
@@ -522,28 +507,25 @@ class Trace:
             items.update(neumann_terms=cfg.neumann_terms)
         return items
 
+    @staticmethod
+    def format_row(row):
+        """One CSV line (without newline) of a row, in COLUMNS order."""
+        return "%d,%r,%r,%r,%r,%s,%d" % (
+            row["iter"], row["objective"], row["feasibility"],
+            row["grad_lnorm"], row["step"], row["phase"], row["messages"],
+        )
+
     def to_csv(self, target, extra_header=None):
         """Write the trace with the resolved configuration as # comments."""
-        own = isinstance(target, str)
-        fh = open(target, "w") if own else target
-        try:
-            items = self.header_items()
-            if extra_header:
-                items.update(extra_header)
+        items = self.header_items()
+        if extra_header:
+            items.update(extra_header)
+        with open_target(target) as fh:
             for key in items:
                 fh.write("# %s=%s\n" % (key, items[key]))
             fh.write(",".join(self.COLUMNS) + "\n")
             for row in self.rows:
-                fh.write(
-                    "%d,%r,%r,%r,%r,%s,%d\n"
-                    % (
-                        row["iter"], row["objective"], row["feasibility"],
-                        row["grad_lnorm"], row["step"], row["phase"], row["messages"],
-                    )
-                )
-        finally:
-            if own:
-                fh.close()
+                fh.write(self.format_row(row) + "\n")
 
 
 def _phase_label(gl, consts):

@@ -9,10 +9,15 @@ from .spectral import validate_sddm
 __all__ = [
     "InverseChainView",
     "direct_solve",
+    "crude_solve",
+    "richardson_iterates",
     "parallel_rsolve",
     "parallel_esolve",
     "richardson_iterations",
 ]
+
+# systems up to this size keep their chain powers as dense matrices
+DENSE_LIMIT = 200
 
 # ln(1/(2^{1/3}-1)); per-iteration contraction guarantee of the
 # chain-preconditioned Richardson scheme
@@ -31,9 +36,9 @@ class InverseChainView:
 
     The chain keeps D_k = D0 and A_k = D0 (D0^{-1} A0)^{2^k}, so everything
     reduces to powers of P = A0 D0^{-1} and Q = D0^{-1} A0 = D0^{-1} P D0.
-    Powers are cached densely by repeated squaring for small systems and
-    applied as repeated sparse matrix-vector products otherwise (never
-    materialized).
+    Powers are cached densely by repeated squaring for systems of at most
+    DENSE_LIMIT nodes and applied as repeated sparse matrix-vector products
+    otherwise (never materialized).
 
     Parameters
     ----------
@@ -41,8 +46,6 @@ class InverseChainView:
     d : int or ChainSpec
         Chain length (number of squarings).
     """
-
-    DENSE_LIMIT = 50
 
     def __init__(self, splitting, d):
         d = int(getattr(d, "d", d))
@@ -53,7 +56,7 @@ class InverseChainView:
         self.D = splitting.D
         self.A = splitting.A
         self._ppow = None
-        if splitting.n <= self.DENSE_LIMIT and d >= 1:
+        if splitting.n <= DENSE_LIMIT and d >= 1:
             P = splitting.A.toarray() / self.D  # P[i,j] = A[i,j]/D[j]
             pows = [P]
             for _ in range(1, d):
@@ -116,24 +119,48 @@ def direct_solve(s, b):
     return x
 
 
-def parallel_rsolve(chain, b0):
-    """Crude solve x0 = Z0 b0 through the inverse chain.
+def crude_solve(b0, D, d, apply_p, apply_q):
+    """Crude solve x0 = Z0 b0 through the inverse chain, given its power appliers.
 
-    Forward pass b_i = (I + P^{2^{i-1}}) b_{i-1} for i = 1..d, top solve
-    x_d = b_d / D, backward pass x_i = (b_i/D + x_{i+1} + Q^{2^i} x_{i+1})/2.
-    The realized operator Z0 satisfies the e^{±eps_d} sandwich against
-    M0^{-1} when d comes from chain_length.
+    Forward pass b_i = b_{i-1} + P^{2^{i-1}} b_{i-1} for i = 1..d, top solve
+    x_d = b_d / D, backward pass x_i = (b_i/D + x_{i+1} + Q^{2^i} x_{i+1})/2,
+    where apply_p(i, v) = P^{2^i} v and apply_q(i, v) = Q^{2^i} v. The
+    realized operator Z0 satisfies the e^{±eps_d} sandwich against M0^{-1}
+    when d comes from chain_length. Returns (x0, levels, xs) with
+    levels = [b_0, ..., b_d] and xs = [x_d, ..., x_0].
     """
     b = np.asarray(b0, dtype=float).ravel()
-    D, d = chain.D, chain.d
     levels = [b]
     for i in range(1, d + 1):
-        b = b + chain.apply_p_power(i - 1, b)
+        b = b + apply_p(i - 1, b)
         levels.append(b)
     x = levels[d] / D
+    xs = [x]
     for i in range(d - 1, -1, -1):
-        x = 0.5 * (levels[i] / D + x + chain.apply_q_power(i, x))
-    return x
+        x = 0.5 * (levels[i] / D + x + apply_q(i, x))
+        xs.append(x)
+    return x, levels, xs
+
+
+def richardson_iterates(rsolve, apply_M, b0, eps):
+    """Richardson iteration preconditioned with a crude solver.
+
+    Yields chi = rsolve(b0) and then each of the q = richardson_iterations(eps)
+    iterates y <- y - rsolve(M y) + chi, where apply_M(y) = M y. The last
+    one satisfies ||y - x*||_M <= eps ||x*||_M.
+    """
+    q = richardson_iterations(eps)
+    chi = rsolve(b0)
+    y = chi.copy()
+    yield y
+    for _ in range(q):
+        y = y - rsolve(apply_M(y)) + chi
+        yield y
+
+
+def parallel_rsolve(chain, b0):
+    """Crude solve x0 = Z0 b0 through an InverseChainView (see crude_solve)."""
+    return crude_solve(b0, chain.D, chain.d, chain.apply_p_power, chain.apply_q_power)[0]
 
 
 def parallel_esolve(chain, b0, eps):
@@ -151,11 +178,6 @@ def parallel_esolve(chain, b0, eps):
     -------
     ndarray
     """
-    q = richardson_iterations(eps)
-    b0 = np.asarray(b0, dtype=float).ravel()
     M = chain.splitting.matrix()
-    chi = parallel_rsolve(chain, b0)
-    y = chi.copy()
-    for _ in range(q):
-        y = y - parallel_rsolve(chain, M @ y) + chi
+    *_, y = richardson_iterates(lambda v: parallel_rsolve(chain, v), lambda y: M @ y, b0, eps)
     return y

@@ -17,6 +17,7 @@ __all__ = [
     "condition_bound",
     "estimate_condition",
     "chain_length",
+    "estimated_chain",
     "approx_order_check",
 ]
 
@@ -261,6 +262,16 @@ def chain_length(kappa, kappa_source="analytic_bound"):
     spec = ChainSpec(kappa=float(kappa), kappa_source=kappa_source, d=d, eps_d=EPS_D)
     assert spec.eps_d < math.log(2.0) / 3.0
     return spec
+
+
+def estimated_chain(s):
+    """Chain for s sized from its estimated condition number.
+
+    The one chain-sizing policy of the solvers: estimate_condition at
+    tol 1e-6, padded by 5%. The returned spec's kappa is the padded estimate.
+    """
+    kappa = estimate_condition(s, tol=1e-6) * 1.05
+    return chain_length(max(1.0, kappa), "estimated")
 
 
 def _as_apply(op):

@@ -216,6 +216,22 @@ class TestMessageAccounting:
         gaps = {b2 - a2 for a2, b2 in zip(msgs, msgs[1:])}
         assert len(gaps) == 1
 
+    @pytest.mark.parametrize(
+        "s", [grounded_path(8), grounded_random(10, 20, seed=7)], ids=["path8", "random10"]
+    )
+    def test_esolve_round_schedule(self, s, rng):
+        b = rng.standard_normal(s.n)
+        d = chain_d(s).d
+        eps = 1e-2
+        q = richardson_iterations(eps)
+        assert d >= 1
+        for R in (1, 2, 4):
+            _, eng = edist_rsolve(s, b, d, R, eps)
+            crude = 2 * sum(2 ** i if 2 ** i < R else 2 ** i // R for i in range(d))
+            assert eng.transcript.rounds == 1 + 2 * (R - 1) + (q + 1) * crude + q
+        _, eng = distr_esolve(s, b, d, eps)
+        assert eng.transcript.rounds == d + (q + 1) * 2 * d + q
+
     def test_strict_violation_surfaces(self):
         s = grounded_path(6)
         eng = RHopEngine(s, 2, 1)

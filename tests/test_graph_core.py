@@ -8,6 +8,7 @@ from lapflow.graph_core import (
     ground,
     generate,
     hop_distances,
+    hop_matrix,
     orient,
     diameter_endpoints,
     load_edge_list,
@@ -147,6 +148,15 @@ class TestHops:
 
     def test_diameter_endpoints_path(self):
         assert diameter_endpoints(path_graph(5)) == (0, 4)
+
+    def test_disconnected_diameter_raises(self):
+        g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        hops = hop_matrix(g)
+        assert hops[0, 1] == 1.0 and np.isinf(hops[0, 2])
+        with pytest.raises(ValueError, match="disconnected"):
+            g.diameter()
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter_endpoints(g)
 
 
 class TestOrient:

@@ -1,6 +1,5 @@
 import io
 import math
-import types
 
 import numpy as np
 import pytest
@@ -258,17 +257,14 @@ class TestDualCalculus:
 
 class TestConstants:
     def test_alpha_star_perfect_conditioning(self):
-        c = types.SimpleNamespace(gamma=1.0, Gamma=1.0, mu2=4.0, mun=4.0)
-        assert alpha_star(c, 0.0) == 1.0
+        assert alpha_star(1.0, 1.0, 4.0, 4.0, 0.0) == 1.0
 
     def test_alpha_star_quarter_ratios(self):
-        c = types.SimpleNamespace(gamma=1.0, Gamma=2.0, mu2=1.0, mun=2.0)
-        assert alpha_star(c, 0.0) == pytest.approx(1.0 / 16.0)
+        assert alpha_star(1.0, 2.0, 1.0, 2.0, 0.0) == pytest.approx(1.0 / 16.0)
 
     def test_alpha_star_rejects_large_eps(self):
-        c = types.SimpleNamespace(gamma=1.0, Gamma=1.0, mu2=1.0, mun=4.0)
         with pytest.raises(ValueError):
-            alpha_star(c, 0.3)  # bound is 1/4
+            alpha_star(1.0, 1.0, 1.0, 4.0, 0.3)  # bound is 1/4
 
     def test_exp_problem_constants(self):
         p = random_flow(10, 20, seed=8)

@@ -115,7 +115,7 @@ class TestInverseChainView:
     def test_sparse_fallback_matches_dense(self, rng, monkeypatch):
         s = grounded_random(12, 24, seed=7)
         dense_chain = InverseChainView(s, 3)
-        monkeypatch.setattr(InverseChainView, "DENSE_LIMIT", 0)
+        monkeypatch.setattr("lapflow.reference_solver.DENSE_LIMIT", 0)
         sparse_chain = InverseChainView(s, 3)
         assert sparse_chain._ppow is None
         v = rng.standard_normal(s.n)
