@@ -12,7 +12,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .newton_flow import (
     optimize,
 )
 
-__all__ = ["RunConfig", "cmd_solve", "cmd_flow", "cmd_bench", "cmd_scale", "main"]
+__all__ = ["header_items", "cmd_solve", "cmd_flow", "cmd_bench", "cmd_scale", "main"]
 
 log = logging.getLogger("lapflow")
 
@@ -45,40 +44,14 @@ _METHODS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: one command plus every knob it may read."""
-
-    command: str
-    graph: str = "path"
-    n: int = None
-    rows: int = None
-    cols: int = None
-    clique: int = None
-    path_len: int = None
-    edges: int = None
-    file: str = None
-    seed: int = 0
-    eps: float = 1e-4
-    R: int = 1
-    method: str = "sddm-newton"
-    max_iters: int = 500
-    feas_threshold: float = 1e-5
-    step: str = "backtracking"
-    out: str = None
-    ground_node: int = 0
-    cost: str = "exp"
-    magnitude: float = 1.0
-    family: str = None
-    sizes: str = None
-
-    def header_items(self):
-        items = dict(command=self.command, graph=self.graph, seed=self.seed)
-        for key in ("n", "rows", "cols", "clique", "path_len", "edges", "file"):
-            val = getattr(self, key)
-            if val is not None:
-                items[key] = val
-        return items
+def header_items(cfg):
+    """The graph-describing `# key=value` items every CSV starts with."""
+    items = dict(command=cfg.command, graph=cfg.graph, seed=cfg.seed)
+    for key in ("n", "rows", "cols", "clique", "path_len", "edges", "file"):
+        val = getattr(cfg, key)
+        if val is not None:
+            items[key] = val
+    return items
 
 
 def _require(parser, cfg, names):
@@ -127,11 +100,11 @@ def cmd_solve(cfg, parser=None):
     b = rng.standard_normal(s.n)
     spec = estimated_chain(s)
     log.info("solve: n=%d kappa~%.3g d=%d", s.n, spec.kappa, spec.d)
-    x, eng = edist_rsolve(s, b, spec, cfg.R, cfg.eps)
+    x, eng = edist_rsolve(s, b, spec, cfg.rhop, cfg.eps)
     residual = float(np.linalg.norm(s.matrix() @ x - b))
-    items = cfg.header_items()
+    items = header_items(cfg)
     items.update(
-        eps=cfg.eps, R=cfg.R, ground=cfg.ground_node,
+        eps=cfg.eps, R=cfg.rhop, ground=cfg.ground_node,
         kappa_estimate=repr(spec.kappa), chain_d=spec.d,
         residual=repr(residual),
         rounds=eng.transcript.rounds,
@@ -171,7 +144,7 @@ def _flow_config(cfg):
         feas_threshold=cfg.feas_threshold,
         max_iters=cfg.max_iters,
         eps=cfg.eps,
-        R=cfg.R,
+        R=cfg.rhop,
         ground_node=cfg.ground_node,
     )
 
@@ -180,8 +153,8 @@ def cmd_flow(cfg, parser=None):
     """Optimize one flow problem and emit its trace."""
     problem = _build_problem(parser, cfg)
     method = _METHODS[cfg.method]
-    extra = cfg.header_items()
-    extra.update(cost=problem.costs[0].name, nodes=problem.n, arcs=problem.E)
+    extra = header_items(cfg)
+    extra.update(cost=problem.cost.name, nodes=problem.n, arcs=problem.E)
     trace = None
     try:
         trace = optimize(problem, method, _flow_config(cfg))
@@ -201,8 +174,8 @@ def cmd_flow(cfg, parser=None):
 def cmd_bench(cfg, parser=None):
     """Run every method on the same problem and emit one combined trace CSV."""
     problem = _build_problem(parser, cfg)
-    extra = cfg.header_items()
-    extra.update(cost=problem.costs[0].name, nodes=problem.n, arcs=problem.E)
+    extra = header_items(cfg)
+    extra.update(cost=problem.cost.name, nodes=problem.n, arcs=problem.E)
     with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, extra)
         fh.write("method," + ",".join(Trace.COLUMNS) + "\n")
@@ -249,7 +222,7 @@ def cmd_scale(cfg, parser=None):
         s = ground(laplacian(g), 0)
         rng = np.random.default_rng(cfg.seed)
         b = rng.standard_normal(s.n)
-        _, eng = edist_rsolve(s, b, estimated_chain(s), cfg.R, cfg.eps)
+        _, eng = edist_rsolve(s, b, estimated_chain(s), cfg.rhop, cfg.eps)
         rows.append(
             (n_actual, eng.transcript.rounds, eng.transcript.messages_total,
              richardson_iterations(cfg.eps))
@@ -260,8 +233,8 @@ def cmd_scale(cfg, parser=None):
         xs = np.log([r[0] for r in rows])
         ys = np.log([max(1, r[2]) for r in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    items = cfg.header_items()
-    items.update(family=cfg.family, eps=cfg.eps, R=cfg.R, loglog_slope=repr(slope))
+    items = header_items(cfg)
+    items.update(family=cfg.family, eps=cfg.eps, R=cfg.rhop, loglog_slope=repr(slope))
     with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, items)
         fh.write("n,rounds,messages,iterations\n")
@@ -309,24 +282,17 @@ def _parser():
 
 
 def _resolve(parser, ns):
+    """Validate --eps and round --rhop down to a power of two, in place."""
     if not (0.0 < ns.eps <= 0.5):
         parser.error("--eps must lie in (0, 0.5]")
-    R = ns.rhop
-    if R < 1:
+    if ns.rhop < 1:
         parser.error("--rhop must be >= 1")
-    if R & (R - 1):
-        down = 2 ** int(math.floor(math.log2(R)))
-        print("warning: --rhop %d is not a power of two; using %d" % (R, down),
+    if ns.rhop & (ns.rhop - 1):
+        down = 2 ** int(math.floor(math.log2(ns.rhop)))
+        print("warning: --rhop %d is not a power of two; using %d" % (ns.rhop, down),
               file=sys.stderr)
-        R = down
-    return RunConfig(
-        command=ns.command, graph=ns.graph, n=ns.n, rows=ns.rows, cols=ns.cols,
-        clique=ns.clique, path_len=ns.path_len, edges=ns.edges, file=ns.file,
-        seed=ns.seed, eps=ns.eps, R=R, method=ns.method, max_iters=ns.max_iters,
-        feas_threshold=ns.feas_threshold, step=ns.step, out=ns.out,
-        ground_node=ns.ground_node, cost=ns.cost, magnitude=ns.magnitude,
-        family=getattr(ns, "family", None), sizes=getattr(ns, "sizes", None),
-    )
+        ns.rhop = down
+    return ns
 
 
 def main(argv=None):

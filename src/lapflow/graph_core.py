@@ -31,7 +31,7 @@ class WeightedGraph:
     n : int
         Number of nodes, labeled ``0 .. n-1``.
     edges : sequence of (i, j, w)
-        Undirected edges with ``i != j`` and ``w > 0``. Each unordered pair
+        Undirected edges with ``i != j`` and finite ``w > 0``. Each unordered pair
         may appear at most once; edges are stored with ``i < j`` in the
         order given.
 
@@ -55,8 +55,8 @@ class WeightedGraph:
                 raise ValueError("self-loop at node %d" % i)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("edge (%d,%d) out of range for n=%d" % (i, j, n))
-            if w <= 0:
-                raise ValueError("edge (%d,%d) has nonpositive weight %g" % (i, j, w))
+            if not 0.0 < w < np.inf:
+                raise ValueError("edge (%d,%d) has weight %g; need 0 < w < inf" % (i, j, w))
             if i > j:
                 i, j = j, i
             if (i, j) in seen:
@@ -236,8 +236,10 @@ def ground(s, ref_node):
 
 
 def hop_distances(g, k):
-    """Unweighted BFS distances from node k. dist[k] = 0."""
+    """Unweighted BFS distances from node k. dist[k] = 0; ValueError if disconnected."""
     d = csgraph.shortest_path(g.adjacency_matrix(), method="D", unweighted=True, indices=k)
+    if np.isinf(d).any():
+        raise ValueError("graph is disconnected, so some node is unreachable from %d" % k)
     return d.astype(int)
 
 

@@ -128,33 +128,32 @@ def make_cost(name, param=None):
 
 
 class FlowProblem:
-    """Minimum-cost flow instance min sum_e Phi_e(x_e) s.t. A x = b.
+    """Minimum-cost flow instance min sum_e Phi(x_e) s.t. A x = b.
 
     Parameters
     ----------
     graph : DirectedFlowGraph
     b : array_like
-        External sources, must sum to zero.
-    costs : EdgeCost or list of EdgeCost
-        One cost per arc (a single cost is shared across all arcs).
+        Finite external sources, must sum to zero.
+    cost : EdgeCost
+        The one cost shared by all arcs.
     """
 
-    def __init__(self, graph, b, costs):
+    def __init__(self, graph, b, cost):
         b = np.asarray(b, dtype=float).ravel()
         if b.shape[0] != graph.n:
             raise ValueError("b has wrong length")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b has a non-finite entry")
         if abs(b.sum()) > 1e-10 * max(1.0, np.abs(b).max()):
             raise ValueError("sources must sum to zero")
         if not graph.graph.is_connected():
             raise ValueError("flow problem needs a connected graph")
-        if isinstance(costs, EdgeCost):
-            costs = [costs] * graph.E
-        if len(costs) != graph.E:
-            raise ValueError("need one cost per arc")
+        if not isinstance(cost, EdgeCost):
+            raise ValueError("need one EdgeCost shared by all arcs")
         self.graph = graph
         self.b = b
-        self.costs = list(costs)
-        self._uniform = costs[0] if all(c is costs[0] for c in costs) else None
+        self.cost = cost
         self._tails = np.array([t for (t, _) in graph.arcs], dtype=int)
         self._heads = np.array([h for (_, h) in graph.arcs], dtype=int)
         self._lap = None
@@ -171,23 +170,15 @@ class FlowProblem:
     def incidence(self):
         return self.graph.incidence
 
-    def _per_edge(self, attr, x):
-        if self._uniform is not None:
-            return np.asarray(getattr(self._uniform, attr)(x), dtype=float)
-        return np.array([float(getattr(c, attr)(x[e])) for e, c in enumerate(self.costs)])
-
     def cost_value(self, x):
-        """Primal objective sum_e Phi_e(x_e)."""
-        return float(np.sum(self._per_edge("value", x)))
-
-    def phi_second(self, x):
-        return self._per_edge("second", x)
+        """Primal objective sum_e Phi(x_e)."""
+        return float(np.sum(self.cost.value(x)))
 
     def unweighted_laplacian(self):
         """Dense L = A A' of the incidence matrix (cached)."""
         if self._lap is None:
-            inc = self.incidence.toarray()
-            self._lap = inc @ inc.T
+            inc = self.incidence
+            self._lap = (inc @ inc.T).toarray()
         return self._lap
 
     def lnorm(self, v):
@@ -228,7 +219,7 @@ def save_flow_problem(problem, target):
     with open_target(target) as fh:
         save_edge_list(problem.graph.graph, fh)
         fh.write("b " + " ".join(repr(float(v)) for v in problem.b) + "\n")
-        cost = problem.costs[0]
+        cost = problem.cost
         if cost.param is not None:
             fh.write("cost %s %r\n" % (cost.name, cost.param))
         else:
@@ -273,16 +264,16 @@ class DualState:
 
 
 def primal_recovery(lam, problem):
-    """Per-arc primal flows x_e = [Phi'_e]^{-1}(lambda_tail - lambda_head)."""
+    """Per-arc primal flows x_e = [Phi']^{-1}(lambda_tail - lambda_head)."""
     lam = np.asarray(lam, dtype=float).ravel()
     y = lam[problem._tails] - lam[problem._heads]
-    for e, c in enumerate(problem.costs):
-        dom = c.inv_domain
-        if dom is not None and not (dom[0] < y[e] < dom[1]):
+    dom = problem.cost.inv_domain
+    if dom is not None:
+        bad = np.flatnonzero(~((dom[0] < y) & (y < dom[1])))
+        if bad.size:
+            e = int(bad[0])
             raise ValueError("inverse map domain violated on edge %d: %g" % (e, y[e]))
-    if problem._uniform is not None:
-        return np.asarray(problem._uniform.inv_deriv(y), dtype=float)
-    return np.array([float(c.inv_deriv(y[e])) for e, c in enumerate(problem.costs)])
+    return np.asarray(problem.cost.inv_deriv(y), dtype=float)
 
 
 def dual_state(lam, problem, k=0):
@@ -304,9 +295,13 @@ def dual_value(lam, problem):
     return float(st.lam @ st.g) - problem.cost_value(st.x_of_lambda)
 
 
-def dual_hessian(state, problem):
-    """Weighted Laplacian Hessian with edge weights 1/Phi''(x_e(lambda))."""
-    dd = problem.phi_second(state.x_of_lambda)
+def _hessian_weights(state, problem):
+    """Edge weights w = 1/Phi''(x_e(lambda)) and their node sums D.
+
+    Raises RuntimeError naming the first edge whose curvature is not finite
+    and positive, or whose weight underflows or overflows.
+    """
+    dd = np.asarray(problem.cost.second(state.x_of_lambda), dtype=float)
     if not np.all(np.isfinite(dd)) or np.any(dd <= 0):
         bad = int(np.flatnonzero(~np.isfinite(dd) | (dd <= 0))[0])
         raise RuntimeError("Hessian curvature invalid on edge %d" % bad)
@@ -316,11 +311,19 @@ def dual_hessian(state, problem):
         raise RuntimeError("Hessian weight underflow on edge %d" % bad)
     n = problem.n
     t, h = problem._tails, problem._heads
+    D = np.bincount(t, weights=w, minlength=n) + np.bincount(h, weights=w, minlength=n)
+    return w, D
+
+
+def dual_hessian(state, problem):
+    """Weighted Laplacian Hessian with edge weights 1/Phi''(x_e(lambda))."""
+    w, D = _hessian_weights(state, problem)
+    n = problem.n
+    t, h = problem._tails, problem._heads
     A = sparse.csr_matrix(
         (np.concatenate([w, w]), (np.concatenate([t, h]), np.concatenate([h, t]))),
         shape=(n, n),
     )
-    D = np.bincount(t, weights=w, minlength=n) + np.bincount(h, weights=w, minlength=n)
     return StandardSplitting(D, A)
 
 
@@ -368,9 +371,8 @@ def alpha_star(gamma, Gamma, mu2, mun, eps):
 
 def convergence_constants(problem, eps=0.0):
     """Evaluate the convergence constants of a problem at solver accuracy eps."""
-    gamma = min(c.gamma for c in problem.costs)
-    Gamma = max(c.Gamma for c in problem.costs)
-    delta = max(c.delta for c in problem.costs)
+    cost = problem.cost
+    gamma, Gamma, delta = cost.gamma, cost.Gamma, cost.delta
     L = problem.unweighted_laplacian()
     evals = np.linalg.eigvalsh(L)
     mu2 = float(evals[1])
@@ -610,11 +612,7 @@ def optimize(problem, method="sddm_newton", config=None):
             direction = -state.g
         else:  # add_neumann
             # H = inc diag(w) inc' applied matrix-free: A_H t = D_H t - H t
-            w = 1.0 / problem.phi_second(state.x_of_lambda)
-            tails, heads = problem._tails, problem._heads
-            D_H = np.bincount(tails, weights=w, minlength=problem.n) + np.bincount(
-                heads, weights=w, minlength=problem.n
-            )
+            w, D_H = _hessian_weights(state, problem)
             t = state.g / D_H
             acc = t.copy()
             for _ in range(cfg.neumann_terms):

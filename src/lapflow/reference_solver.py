@@ -97,6 +97,8 @@ def direct_solve(s, b):
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != s.n:
         raise ValueError("b has wrong length")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b has a non-finite entry")
     rep = validate_sddm(s)
     M = s.dense()
     if rep.positive_definite:

@@ -46,16 +46,6 @@ class TestSolve:
         assert len(rows) == 9
         assert "solve: n=9" in capsys.readouterr().out
 
-    def test_same_seed_gives_identical_csv(self, tmp_path):
-        outs = []
-        for name in ("a.csv", "b.csv"):
-            out = str(tmp_path / name)
-            rc = main(["solve", "--graph", "grid", "--rows", "4", "--cols", "4",
-                       "--seed", "7", "--eps", "1e-2", "--out", out])
-            assert rc == 0
-            outs.append(open(out, "rb").read())
-        assert outs[0] == outs[1]
-
     def test_eps_out_of_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--graph", "path", "--n", "6", "--eps", "0.6"])
@@ -88,6 +78,24 @@ class TestSolve:
                    "--file", str(tmp_path / "missing.txt"), "--eps", "0.5"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("args", [
+        ["solve", "--graph", "grid", "--rows", "4", "--cols", "4"],
+        ["flow", "--graph", "random", "--n", "10", "--edges", "20"],
+        ["bench", "--graph", "random", "--n", "8", "--edges", "14",
+         "--feas-threshold", "1e-2", "--max-iters", "5000"],
+        ["scale", "--family", "scale-free", "--sizes", "8,16"],
+    ], ids=lambda args: args[0])
+    def test_same_seed_gives_identical_csv(self, tmp_path, args):
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = str(tmp_path / name)
+            rc = main(args + ["--seed", "7", "--eps", "1e-2", "--out", out])
+            assert rc == 0
+            outs.append(open(out, "rb").read())
+        assert outs[0] == outs[1]
 
 
 class TestFlow:

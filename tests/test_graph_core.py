@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,9 @@ class TestWeightedGraph:
             WeightedGraph(2, [(0, 1, 0.0)])
         with pytest.raises(ValueError):
             WeightedGraph(2, [(0, 1, -3.0)])
+        for w in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                WeightedGraph(2, [(0, 1, w)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -157,6 +162,8 @@ class TestHops:
             g.diameter()
         with pytest.raises(ValueError, match="disconnected"):
             diameter_endpoints(g)
+        with pytest.raises(ValueError, match="disconnected"):
+            hop_distances(g, 0)
 
 
 class TestOrient:

@@ -86,11 +86,15 @@ class TestFlowProblem:
         g = orient(generate("path", {"n": 3}))
         with pytest.raises(ValueError):
             FlowProblem(g, [1.0, 0.0, 0.0], exp_cost())
+        with pytest.raises(ValueError):
+            FlowProblem(g, [1.0, math.nan, -1.0], exp_cost())
 
     def test_rejects_wrong_cost_count(self):
         g = orient(generate("path", {"n": 3}))
         with pytest.raises(ValueError):
             FlowProblem(g, [1.0, 0.0, -1.0], [exp_cost()])
+        with pytest.raises(ValueError):
+            FlowProblem(g, [1.0, 0.0, -1.0], [exp_cost()] * g.E)
 
     def test_default_endpoints_are_diameter_pair(self):
         p = flow_on("path", {"n": 5})
@@ -118,8 +122,8 @@ class TestFlowProblem:
         q = load_flow_problem(str(path))
         assert q.graph.graph.edges == p.graph.graph.edges
         assert np.array_equal(q.b, p.b)
-        assert q.costs[0].name == "exp"
-        assert q.costs[0].param == p.costs[0].param
+        assert q.cost.name == "exp"
+        assert q.cost.param == p.cost.param
         lam = np.linspace(-0.1, 0.1, p.n)
         assert dual_value(lam, q) == pytest.approx(dual_value(lam, p), rel=1e-12)
 
@@ -157,9 +161,10 @@ class TestPrimalRecovery:
             delta=0.0,
             inv_domain=(-1.0, 1.0),
         )
-        p = FlowProblem(orient(generate("path", {"n": 2})), [1.0, -1.0], bounded)
-        with pytest.raises(ValueError, match="edge 0"):
-            primal_recovery(np.array([5.0, 0.0]), p)
+        p = FlowProblem(orient(generate("path", {"n": 4})), [1.0, 0.0, 0.0, -1.0], bounded)
+        # arc 0 is inside the domain, arcs 1 and 2 both violate it
+        with pytest.raises(ValueError, match="edge 1"):
+            primal_recovery(np.array([0.0, 0.0, 5.0, 0.0]), p)
 
 
 class TestDualCalculus:
@@ -226,6 +231,11 @@ class TestDualCalculus:
         p = FlowProblem(orient(generate("path", {"n": 2})), [1.0, -1.0], flat)
         with pytest.raises(RuntimeError, match="edge 0"):
             dual_hessian(dual_state(np.zeros(2), p), p)
+        # the truncated-Neumann baseline shares the same weight checks; give
+        # the cost usable constants so that optimize gets to its first step
+        flat.gamma = flat.Gamma = 1.0
+        with pytest.raises(RuntimeError, match="edge 0"):
+            optimize(p, "add_neumann")
 
     def test_hessian_lipschitz_in_laplacian_norm(self):
         # ||H(u) - H(v)||_L <= B ||u - v||_L with B = mun delta/(gamma sqrt(mu2))

@@ -62,6 +62,9 @@ class TestDirectSolve:
         s = StandardSplitting([1.0, 1.0], np.zeros((2, 2)))
         with pytest.raises(ValueError):
             direct_solve(s, [1.0, 2.0, 3.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                direct_solve(s, [1.0, bad])
 
 
 class TestRichardsonIterations:
