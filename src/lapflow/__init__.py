@@ -67,7 +67,6 @@ from .newton_flow import (
     alpha_star,
     classify_phase,
     convergence_constants,
-    dual_gradient,
     dual_hessian,
     dual_state,
     dual_value,

@@ -60,8 +60,8 @@ def _require(parser, cfg, names):
             parser.error("--%s is required for --graph %s" % (name.replace("_", "-"), cfg.graph))
 
 
-def _build_graph(parser, cfg, directed=False):
-    params = {"directed": directed} if directed else {}
+def _build_graph(parser, cfg):
+    params = {}
     if cfg.graph == "path":
         _require(parser, cfg, ["n"])
         params["n"] = cfg.n
@@ -79,8 +79,7 @@ def _build_graph(parser, cfg, directed=False):
         params["n"] = cfg.n
     elif cfg.graph == "file":
         _require(parser, cfg, ["file"])
-        g = load_edge_list(cfg.file)
-        return g
+        return load_edge_list(cfg.file)
     else:
         parser.error("unknown graph kind %r" % cfg.graph)
     return generate(cfg.graph, params, seed=cfg.seed)
@@ -131,8 +130,12 @@ def _build_problem(parser, cfg):
         _require(parser, cfg, ["file"])
         try:
             return load_flow_problem(cfg.file)
-        except ValueError:
-            g = load_edge_list(cfg.file)
+        except ValueError as exc:
+            # a bare edge list is accepted too; any other file keeps its own error
+            try:
+                g = load_edge_list(cfg.file)
+            except ValueError:
+                raise exc from None
             return make_flow_problem(g, cost=cfg.cost, magnitude=cfg.magnitude)
     g = _build_graph(parser, cfg)
     return make_flow_problem(g, cost=cfg.cost, magnitude=cfg.magnitude)

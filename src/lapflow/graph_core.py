@@ -293,18 +293,16 @@ def generate(kind, params=None, seed=None):
     params : dict, optional
         ``path``: n. ``grid``: rows, cols. ``barbell``: clique, path_len.
         ``random``: n, m. ``scale_free``: n. All kinds accept ``w_min`` and
-        ``w_max`` (defaults 1.0) for uniform random weights, and
-        ``directed: True`` to get the oriented flow version.
+        ``w_max`` (defaults 1.0) for uniform random weights.
     seed : int, optional
         Seed for all randomness; identical seed gives an identical edge list.
 
     Returns
     -------
-    WeightedGraph or DirectedFlowGraph
+    WeightedGraph
         Always connected.
     """
     params = dict(params or {})
-    directed = bool(params.pop("directed", False))
     w_min = float(params.pop("w_min", 1.0))
     w_max = float(params.pop("w_max", 1.0))
     rng = np.random.default_rng(seed)
@@ -378,7 +376,7 @@ def generate(kind, params=None, seed=None):
     g = WeightedGraph(n, [(i, j, w) for (i, j), w in zip(pairs, ws)])
     if not g.is_connected():
         raise ValueError("generator produced a disconnected graph")
-    return orient(g) if directed else g
+    return g
 
 
 def load_edge_list(path):

@@ -39,7 +39,6 @@ __all__ = [
     "DualState",
     "dual_state",
     "primal_recovery",
-    "dual_gradient",
     "dual_hessian",
     "dual_value",
     "ConvergenceConstants",
@@ -251,7 +250,7 @@ def load_flow_problem(path):
 
 @dataclass
 class DualState:
-    """Dual iterate: variables, recovered primal flows, gradient, index.
+    """Dual iterate: variables, flows x(lambda), gradient, index, objective and q.
 
     ``lam`` is the dual vector (called lambda in the docs; renamed because
     of the Python keyword).
@@ -261,6 +260,8 @@ class DualState:
     x_of_lambda: np.ndarray
     g: np.ndarray
     k: int = 0
+    objective: float = math.nan
+    value: float = math.nan
 
 
 def primal_recovery(lam, problem):
@@ -277,22 +278,18 @@ def primal_recovery(lam, problem):
 
 
 def dual_state(lam, problem, k=0):
-    """Assemble a DualState at the given dual vector."""
+    """Evaluate x(lambda), g = A x - b, objective sum_e Phi(x_e) and q = lambda'g - objective."""
     lam = np.asarray(lam, dtype=float).ravel()
     x = primal_recovery(lam, problem)
     g = problem.incidence @ x - problem.b
-    return DualState(lam=lam, x_of_lambda=x, g=g, k=k)
-
-
-def dual_gradient(state, problem):
-    """Gradient of the dual: conservation violation A x(lambda) - b."""
-    return problem.incidence @ state.x_of_lambda - problem.b
+    obj = problem.cost_value(x)
+    return DualState(lam=lam, x_of_lambda=x, g=g, k=k, objective=obj,
+                     value=float(lam @ g) - obj)
 
 
 def dual_value(lam, problem):
     """q(lambda) = lambda'(A x(lambda) - b) - sum_e Phi_e(x_e(lambda))."""
-    st = dual_state(lam, problem)
-    return float(st.lam @ st.g) - problem.cost_value(st.x_of_lambda)
+    return dual_state(lam, problem).value
 
 
 def _hessian_weights(state, problem):
@@ -373,6 +370,9 @@ def convergence_constants(problem, eps=0.0):
     """Evaluate the convergence constants of a problem at solver accuracy eps."""
     cost = problem.cost
     gamma, Gamma, delta = cost.gamma, cost.Gamma, cost.delta
+    if not 0.0 < gamma <= Gamma < math.inf:
+        raise ValueError("cost %r needs 0 < gamma <= Gamma < inf, got gamma=%g Gamma=%g"
+                         % (cost.name, gamma, Gamma))
     L = problem.unweighted_laplacian()
     evals = np.linalg.eigvalsh(L)
     mu2 = float(evals[1])
@@ -460,7 +460,7 @@ class OptimizeConfig:
 
 
 class DivergenceError(RuntimeError):
-    """Objective became non-finite; carries the trace so far."""
+    """Objective became non-finite or the line search stalled; carries the trace so far."""
 
     def __init__(self, message, trace):
         super().__init__(message)
@@ -540,14 +540,17 @@ def _phase_label(gl, consts):
     return "terminal"
 
 
-def _armijo(problem, lam, q0, g, direction, c1=1e-4, shrink=0.5, alpha0=1.0):
-    slope = float(g @ direction)
+def _armijo(problem, state, direction, alpha0, c1=1e-4, shrink=0.5):
+    """Backtrack from alpha0 to the first Armijo step; return (alpha, its DualState),
+    or (alpha, None) once alpha falls to 1e-12."""
+    slope = float(state.g @ direction)
     alpha = alpha0
     while alpha > 1e-12:
-        if dual_value(lam + alpha * direction, problem) <= q0 + c1 * alpha * slope:
-            return alpha
+        trial = dual_state(state.lam + alpha * direction, problem, k=state.k + 1)
+        if trial.value <= state.value + c1 * alpha * slope:
+            return alpha, trial
         alpha *= shrink
-    return alpha
+    return alpha, None
 
 
 def optimize(problem, method="sddm_newton", config=None):
@@ -570,32 +573,38 @@ def optimize(problem, method="sddm_newton", config=None):
     if method not in ("sddm_newton", "exact_newton", "subgradient", "add_neumann"):
         raise ValueError("unknown method %r" % method)
     cfg = config or OptimizeConfig()
+    if cfg.step not in ("fixed", "alpha_star", "backtracking"):
+        raise ValueError("unknown step policy %r" % cfg.step)
     eps_for_consts = cfg.eps if method == "sddm_newton" else 0.0
     try:
         consts = convergence_constants(problem, eps_for_consts)
     except ValueError:
         consts = convergence_constants(problem, 0.0)
     trace = Trace(method, cfg, consts)
-    lam = np.zeros(problem.n) if cfg.lambda0 is None else np.asarray(cfg.lambda0, float).copy()
     one_hop = 2 * problem.E
-    alpha_prev = 0.5
+    if cfg.step == "fixed":
+        if cfg.alpha is not None:
+            alpha = cfg.alpha
+        elif method == "subgradient":
+            alpha = consts.gamma / consts.mun
+        else:
+            alpha = 1.0
+    elif cfg.step == "alpha_star":
+        alpha = consts.alpha_star
+    else:
+        alpha = 0.5  # backtracking warm-starts at twice the last accepted step
 
-    state = dual_state(lam, problem, k=0)
+    lam0 = np.zeros(problem.n) if cfg.lambda0 is None else np.asarray(cfg.lambda0, float).copy()
+    state = dual_state(lam0, problem, k=0)
     for k in range(cfg.max_iters + 1):
-        obj = problem.cost_value(state.x_of_lambda)
         feas = float(np.linalg.norm(state.g))
-        qval = float(state.lam @ state.g) - obj
         gl = problem.lnorm(state.g)
-        if not (math.isfinite(obj) and math.isfinite(feas)):
+        if not (math.isfinite(state.objective) and math.isfinite(feas)):
             raise DivergenceError("objective diverged at iteration %d" % k, trace)
-        phase = _phase_label(gl, consts)
-        done = feas <= cfg.feas_threshold or k == cfg.max_iters
-        if done:
-            trace.add(
-                dict(iter=k, objective=obj, feasibility=feas, grad_lnorm=gl,
-                     step=0.0, phase=phase, messages=0),
-                qval,
-            )
+        row = dict(iter=k, objective=state.objective, feasibility=feas, grad_lnorm=gl,
+                   step=0.0, phase=_phase_label(gl, consts), messages=0)
+        if feas <= cfg.feas_threshold or k == cfg.max_iters:
+            trace.add(row, state.value)
             trace.converged = feas <= cfg.feas_threshold
             break
 
@@ -622,30 +631,16 @@ def optimize(problem, method="sddm_newton", config=None):
             direction = -acc
             solver_msgs = cfg.neumann_terms * one_hop
 
-        if cfg.step == "fixed":
-            if cfg.alpha is not None:
-                alpha = cfg.alpha
-            elif method == "subgradient":
-                alpha = consts.gamma / consts.mun
-            else:
-                alpha = 1.0
-        elif cfg.step == "alpha_star":
-            alpha = consts.alpha_star
-        elif cfg.step == "backtracking":
-            # warm start at twice the previously accepted step, capped at 1
-            alpha = _armijo(problem, lam, qval, state.g, direction,
-                            alpha0=min(1.0, 2.0 * alpha_prev))
-            alpha_prev = alpha
+        if cfg.step == "backtracking":
+            alpha, nxt = _armijo(problem, state, direction, alpha0=min(1.0, 2.0 * alpha))
+            if nxt is None:
+                raise DivergenceError("line search found no decrease at iteration %d" % k,
+                                      trace)
         else:
-            raise ValueError("unknown step policy %r" % cfg.step)
-
-        trace.add(
-            dict(iter=k, objective=obj, feasibility=feas, grad_lnorm=gl,
-                 step=float(alpha), phase=phase, messages=int(solver_msgs + one_hop)),
-            qval,
-        )
-        lam = lam + alpha * direction
-        state = dual_state(lam, problem, k=k + 1)
+            nxt = dual_state(state.lam + alpha * direction, problem, k=k + 1)
+        row.update(step=float(alpha), messages=int(solver_msgs + one_hop))
+        trace.add(row, state.value)
+        state = nxt
 
     trace.final_state = state
     return trace

@@ -133,6 +133,14 @@ class TestFlow:
 
         assert iters(newton_line) < iters(sub_line)
 
+    def test_problem_file_error_is_not_hidden(self, tmp_path, capsys):
+        # not a bare edge list either, so the problem-file error must surface
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n0 1 1.0\n1 2 1.0\nb 1.0 nan -1.0\ncost exp\n")
+        rc = main(["flow", "--graph", "file", "--file", str(path)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_divergence_reports_partial_trace(self, tmp_path, monkeypatch, capsys):
         import lapflow.cli as cli_mod
 

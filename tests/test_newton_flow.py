@@ -17,7 +17,6 @@ from lapflow.newton_flow import (
     alpha_star,
     classify_phase,
     convergence_constants,
-    dual_gradient,
     dual_hessian,
     dual_state,
     dual_value,
@@ -172,7 +171,6 @@ class TestDualCalculus:
         p = random_flow(10, 18, seed=1, magnitude=1.5)
         st0 = dual_state(np.zeros(p.n), p)
         assert np.allclose(st0.g, -p.b)
-        assert np.allclose(dual_gradient(st0, p), st0.g)
 
     def test_gradient_sums_to_zero(self):
         p = random_flow(12, 22, seed=2)
@@ -231,6 +229,9 @@ class TestDualCalculus:
         p = FlowProblem(orient(generate("path", {"n": 2})), [1.0, -1.0], flat)
         with pytest.raises(RuntimeError, match="edge 0"):
             dual_hessian(dual_state(np.zeros(2), p), p)
+        # zero curvature constants are rejected before any step is taken
+        with pytest.raises(ValueError, match="gamma"):
+            optimize(p, "add_neumann")
         # the truncated-Neumann baseline shares the same weight checks; give
         # the cost usable constants so that optimize gets to its first step
         flat.gamma = flat.Gamma = 1.0
@@ -441,6 +442,38 @@ class TestOptimize:
                 optimize(p, "subgradient", cfg)
         assert isinstance(err.value.trace, Trace)
         assert len(err.value.trace.rows) > 1
+
+    def test_stalled_line_search_raises(self, monkeypatch):
+        import lapflow.newton_flow as nf
+
+        # +g is an ascent direction, so no step size gives a decrease
+        monkeypatch.setattr(nf, "newton_direction", lambda state, problem, **kw: state.g)
+        p = random_flow(10, 18, seed=16)
+        with pytest.raises(DivergenceError, match="line search"):
+            optimize(p, "exact_newton", OptimizeConfig(max_iters=5))
+
+    @pytest.mark.parametrize("method, step", [
+        ("subgradient", "backtracking"),
+        ("add_neumann", "backtracking"),
+        ("exact_newton", "backtracking"),
+        ("exact_newton", "fixed"),
+    ])
+    def test_each_dual_point_evaluated_once(self, monkeypatch, method, step):
+        import lapflow.newton_flow as nf
+
+        seen = []
+        real = nf.dual_state
+
+        def recording(lam, problem, k=0):
+            seen.append(np.asarray(lam, dtype=float).tobytes())
+            return real(lam, problem, k=k)
+
+        monkeypatch.setattr(nf, "dual_state", recording)
+        p = random_flow(10, 18, seed=17)
+        trace = optimize(p, method, OptimizeConfig(step=step, feas_threshold=1e-3,
+                                                   max_iters=200))
+        assert trace.iterations >= 1
+        assert len(seen) == len(set(seen))
 
     def test_warm_start_from_solution(self):
         p = random_flow(8, 14, seed=14)
