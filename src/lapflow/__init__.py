@@ -44,7 +44,6 @@ from .netsim import (
 )
 from .distributed_solver import (
     FullCommEngine,
-    NodeSolverState,
     RHopEngine,
     distr_esolve,
     distr_rsolve,

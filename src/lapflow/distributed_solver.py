@@ -17,8 +17,6 @@ Backward-pass values are published D-scaled, so no node ever needs diagonal
 entries from beyond its 1-hop neighborhood.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy import sparse
 
@@ -27,7 +25,6 @@ from .netsim import SimConfig, Simulator
 from .reference_solver import DENSE_LIMIT, crude_solve, richardson_iterates
 
 __all__ = [
-    "NodeSolverState",
     "FullCommEngine",
     "RHopEngine",
     "support_graph",
@@ -39,31 +36,6 @@ __all__ = [
     "f1_rows",
     "results_to_csv",
 ]
-
-
-@dataclass
-class NodeSolverState:
-    """Per-node view of a solve, assembled for inspection and testing.
-
-    Attributes
-    ----------
-    k : int
-    row_M : ndarray
-        Node k's row of M0.
-    row_powers : dict
-        ``row_powers["p"][p]`` is node k's row of (A0 D0^{-1})^p for every
-        cached power p; ``row_powers["q"]`` the same for (D0^{-1} A0)^p.
-    b_components : list of float
-        [b_i]_k for i = 0..d from the last crude solve.
-    x_components : list of float
-        [x_i]_k for i = d..0 (descending) from the last crude solve.
-    """
-
-    k: int
-    row_M: np.ndarray
-    row_powers: dict
-    b_components: list = field(default_factory=list)
-    x_components: list = field(default_factory=list)
 
 
 def support_graph(splitting):
@@ -79,21 +51,8 @@ def _row_nnz(mat):
     return np.count_nonzero(mat, axis=1)
 
 
-def _row(mat, k):
-    if sparse.issparse(mat):
-        return np.asarray(mat.getrow(k).todense()).ravel()
-    return np.asarray(mat[k]).ravel()
-
-
-def _q_from_p(pmat, D):
-    # Q^p = D^{-1} P^p D
-    if sparse.issparse(pmat):
-        return pmat.multiply(D[None, :]).multiply(1.0 / D[:, None]).tocsr()
-    return pmat * D[None, :] / D[:, None]
-
-
 class _EngineBase:
-    """Shared machinery: walk operators, Richardson loop, node-state views."""
+    """Shared machinery: walk operators and the Richardson loop."""
 
     def __init__(self, splitting, d, sim):
         self.splitting = splitting
@@ -105,19 +64,15 @@ class _EngineBase:
         n = splitting.n
         P1 = splitting.A.multiply(1.0 / self.D[None, :]).tocsr()  # P[k,j] = A[k,j]/D[j]
         Q1 = splitting.A.multiply(1.0 / self.D[:, None]).tocsr()  # Q[k,j] = A[k,j]/D[k]
-        M = (sparse.diags(self.D) - splitting.A).tocsr()
+        M = splitting.matrix()
         if n <= DENSE_LIMIT:
             P1, Q1, M = P1.toarray(), Q1.toarray(), M.toarray()
         # one 1-hop round: neighbors exchange diagonal entries, after which
         # every node can form its rows of P and Q
         sim.account_round(1)
-        self._P1 = P1
-        self._Q1 = Q1
         self._op_P1 = sim.certify(P1, 1)
         self._op_Q1 = sim.certify(Q1, 1)
         self._op_M = sim.certify(M, 1)
-        self._last_levels = None
-        self._last_xs = None
 
     @property
     def transcript(self):
@@ -145,26 +100,6 @@ class _EngineBase:
                 })
         return y
 
-    def _cached_powers(self):
-        raise NotImplementedError
-
-    def node_state(self, k):
-        """NodeSolverState view of node k after the last crude solve."""
-        powers = self._cached_powers()
-        row_powers = {
-            "p": {p: _row(mat, k) for p, mat in powers["p"].items()},
-            "q": {p: _row(mat, k) for p, mat in powers["q"].items()},
-        }
-        b_comp = [lvl[k] for lvl in self._last_levels] if self._last_levels else []
-        x_comp = [x[k] for x in self._last_xs] if self._last_xs else []
-        return NodeSolverState(
-            k=k,
-            row_M=_row(self._op_M.matrix, k),
-            row_powers=row_powers,
-            b_components=b_comp,
-            x_components=x_comp,
-        )
-
 
 class FullCommEngine(_EngineBase):
     """Unrestricted-communication solver: squared-power chain on netsim.
@@ -183,19 +118,11 @@ class FullCommEngine(_EngineBase):
         super().__init__(splitting, d, sim)
         # cache P^{2^s} for s = 0..d-1; squaring round s gathers rows of the
         # half power from radius 2^{s-1}
-        self._ppow = [self._P1]
         self._ops = [self._op_P1]
         for s in range(1, self.d):
-            prev = self._ppow[-1]
+            prev = self._ops[-1].matrix
             self.sim.account_round(2 ** (s - 1), payload=_row_nnz(prev))
-            nxt = prev @ prev
-            self._ppow.append(nxt)
-            self._ops.append(self.sim.certify(nxt, 2 ** s))
-
-    def _cached_powers(self):
-        p = {2 ** s: mat for s, mat in enumerate(self._ppow)}
-        q = {2 ** s: _q_from_p(mat, self.D) for s, mat in enumerate(self._ppow)}
-        return {"p": p, "q": q}
+            self._ops.append(self.sim.certify(prev @ prev, 2 ** s))
 
     def _apply_p(self, s, v):
         return self.sim.apply_round(self._ops[s], v)
@@ -207,9 +134,7 @@ class FullCommEngine(_EngineBase):
 
     def rsolve(self, b0):
         """Crude solve; d forward and d backward gather rounds."""
-        x, self._last_levels, self._last_xs = crude_solve(
-            b0, self.D, self.d, self._apply_p, self._apply_q)
-        return x
+        return crude_solve(b0, self.D, self.d, self._apply_p, self._apply_q)
 
 
 class RHopEngine(_EngineBase):
@@ -236,18 +161,13 @@ class RHopEngine(_EngineBase):
         # Part One: rows of P^R and Q^R by 1-hop row extension, R-1 rounds
         # per routine (the published payload is each node's current row)
         cached = []
-        for one_hop in (self._P1, self._Q1):
-            c = one_hop
+        for op in (self._op_P1, self._op_Q1):
+            one_hop = c = op.matrix
             for _ in range(1, R):
                 self.sim.account_round(1, payload=_row_nnz(c))
                 c = one_hop @ c
             cached.append(self.sim.certify(c, R))
         self._op_C0, self._op_C1 = cached
-
-    def _cached_powers(self):
-        p = {1: self._P1, self.R: self._op_C0.matrix}
-        q = {1: self._Q1, self.R: self._op_C1.matrix}
-        return {"p": p, "q": q}
 
     def _chain(self, vec, exponent, op1, opR):
         # apply the exponent-th power of the 1-hop operator: straight 1-hop
@@ -263,12 +183,11 @@ class RHopEngine(_EngineBase):
 
     def rsolve(self, b0):
         """Crude solve under strict R-hop locality."""
-        x, self._last_levels, self._last_xs = crude_solve(
+        return crude_solve(
             b0, self.D, self.d,
             lambda i, v: self._chain(v, 2 ** i, self._op_P1, self._op_C0),
             lambda i, v: self._chain(v, 2 ** i, self._op_Q1, self._op_C1),
         )
-        return x
 
 
 def distr_rsolve(splitting, b0, d):

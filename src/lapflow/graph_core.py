@@ -350,11 +350,12 @@ def generate(kind, params=None, seed=None):
         iu, ju = np.triu_indices(n, 1)
         for _ in range(1000):
             pick = rng.choice(iu.shape[0], size=m, replace=False)
-            pairs = [(int(iu[t]), int(ju[t])) for t in pick]
-            if WeightedGraph(n, [(i, j, 1.0) for (i, j) in pairs]).is_connected():
+            adj = sparse.coo_matrix((np.ones(m), (iu[pick], ju[pick])), shape=(n, n))
+            if csgraph.connected_components(adj, directed=False)[0] == 1:
                 break
         else:
             raise ValueError("failed to draw a connected graph in 1000 tries")
+        pairs = list(zip(iu[pick].tolist(), ju[pick].tolist()))
     elif kind == "scale_free":
         n = int(params.pop("n"))
         if n < 2:

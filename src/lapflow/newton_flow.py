@@ -229,6 +229,8 @@ def load_flow_problem(path):
     """Read the plain-text problem format written by save_flow_problem."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError("problem file is empty")
     n, m = (int(t) for t in lines[0].split())
     edges = []
     for ln in lines[1 : 1 + m]:
@@ -241,6 +243,8 @@ def load_flow_problem(path):
         if tokens[0] == "b":
             b = np.array([float(t) for t in tokens[1:]])
         elif tokens[0] == "cost":
+            if len(tokens) < 2:
+                raise ValueError("cost line needs a cost name")
             param = float(tokens[2]) if len(tokens) > 2 else None
             cost = make_cost(tokens[1], param)
     if b is None or cost is None:
@@ -575,6 +579,8 @@ def optimize(problem, method="sddm_newton", config=None):
     cfg = config or OptimizeConfig()
     if cfg.step not in ("fixed", "alpha_star", "backtracking"):
         raise ValueError("unknown step policy %r" % cfg.step)
+    if cfg.max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     eps_for_consts = cfg.eps if method == "sddm_newton" else 0.0
     try:
         consts = convergence_constants(problem, eps_for_consts)

@@ -128,8 +128,7 @@ def crude_solve(b0, D, d, apply_p, apply_q):
     x_d = b_d / D, backward pass x_i = (b_i/D + x_{i+1} + Q^{2^i} x_{i+1})/2,
     where apply_p(i, v) = P^{2^i} v and apply_q(i, v) = Q^{2^i} v. The
     realized operator Z0 satisfies the e^{±eps_d} sandwich against M0^{-1}
-    when d comes from chain_length. Returns (x0, levels, xs) with
-    levels = [b_0, ..., b_d] and xs = [x_d, ..., x_0].
+    when d comes from chain_length. Returns x0.
     """
     b = np.asarray(b0, dtype=float).ravel()
     levels = [b]
@@ -137,11 +136,9 @@ def crude_solve(b0, D, d, apply_p, apply_q):
         b = b + apply_p(i - 1, b)
         levels.append(b)
     x = levels[d] / D
-    xs = [x]
     for i in range(d - 1, -1, -1):
         x = 0.5 * (levels[i] / D + x + apply_q(i, x))
-        xs.append(x)
-    return x, levels, xs
+    return x
 
 
 def richardson_iterates(rsolve, apply_M, b0, eps):
@@ -162,7 +159,7 @@ def richardson_iterates(rsolve, apply_M, b0, eps):
 
 def parallel_rsolve(chain, b0):
     """Crude solve x0 = Z0 b0 through an InverseChainView (see crude_solve)."""
-    return crude_solve(b0, chain.D, chain.d, chain.apply_p_power, chain.apply_q_power)[0]
+    return crude_solve(b0, chain.D, chain.d, chain.apply_p_power, chain.apply_q_power)
 
 
 def parallel_esolve(chain, b0, eps):

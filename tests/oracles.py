@@ -27,6 +27,38 @@ def floyd_warshall_hops(g):
     return dist
 
 
+def random_graph_draws(n, m, seed, w_min=1.0, w_max=1.0):
+    """Edge list of generate("random") by its original redraw loop.
+
+    Draws m distinct pairs of the upper triangle until they connect all n
+    nodes (checked by union-find), then draws the weights from the same
+    stream. Returns (edges, number of draws).
+    """
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    draws = 0
+    while True:
+        draws += 1
+        pick = rng.choice(iu.shape[0], size=m, replace=False)
+        pairs = [(int(iu[t]), int(ju[t])) for t in pick]
+        root = list(range(n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for (i, j) in pairs:
+            root[find(i)] = find(j)
+        if len({find(v) for v in range(n)}) == 1:
+            break
+    if w_min == w_max:
+        ws = [float(w_min)] * m
+    else:
+        ws = [float(w) for w in rng.uniform(w_min, w_max, size=m)]
+    return [(i, j, w) for (i, j), w in zip(pairs, ws)], draws
+
+
 def splitting_from_matrix(M):
     """Standard splitting D - A read off a dense SDD matrix."""
     M = np.asarray(M, dtype=float)

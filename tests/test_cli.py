@@ -141,6 +141,15 @@ class TestFlow:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "2 1\n0 1 1.0\nb 1.0 -1.0\ncost\n"],
+                             ids=["empty", "bare_cost"])
+    def test_malformed_problem_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        rc = main(["flow", "--graph", "file", "--file", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_divergence_reports_partial_trace(self, tmp_path, monkeypatch, capsys):
         import lapflow.cli as cli_mod
 

@@ -74,7 +74,7 @@ class TestEngineConstruction:
         s = grounded_random(250, 500, seed=0)
         eng = FullCommEngine(s, 3)
         assert s.n > DENSE_LIMIT
-        assert sparse.issparse(eng._P1)
+        assert sparse.issparse(eng._op_P1.matrix)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(s.n)
         want = parallel_rsolve(InverseChainView(s, 3), b)
@@ -232,6 +232,23 @@ class TestMessageAccounting:
         _, eng = distr_esolve(s, b, d, eps)
         assert eng.transcript.rounds == d + (q + 1) * 2 * d + q
 
+    @pytest.mark.parametrize("R, rounds, messages, max_hop", [
+        (1, 315, 13860, 1),
+        (2, 167, 26136, 2),
+        (4, 111, 35932, 4),
+        (None, 59, 26590, 6),
+    ], ids=["R1", "R2", "R4", "full"])
+    def test_esolve_totals_pinned(self, R, rounds, messages, max_hop):
+        # absolute simulated cost of whole eps-solves on the 4x4 grid
+        s = ground(laplacian(generate("grid", {"rows": 4, "cols": 4})), 0)
+        b = np.random.default_rng(0).standard_normal(s.n)
+        if R is None:
+            _, eng = distr_esolve(s, b, 5, 1e-2)
+        else:
+            _, eng = edist_rsolve(s, b, 5, R, 1e-2)
+        tr = eng.transcript
+        assert (tr.rounds, tr.messages_total, tr.max_hop_used) == (rounds, messages, max_hop)
+
     def test_strict_violation_surfaces(self):
         s = grounded_path(6)
         eng = RHopEngine(s, 2, 1)
@@ -241,40 +258,6 @@ class TestMessageAccounting:
 
         with pytest.raises(ViolationError):
             eng.sim.run_round(bad_round)
-
-
-class TestNodeState:
-    def test_components_match_levels(self, rng):
-        s = grounded_random(9, 15, seed=10, w_min=0.5, w_max=2.0)
-        d = 3
-        b = rng.standard_normal(s.n)
-        eng = FullCommEngine(s, d)
-        eng.rsolve(b)
-        P = s.A.toarray() / s.D[None, :]
-        levels = [b.copy()]
-        cur = b.copy()
-        for i in range(1, d + 1):
-            cur = cur + np.linalg.matrix_power(P, 2 ** (i - 1)) @ cur
-            levels.append(cur)
-        M = s.dense()
-        for k in (0, 4, s.n - 1):
-            st = eng.node_state(k)
-            assert st.k == k
-            assert np.allclose(st.row_M, M[k], atol=1e-12)
-            assert np.allclose(st.row_powers["p"][1], P[k], atol=1e-14)
-            assert len(st.b_components) == d + 1
-            for i, lvl in enumerate(levels):
-                assert st.b_components[i] == pytest.approx(lvl[k], rel=1e-10)
-            assert len(st.x_components) == d + 1
-
-    def test_rhop_cached_rows(self):
-        s = grounded_path(6)
-        eng = RHopEngine(s, 2, 2)
-        eng.rsolve(np.ones(s.n))
-        st = eng.node_state(2)
-        P = s.A.toarray() / s.D[None, :]
-        assert set(st.row_powers["p"]) == {1, 2}
-        assert np.allclose(st.row_powers["p"][2], (P @ P)[2], atol=1e-12)
 
 
 class TestResultsCSV:

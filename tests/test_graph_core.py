@@ -16,7 +16,7 @@ from lapflow.graph_core import (
     load_edge_list,
     save_edge_list,
 )
-from oracles import floyd_warshall_hops
+from oracles import floyd_warshall_hops, random_graph_draws
 
 
 def path_graph(n):
@@ -125,6 +125,16 @@ class TestTopologies:
         a = generate("random", {"n": 15, "m": 30, "w_min": 0.1, "w_max": 9.0}, seed=11)
         b = generate("random", {"n": 15, "m": 30, "w_min": 0.1, "w_max": 9.0}, seed=11)
         assert a.edges == b.edges
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_matches_redraw_loop(self, seed):
+        want, draws = random_graph_draws(30, 45, seed)
+        assert generate("random", {"n": 30, "m": 45}, seed=seed).edges == want
+        if seed == 1:
+            assert draws == 14  # rejected draws leave the stream unchanged
+        weighted = {"n": 30, "m": 45, "w_min": 0.5, "w_max": 2.0}
+        want, _ = random_graph_draws(30, 45, seed, 0.5, 2.0)
+        assert generate("random", weighted, seed=seed).edges == want
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -385,6 +385,11 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(p, "exact_newton", OptimizeConfig(step="wild", max_iters=5))
 
+    def test_rejects_negative_max_iters(self):
+        p = flow_on("path", {"n": 3})
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            optimize(p, "exact_newton", OptimizeConfig(max_iters=-1))
+
     def test_already_feasible_start_takes_zero_iterations(self):
         g = generate("path", {"n": 3})
         p = FlowProblem(orient(g), np.zeros(3), exp_cost())
