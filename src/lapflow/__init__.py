@@ -37,7 +37,6 @@ from .reference_solver import (
 )
 from .netsim import (
     LocalOperator,
-    SimConfig,
     Simulator,
     SimTranscript,
     ViolationError,
@@ -48,10 +47,7 @@ from .distributed_solver import (
     distr_esolve,
     distr_rsolve,
     edist_rsolve,
-    f0_rows,
-    f1_rows,
     rdist_rsolve,
-    results_to_csv,
     support_graph,
 )
 from .newton_flow import (

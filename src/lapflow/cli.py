@@ -171,7 +171,7 @@ def cmd_flow(cfg, parser=None):
         "flow: method=%s iterations=%d converged=%s messages=%d"
         % (method, trace.iterations, trace.converged, msgs)
     )
-    return EXIT_OK
+    return EXIT_OK if trace.converged else EXIT_NUMERICAL
 
 
 def cmd_bench(cfg, parser=None):
@@ -285,9 +285,11 @@ def _parser():
 
 
 def _resolve(parser, ns):
-    """Validate --eps and round --rhop down to a power of two, in place."""
+    """Validate --eps and --feas-threshold and round --rhop down to a power of two, in place."""
     if not (0.0 < ns.eps <= 0.5):
         parser.error("--eps must lie in (0, 0.5]")
+    if not ns.feas_threshold >= 0.0:
+        parser.error("--feas-threshold must be >= 0")
     if ns.rhop < 1:
         parser.error("--rhop must be >= 1")
     if ns.rhop & (ns.rhop - 1):

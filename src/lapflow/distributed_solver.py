@@ -11,7 +11,8 @@ message charges:
 * RHopEngine first caches each node's rows of (A0 D0^{-1})^R and
   (D0^{-1} A0)^R through R-1 one-hop row-extension rounds, then applies
   powers 2^{i-1} either as repeated 1-hop products (exponent below R) or as
-  exponent/R strided R-hop products, under strict hop enforcement.
+  exponent/R strided R-hop products, on a simulator that rejects any
+  round wider than R.
 
 Backward-pass values are published D-scaled, so no node ever needs diagonal
 entries from beyond its 1-hop neighborhood.
@@ -20,8 +21,8 @@ entries from beyond its 1-hop neighborhood.
 import numpy as np
 from scipy import sparse
 
-from .graph_core import WeightedGraph, open_target
-from .netsim import SimConfig, Simulator
+from .graph_core import WeightedGraph
+from .netsim import Simulator
 from .reference_solver import DENSE_LIMIT, crude_solve, richardson_iterates
 
 __all__ = [
@@ -32,9 +33,6 @@ __all__ = [
     "distr_esolve",
     "rdist_rsolve",
     "edist_rsolve",
-    "f0_rows",
-    "f1_rows",
-    "results_to_csv",
 ]
 
 
@@ -52,15 +50,19 @@ def _row_nnz(mat):
 
 
 class _EngineBase:
-    """Shared machinery: walk operators and the Richardson loop."""
+    """Shared machinery: the simulator, walk operators and the Richardson loop.
 
-    def __init__(self, splitting, d, sim):
+    The simulator runs on the support graph with gather radius R; R=None is
+    full communication.
+    """
+
+    def __init__(self, splitting, d, R=None):
         self.splitting = splitting
         self.d = int(getattr(d, "d", d))
         if self.d < 0:
             raise ValueError("chain length must be nonnegative")
         self.D = splitting.D
-        self.sim = sim
+        self.sim = sim = Simulator(support_graph(splitting), R)
         n = splitting.n
         P1 = splitting.A.multiply(1.0 / self.D[None, :]).tocsr()  # P[k,j] = A[k,j]/D[j]
         Q1 = splitting.A.multiply(1.0 / self.D[:, None]).tocsr()  # Q[k,j] = A[k,j]/D[k]
@@ -108,14 +110,10 @@ class FullCommEngine(_EngineBase):
     ----------
     splitting : StandardSplitting
     d : int or ChainSpec
-    sim : Simulator, optional
-        Defaults to a full-communication simulator on the support graph.
     """
 
-    def __init__(self, splitting, d, sim=None):
-        if sim is None:
-            sim = Simulator(SimConfig.full_comm(support_graph(splitting)))
-        super().__init__(splitting, d, sim)
+    def __init__(self, splitting, d):
+        super().__init__(splitting, d)
         # cache P^{2^s} for s = 0..d-1; squaring round s gathers rows of the
         # half power from radius 2^{s-1}
         self._ops = [self._op_P1]
@@ -146,18 +144,14 @@ class RHopEngine(_EngineBase):
     d : int or ChainSpec
     R : int
         Hop radius, a power of two.
-    sim : Simulator, optional
-        Defaults to a strict simulator with radius R on the support graph.
     """
 
-    def __init__(self, splitting, d, R, sim=None):
+    def __init__(self, splitting, d, R):
         R = int(R)
         if R < 1 or (R & (R - 1)) != 0:
             raise ValueError("R must be a power of two")
         self.R = R
-        if sim is None:
-            sim = Simulator(SimConfig(support_graph(splitting), R=R, strict_enforcement=True))
-        super().__init__(splitting, d, sim)
+        super().__init__(splitting, d, R)
         # Part One: rows of P^R and Q^R by 1-hop row extension, R-1 rounds
         # per routine (the published payload is each node's current row)
         cached = []
@@ -212,25 +206,3 @@ def edist_rsolve(splitting, b0, d, R, eps, iterates=None, marks=None):
     """R-hop eps-approximate solve; returns (x, engine)."""
     eng = RHopEngine(splitting, d, R)
     return eng.esolve(b0, eps, iterates=iterates, marks=marks), eng
-
-
-def f0_rows(splitting, R):
-    """All nodes' rows of (A0 D0^{-1})^R as one matrix; returns (rows, engine)."""
-    eng = RHopEngine(splitting, 0, R)
-    return eng._op_C0.matrix, eng
-
-
-def f1_rows(splitting, R):
-    """All nodes' rows of (D0^{-1} A0)^R as one matrix; returns (rows, engine)."""
-    eng = RHopEngine(splitting, 0, R)
-    return eng._op_C1.matrix, eng
-
-
-def results_to_csv(target, x0, xtilde):
-    """Write per-node solver results as `node,x0,xtilde` rows."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    xtilde = np.asarray(xtilde, dtype=float).ravel()
-    with open_target(target) as fh:
-        fh.write("node,x0,xtilde\n")
-        for k in range(x0.shape[0]):
-            fh.write("%d,%r,%r\n" % (k, float(x0[k]), float(xtilde[k])))

@@ -87,6 +87,8 @@ class EdgeCost:
 
 def exp_cost(x_box=5.0):
     """Cost e^x + e^{-x}; Gamma is evaluated over the flow box [-x_box, x_box]."""
+    if not 0.0 < x_box <= 700.0:  # Gamma = 2 cosh(x_box) overflows a float above about 710
+        raise ValueError("exp cost box must lie in (0, 700], got %r" % x_box)
     return EdgeCost(
         "exp",
         value=lambda x: np.exp(x) + np.exp(-x),
@@ -226,29 +228,36 @@ def save_flow_problem(problem, target):
 
 
 def load_flow_problem(path):
-    """Read the plain-text problem format written by save_flow_problem."""
+    """Read the plain-text problem format written by save_flow_problem.
+
+    Raises ValueError on a malformed file: a bad header or edge line, or a
+    'b' or 'cost' line that is missing, repeated or unknown.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.split() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError("problem file is empty")
-    n, m = (int(t) for t in lines[0].split())
+    n, m = (int(t) for t in lines[0])
+    if not 0 <= m < len(lines):
+        raise ValueError("header promises %d edge lines" % m)
     edges = []
     for ln in lines[1 : 1 + m]:
-        i, j, w = ln.split()
+        i, j, w = ln
         edges.append((int(i), int(j), float(w)))
-    b = None
-    cost = None
-    for ln in lines[1 + m :]:
-        tokens = ln.split()
-        if tokens[0] == "b":
-            b = np.array([float(t) for t in tokens[1:]])
-        elif tokens[0] == "cost":
-            if len(tokens) < 2:
-                raise ValueError("cost line needs a cost name")
-            param = float(tokens[2]) if len(tokens) > 2 else None
-            cost = make_cost(tokens[1], param)
-    if b is None or cost is None:
+    rest = {}
+    for tokens in lines[1 + m :]:
+        if tokens[0] not in ("b", "cost"):
+            raise ValueError("unknown line %r" % " ".join(tokens))
+        if tokens[0] in rest:
+            raise ValueError("more than one %r line" % tokens[0])
+        rest[tokens[0]] = tokens[1:]
+    if len(rest) < 2:
         raise ValueError("problem file needs 'b' and 'cost' lines")
+    if not 1 <= len(rest["cost"]) <= 2:
+        raise ValueError("cost line needs a cost name and at most one parameter")
+    name, param = rest["cost"][0], rest["cost"][1:]
+    cost = make_cost(name, float(param[0]) if param else None)
+    b = np.array([float(t) for t in rest["b"]])
     return FlowProblem(orient(WeightedGraph(n, edges)), b, cost)
 
 
@@ -581,6 +590,8 @@ def optimize(problem, method="sddm_newton", config=None):
         raise ValueError("unknown step policy %r" % cfg.step)
     if cfg.max_iters < 0:
         raise ValueError("max_iters must be >= 0")
+    if not cfg.feas_threshold >= 0:
+        raise ValueError("feas_threshold must be >= 0")
     eps_for_consts = cfg.eps if method == "sddm_newton" else 0.0
     try:
         consts = convergence_constants(problem, eps_for_consts)

@@ -8,7 +8,6 @@ passing) rather than reusing the library's own computation paths.
 import numpy as np
 
 from lapflow.graph_core import StandardSplitting
-from lapflow.netsim import SimConfig, Simulator
 from lapflow.distributed_solver import support_graph
 
 
@@ -25,6 +24,80 @@ def floyd_warshall_hops(g):
                 if dist[i, k] + dist[k, j] < dist[i, j]:
                     dist[i, j] = dist[i, k] + dist[k, j]
     return dist
+
+
+class OracleViolation(RuntimeError):
+    """A node program broke the round discipline or the radius limit."""
+
+
+class PerNodeNetwork:
+    """Scalar per-node round executor on floyd_warshall_hops.
+
+    run_round(step_fn) calls step_fn(k) for k = 0..n-1. A step reads
+    previous-round values through gather/own and stages new ones through
+    publish; they become visible when the round ends (double buffering).
+    A gather of radius r by node k delivers the value of every other node
+    within r hops and charges h messages for a value that travels h hops.
+    R=None lifts the radius limit (full communication).
+    """
+
+    def __init__(self, g, R=None):
+        self.n = g.n
+        self.R = R
+        self.hops = floyd_warshall_hops(g)
+        self.messages_per_round = []
+        self.max_hop_per_round = []
+        self._visible = {}
+        self._staged = None  # list of (field, node, value) inside a round
+
+    def seed_field(self, field, values):
+        """Install round-0 state for `field`: values[k] is node k's own datum."""
+        if self._staged is not None:
+            raise OracleViolation("cannot seed fields inside a round")
+        self._visible[field] = {k: float(values[k]) for k in range(self.n)}
+
+    def publish(self, k, field, value):
+        if self._staged is None:
+            raise OracleViolation("publish outside of a round")
+        self._staged.append((field, k, float(value)))
+
+    def own(self, k, field):
+        return self._visible[field][k]
+
+    def gather(self, k, r, field):
+        """Dict node id -> previous-round value of `field`, over nodes within r hops of k."""
+        if self._staged is None:
+            raise OracleViolation("gather outside of a round")
+        if r < 1:
+            raise ValueError("gather radius must be >= 1")
+        if self.R is not None and r > self.R:
+            raise OracleViolation("node %d requested radius %d > R=%d" % (k, r, self.R))
+        bucket = self._visible.get(field, {})
+        out = {}
+        for v in range(self.n):
+            hop = self.hops[k, v]
+            if v == k or hop > r:
+                continue
+            if v not in bucket:
+                raise OracleViolation("node %d missing field %r wanted by node %d" % (v, field, k))
+            out[v] = bucket[v]
+            self._messages += int(hop)
+            self._max_hop = max(self._max_hop, int(hop))
+        return out
+
+    def run_round(self, step_fn):
+        if self._staged is not None:
+            raise OracleViolation("rounds cannot nest")
+        self._staged, self._messages, self._max_hop = [], 0, 0
+        try:
+            for k in range(self.n):
+                step_fn(k)
+        finally:
+            staged, self._staged = self._staged, None
+        for field, k, value in staged:
+            self._visible.setdefault(field, {})[k] = value
+        self.messages_per_round.append(self._messages)
+        self.max_hop_per_round.append(self._max_hop)
 
 
 def random_graph_draws(n, m, seed, w_min=1.0, w_max=1.0):
@@ -141,7 +214,7 @@ def _dense_walk_powers(splitting, d):
 
 
 def pernode_full_rsolve(splitting, b0, d):
-    """Crude solve executed node-by-node on the simulator.
+    """Crude solve executed node-by-node on PerNodeNetwork.
 
     Every node runs a step function that reads only gathered previous-round
     values plus its own rows of the walk powers; the backward pass exchanges
@@ -149,7 +222,7 @@ def pernode_full_rsolve(splitting, b0, d):
     Returns (x0, messages) where messages covers the 2d solve rounds only.
     """
     g = support_graph(splitting)
-    sim = Simulator(SimConfig.full_comm(g))
+    sim = PerNodeNetwork(g)
     n = g.n
     D = splitting.D
     pows = _dense_walk_powers(splitting, d)
@@ -185,18 +258,18 @@ def pernode_full_rsolve(splitting, b0, d):
 
         sim.run_round(backward)
     out = np.array([sim.own(k, "w_0") / D[k] for k in range(n)])
-    return out, sim.transcript.messages_total
+    return out, sum(sim.messages_per_round)
 
 
 def pernode_rhop_rsolve(splitting, b0, d, R):
-    """R-hop crude solve executed node-by-node under strict enforcement.
+    """R-hop crude solve executed node-by-node on PerNodeNetwork with radius R.
 
     Powers of the walk matrices are applied either one hop at a time or in
     strides of the cached radius-R rows, mirroring the chained-exchange
     scheme; gathers never exceed radius R.
     """
     g = support_graph(splitting)
-    sim = Simulator(SimConfig(g, R=R, strict_enforcement=True))
+    sim = PerNodeNetwork(g, R)
     n = g.n
     D = splitting.D
     P = splitting.A.toarray() / D[None, :]
@@ -245,4 +318,4 @@ def pernode_rhop_rsolve(splitting, b0, d, R):
         eta = chain(x, 2 ** i, Q1, QR)
         x = {k: 0.5 * (levels[i][k] / D[k] + x[k] + eta[k]) for k in range(n)}
     out = np.array([x[k] for k in range(n)])
-    return out, sim.transcript.messages_total, sim.transcript.max_hop_used
+    return out, sum(sim.messages_per_round), max(sim.max_hop_per_round, default=0)

@@ -15,7 +15,7 @@ from lapflow.graph_core import WeightedGraph, generate, ground, laplacian, orien
 from lapflow.spectral import EPS_D, approx_order_check, chain_length, estimate_condition
 from lapflow.reference_solver import RICHARDSON_RATE, InverseChainView, direct_solve, parallel_rsolve
 from lapflow.distributed_solver import distr_rsolve, edist_rsolve, rdist_rsolve
-from lapflow.netsim import SimConfig, Simulator, ViolationError
+from lapflow.netsim import Simulator, ViolationError
 from lapflow.newton_flow import (
     FlowProblem,
     OptimizeConfig,
@@ -137,11 +137,13 @@ def test_criterion_04_locality_soundness():
             assert eng.transcript.max_hop_used <= R
             used[R] = max(used.get(R, 0), eng.transcript.max_hop_used)
     g = generate("path", {"n": 5})
-    sim = Simulator(SimConfig(g, R=1, strict_enforcement=True))
-    sim.seed_field("v", {k: 0.0 for k in range(g.n)})
+    sim = Simulator(g, R=1)
+    P2 = np.linalg.matrix_power(g.adjacency_matrix().toarray(), 2)
     with pytest.raises(ViolationError):
-        sim.run_round(lambda k: sim.gather(k, 2, "v"))
-    print("criterion 4 PASS: max hop used per R = %s; over-radius gather rejected" % used)
+        sim.account_round(2)
+    with pytest.raises(ViolationError):
+        sim.certify(P2, 2)
+    print("criterion 4 PASS: max hop used per R = %s; over-radius round and operator rejected" % used)
 
 
 def test_criterion_05_richardson_iteration_law():

@@ -141,14 +141,34 @@ class TestFlow:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["", "2 1\n0 1 1.0\nb 1.0 -1.0\ncost\n"],
-                             ids=["empty", "bare_cost"])
+    @pytest.mark.parametrize("text", [
+        "",
+        "2 1\n0 1 1.0\nb 1.0 -1.0\ncost\n",
+        "2 1\n0 1 1.0\nb 1.0 -1.0\ncost exp\nflux 7\n",
+        "2 1\n0 1 1.0\nb 1.0 -1.0\nb 2.0 -2.0\ncost exp\n",
+        "1 -1\nb 0.0\ncost exp\n",
+    ], ids=["empty", "bare_cost", "unknown_line", "second_b", "negative_edge_count"])
     def test_malformed_problem_file_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         rc = main(["flow", "--graph", "file", "--file", str(path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_no_convergence_exits_3_after_writing_trace(self, tmp_path, capsys):
+        out = str(tmp_path / "trace.csv")
+        rc = main(["flow", "--graph", "barbell", "--clique", "6", "--path-len", "4",
+                   "--method", "subgradient", "--max-iters", "3", "--out", out])
+        assert rc == 3
+        assert "converged=False" in capsys.readouterr().out
+        header, rows = read_rows(out)
+        assert header[0] == "iter" and len(rows) >= 3
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_invalid_feas_threshold_is_usage_error(self, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--graph", "path", "--n", "6", "--feas-threshold", value])
+        assert exc.value.code == 2
 
     def test_divergence_reports_partial_trace(self, tmp_path, monkeypatch, capsys):
         import lapflow.cli as cli_mod

@@ -1,11 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 from scipy import sparse
 
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
-from lapflow.netsim import SimConfig, Simulator, ViolationError
+from lapflow.netsim import ViolationError
 from lapflow.reference_solver import (
     InverseChainView,
     direct_solve,
@@ -21,10 +19,7 @@ from lapflow.distributed_solver import (
     distr_esolve,
     distr_rsolve,
     edist_rsolve,
-    f0_rows,
-    f1_rows,
     rdist_rsolve,
-    results_to_csv,
     support_graph,
 )
 from conftest import grounded_random, mnorm_rel_error
@@ -167,8 +162,8 @@ class TestRowRoutines:
         s = grounded_random(9, 16, seed=4, w_min=0.5, w_max=3.0)
         P = s.A.toarray() / s.D[None, :]
         Q = s.A.toarray() / s.D[:, None]
-        rows0, _ = f0_rows(s, 1)
-        rows1, _ = f1_rows(s, 1)
+        eng = RHopEngine(s, 0, 1)
+        rows0, rows1 = eng._op_C0.matrix, eng._op_C1.matrix
         assert np.allclose(np.asarray(rows0), P, atol=1e-15)
         assert np.allclose(np.asarray(rows1), Q, atol=1e-15)
 
@@ -176,15 +171,14 @@ class TestRowRoutines:
         s = ground(laplacian(generate("path", {"n": 5})), 4)  # path on 4 nodes
         P = s.A.toarray() / s.D[None, :]
         Q = s.A.toarray() / s.D[:, None]
-        rows0, eng0 = f0_rows(s, 2)
-        rows1, eng1 = f1_rows(s, 2)
+        eng = RHopEngine(s, 0, 2)
+        rows0, rows1 = eng._op_C0.matrix, eng._op_C1.matrix
         assert np.abs(np.asarray(rows0) - P @ P).max() <= 1e-12
         assert np.abs(np.asarray(rows1) - Q @ Q).max() <= 1e-12
         # support stays inside the 2-hop neighborhoods
         hops = floyd_warshall_hops(support_graph(s))
         assert not ((np.asarray(rows0) != 0) & (hops > 2)).any()
-        assert eng0.transcript.max_hop_used <= 2
-        assert eng1.transcript.max_hop_used <= 2
+        assert eng.transcript.max_hop_used <= 2
 
 
 class TestMessageAccounting:
@@ -252,24 +246,9 @@ class TestMessageAccounting:
     def test_strict_violation_surfaces(self):
         s = grounded_path(6)
         eng = RHopEngine(s, 2, 1)
-
-        def bad_round(k):
-            eng.sim.gather(k, 2, "nothing")
-
+        P = eng._op_P1.matrix
         with pytest.raises(ViolationError):
-            eng.sim.run_round(bad_round)
+            eng.sim.account_round(2)
+        with pytest.raises(ViolationError):
+            eng.sim.certify(P @ P, 2)
 
-
-class TestResultsCSV:
-    def test_round_trip_format(self):
-        buf = io.StringIO()
-        results_to_csv(buf, [1.0, 2.5], [1.125, 2.25])
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "node,x0,xtilde"
-        assert lines[1] == "0,1.0,1.125"
-        assert lines[2] == "1,2.5,2.25"
-
-    def test_file_target(self, tmp_path):
-        path = tmp_path / "r.csv"
-        results_to_csv(str(path), np.array([0.5]), np.array([0.25]))
-        assert path.read_text().splitlines()[1] == "0,0.5,0.25"

@@ -1,10 +1,13 @@
+"""The library's collective simulator, and the per-node oracle executor it is checked against."""
+
 import io
 
 import numpy as np
 import pytest
 
 from lapflow.graph_core import generate
-from lapflow.netsim import LocalOperator, SimConfig, Simulator, ViolationError
+from lapflow.netsim import LocalOperator, Simulator, ViolationError
+from oracles import OracleViolation, PerNodeNetwork
 
 
 def path_graph(n):
@@ -15,187 +18,188 @@ def k3():
     return generate("random", {"n": 3, "m": 3})
 
 
-def seeded_sim(g, **kw):
-    sim = Simulator(SimConfig(g, **kw))
-    sim.seed_field("v", {k: float(k) for k in range(g.n)})
-    return sim
+def seeded_net(g, R=None):
+    net = PerNodeNetwork(g, R)
+    net.seed_field("v", {k: float(k) for k in range(g.n)})
+    return net
 
 
 class TestSimConfig:
+    """The simulator's one setting: the radius R, None for full communication."""
+
     def test_rejects_radius_below_one(self):
         with pytest.raises(ValueError):
-            SimConfig(path_graph(3), R=0)
+            Simulator(path_graph(3), R=0)
 
-    def test_full_comm_uses_diameter(self):
-        cfg = SimConfig.full_comm(path_graph(5))
-        assert cfg.R == 4
-        assert not cfg.strict_enforcement
-
-    def test_alpha_bound(self):
-        assert SimConfig(k3(), R=1).alpha == 3
-        assert SimConfig(path_graph(5), R=1).alpha == 3
-        assert SimConfig(path_graph(5), R=4).alpha == 5
+    def test_full_communication_has_no_radius_limit(self):
+        sim = Simulator(path_graph(5))
+        assert sim.R is None
+        sim.account_round(4)
+        # every ordered pair of the path, each value charged its hop distance
+        assert sim.transcript.messages_per_round == [2 * (4 * 1 + 3 * 2 + 2 * 3 + 1 * 4)]
+        assert sim.transcript.max_hop_per_round == [4]
 
 
 class TestGather:
     def test_k3_single_gather_costs_two(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
         got = {}
 
         def step(k):
             if k == 0:
-                got.update(sim.gather(0, 1, "v"))
+                got.update(net.gather(0, 1, "v"))
 
-        sim.run_round(step)
+        net.run_round(step)
         assert got == {1: 1.0, 2: 2.0}
-        assert sim.transcript.messages_per_round == [2]
+        assert net.messages_per_round == [2]
 
     def test_path5_two_hop_gather(self):
-        sim = seeded_sim(path_graph(5), R=2)
+        net = seeded_net(path_graph(5), R=2)
         got = {}
 
         def step(k):
             if k == 0:
-                got.update(sim.gather(0, 2, "v"))
+                got.update(net.gather(0, 2, "v"))
 
-        sim.run_round(step)
+        net.run_round(step)
         assert got == {1: 1.0, 2: 2.0}
-        assert sim.transcript.messages_per_round == [3]
-        assert sim.transcript.max_hop_per_round == [2]
+        assert net.messages_per_round == [3]
+        assert net.max_hop_per_round == [2]
 
     def test_strict_radius_violation(self):
-        sim = seeded_sim(path_graph(5), R=1, strict_enforcement=True)
+        net = seeded_net(path_graph(5), R=1)
 
         def step(k):
-            sim.gather(k, 2, "v")
+            net.gather(k, 2, "v")
 
-        with pytest.raises(ViolationError, match="radius 2 > R=1"):
-            sim.run_round(step)
+        with pytest.raises(OracleViolation, match="radius 2 > R=1"):
+            net.run_round(step)
 
     def test_relaxed_mode_allows_wide_gather(self):
-        sim = seeded_sim(path_graph(5), R=1, strict_enforcement=False)
+        net = seeded_net(path_graph(5))
 
         def step(k):
             if k == 0:
-                sim.gather(0, 4, "v")
+                net.gather(0, 4, "v")
 
-        sim.run_round(step)
-        assert sim.transcript.messages_per_round == [1 + 2 + 3 + 4]
-        assert sim.transcript.max_hop_per_round == [4]
+        net.run_round(step)
+        assert net.messages_per_round == [1 + 2 + 3 + 4]
+        assert net.max_hop_per_round == [4]
 
     def test_unpublished_field_names_offender(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
 
         def step(k):
-            sim.gather(k, 1, "ghost")
+            net.gather(k, 1, "ghost")
 
-        with pytest.raises(ViolationError, match="ghost"):
-            sim.run_round(step)
+        with pytest.raises(OracleViolation, match="ghost"):
+            net.run_round(step)
 
     def test_gather_excludes_self(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
         seen = {}
 
         def step(k):
-            seen[k] = sorted(sim.gather(k, 1, "v"))
+            seen[k] = sorted(net.gather(k, 1, "v"))
 
-        sim.run_round(step)
+        net.run_round(step)
         assert seen == {0: [1, 2], 1: [0, 2], 2: [0, 1]}
 
     def test_radius_below_one_rejected(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
 
         def step(k):
-            sim.gather(k, 0, "v")
+            net.gather(k, 0, "v")
 
         with pytest.raises(ValueError):
-            sim.run_round(step)
+            net.run_round(step)
+
+    def test_gather_outside_round(self):
+        net = seeded_net(k3(), R=1)
+        with pytest.raises(OracleViolation):
+            net.gather(0, 1, "v")
 
 
 class TestRounds:
     def test_k3_averaging_round(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
 
         def step(k):
-            vals = sim.gather(k, 1, "v")
-            vals[k] = sim.own(k, "v")
-            sim.publish(k, "v", sum(vals.values()) / len(vals))
+            vals = net.gather(k, 1, "v")
+            vals[k] = net.own(k, "v")
+            net.publish(k, "v", sum(vals.values()) / len(vals))
 
-        sim.run_round(step)
-        assert [sim.own(k, "v") for k in range(3)] == [1.0, 1.0, 1.0]
-        assert sim.transcript.messages_per_round == [6]
+        net.run_round(step)
+        assert [net.own(k, "v") for k in range(3)] == [1.0, 1.0, 1.0]
+        assert net.messages_per_round == [6]
 
     def test_one_hop_round_costs_two_m(self):
         g = generate("random", {"n": 12, "m": 30}, seed=1)
-        sim = Simulator(SimConfig(g, R=1))
-        sim.seed_field("v", {k: 1.0 for k in range(g.n)})
+        net = PerNodeNetwork(g, R=1)
+        net.seed_field("v", {k: 1.0 for k in range(g.n)})
 
         def step(k):
-            sim.gather(k, 1, "v")
+            net.gather(k, 1, "v")
 
-        sim.run_round(step)
-        assert sim.transcript.messages_per_round == [2 * g.m]
+        net.run_round(step)
+        assert net.messages_per_round == [2 * g.m]
 
     def test_publish_visible_next_round_only(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
 
         def first(k):
-            sim.publish(k, "w", 10.0 + k)
-            assert sim.own(k, "v") == float(k)
+            net.publish(k, "w", 10.0 + k)
+            assert net.own(k, "v") == float(k)
 
-        sim.run_round(first)
-        assert sim.own(0, "w") == 10.0
+        net.run_round(first)
+        assert net.own(0, "w") == 10.0
 
     def test_publish_outside_round(self):
-        sim = seeded_sim(k3())
-        with pytest.raises(ViolationError):
-            sim.publish(0, "v", 1.0)
+        net = seeded_net(k3(), R=1)
+        with pytest.raises(OracleViolation):
+            net.publish(0, "v", 1.0)
 
     def test_seed_inside_round(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
 
         def step(k):
-            sim.seed_field("w", {i: 0.0 for i in range(3)})
+            net.seed_field("w", {i: 0.0 for i in range(3)})
 
-        with pytest.raises(ViolationError):
-            sim.run_round(step)
+        with pytest.raises(OracleViolation):
+            net.run_round(step)
 
     def test_rounds_cannot_nest(self):
-        sim = seeded_sim(k3())
+        net = seeded_net(k3(), R=1)
 
         def inner(k):
             pass
 
         def outer(k):
-            sim.run_round(inner)
+            net.run_round(inner)
 
-        with pytest.raises(ViolationError):
-            sim.run_round(outer)
+        with pytest.raises(OracleViolation):
+            net.run_round(outer)
 
     def test_determinism_byte_identical_transcripts(self):
+        g = path_graph(6)
         outs = []
         for _ in range(2):
-            sim = seeded_sim(path_graph(6), R=2)
-
-            def step(k):
-                vals = sim.gather(k, 2, "v")
-                vals[k] = sim.own(k, "v")
-                sim.publish(k, "v", max(vals.values()))
-
+            sim = Simulator(g, R=2)
+            op = sim.certify(g.adjacency_matrix(), 1)
+            x = np.arange(6.0)
             for _ in range(3):
-                sim.run_round(step)
+                sim.account_round(2)
+                sim.account_round(1, payload=[1, 2, 3, 3, 2, 1])
+                x = sim.apply_round(op, x)
             buf = io.StringIO()
             sim.transcript.to_csv(buf)
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 9
 
     def test_transcript_csv_format(self, tmp_path):
-        sim = seeded_sim(k3())
-
-        def step(k):
-            sim.gather(k, 1, "v")
-
-        sim.run_round(step)
+        sim = Simulator(k3(), R=1)
+        sim.account_round(1)
         target = tmp_path / "t.csv"
         sim.transcript.to_csv(str(target))
         lines = target.read_text().strip().splitlines()
@@ -204,81 +208,56 @@ class TestRounds:
 
 
 class TestPayloads:
-    def test_array_payload_scales_cost(self):
-        sim = Simulator(SimConfig(path_graph(5), R=2))
-        sim.seed_field("v", {k: np.zeros(3) for k in range(5)})
-
-        def step(k):
-            if k == 0:
-                sim.gather(0, 2, "v")
-
-        sim.run_round(step)
-        assert sim.transcript.messages_per_round == [(1 + 2) * 3]
-
-    def test_payload_size_attribute(self):
-        class Blob:
-            payload_size = 7
-
-        sim = Simulator(SimConfig(k3(), R=1))
-        sim.seed_field("v", {k: Blob() for k in range(3)})
-
-        def step(k):
-            if k == 0:
-                sim.gather(0, 1, "v")
-
-        sim.run_round(step)
-        assert sim.transcript.messages_per_round == [2 * 7]
-
     def test_unsized_payload_rejected(self):
-        sim = Simulator(SimConfig(k3(), R=1))
-        sim.seed_field("v", {k: object() for k in range(3)})
-
-        def step(k):
-            sim.gather(k, 1, "v")
-
+        # the oracle executor carries scalars only
+        net = PerNodeNetwork(k3(), R=1)
         with pytest.raises(TypeError):
-            sim.run_round(step)
+            net.seed_field("v", {k: object() for k in range(3)})
+        with pytest.raises(TypeError):
+            net.seed_field("v", {k: np.zeros(3) for k in range(3)})
 
 
 class TestCollective:
     def test_certify_adjacency_radius_one(self):
         g = path_graph(5)
-        sim = Simulator(SimConfig(g, R=1))
+        sim = Simulator(g, R=1)
         op = sim.certify(g.adjacency_matrix(), 1)
         assert isinstance(op, LocalOperator)
         assert op.radius == 1
 
     def test_certify_names_offending_entry(self):
         g = path_graph(5)
-        sim = Simulator(SimConfig(g, R=4, strict_enforcement=False))
+        sim = Simulator(g)
         P2 = np.linalg.matrix_power(g.adjacency_matrix().toarray(), 2)
         with pytest.raises(ViolationError, match=r"\(0,2\)"):
             sim.certify(P2, 1)
 
     def test_certify_respects_strict_radius(self):
         g = path_graph(5)
-        sim = Simulator(SimConfig(g, R=1, strict_enforcement=True))
+        sim = Simulator(g, R=1)
         P2 = np.linalg.matrix_power(g.adjacency_matrix().toarray(), 2)
         with pytest.raises(ViolationError):
             sim.certify(P2, 2)
 
     def test_account_round_matches_per_node_costs(self):
         g = generate("random", {"n": 10, "m": 20}, seed=3)
-        collective = Simulator(SimConfig(g, R=2))
-        collective.account_round(2)
-        pernode = Simulator(SimConfig(g, R=2))
-        pernode.seed_field("v", {k: 0.0 for k in range(g.n)})
+        for R in (1, 2, 3, None):
+            r = R or g.n
+            collective = Simulator(g, R=R)
+            collective.account_round(r)
+            pernode = PerNodeNetwork(g, R=R)
+            pernode.seed_field("v", {k: 0.0 for k in range(g.n)})
 
-        def step(k):
-            pernode.gather(k, 2, "v")
+            def step(k):
+                pernode.gather(k, r, "v")
 
-        pernode.run_round(step)
-        assert collective.transcript.messages_per_round == pernode.transcript.messages_per_round
-        assert collective.transcript.max_hop_per_round == pernode.transcript.max_hop_per_round
+            pernode.run_round(step)
+            assert collective.transcript.messages_per_round == pernode.messages_per_round
+            assert collective.transcript.max_hop_per_round == pernode.max_hop_per_round
 
     def test_account_round_payload_vector(self):
         g = path_graph(3)
-        sim = Simulator(SimConfig(g, R=1))
+        sim = Simulator(g, R=1)
         # node 1 publishes 5 scalars, delivered to 0 and 2; ends publish 1
         sim.account_round(1, payload=[1, 5, 1])
         # inbound: node0 gets 5, node1 gets 1+1, node2 gets 5
@@ -286,7 +265,7 @@ class TestCollective:
 
     def test_apply_round_equals_matvec(self):
         g = path_graph(4)
-        sim = Simulator(SimConfig(g, R=1))
+        sim = Simulator(g, R=1)
         W = g.adjacency_matrix()
         op = sim.certify(W, 1)
         x = np.array([1.0, 2.0, 3.0, 4.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapflow.graph_core import WeightedGraph, generate, orient
+from lapflow.graph_core import WeightedGraph, generate, load_edge_list, orient
 from lapflow.newton_flow import (
     ConvergenceConstants,
     DivergenceError,
@@ -131,6 +131,35 @@ class TestFlowProblem:
         path.write_text("2 1\n0 1 1.0\nb 1.0 -1.0\n")
         with pytest.raises(ValueError):
             load_flow_problem(str(path))
+
+    def test_load_rejects_unusable_exp_box(self, tmp_path):
+        for box in ("0.0", "-1.0", "nan", "1000.0"):
+            path = tmp_path / "bad.txt"
+            path.write_text("2 1\n0 1 1.0\nb 1.0 -1.0\ncost exp %s\n" % box)
+            with pytest.raises(ValueError, match="box"):
+                load_flow_problem(str(path))
+
+
+# lines of tokens from the vocabulary of the two file formats, plus any float
+_TOKEN = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["b", "cost", "exp", "quadratic", "flux", "1.0", "-1.0", "0.5"]),
+)
+_FILE_TEXT = st.lists(st.lists(_TOKEN, max_size=5).map(" ".join), max_size=8).map("\n".join)
+
+
+class TestParserFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(_FILE_TEXT)
+    def test_parsers_return_or_raise_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "in.txt"
+        path.write_text(text)
+        for load in (load_edge_list, load_flow_problem):
+            try:
+                load(str(path))
+            except ValueError:
+                pass
 
 
 class TestPrimalRecovery:
@@ -389,6 +418,12 @@ class TestOptimize:
         p = flow_on("path", {"n": 3})
         with pytest.raises(ValueError, match="max_iters must be >= 0"):
             optimize(p, "exact_newton", OptimizeConfig(max_iters=-1))
+
+    def test_rejects_invalid_feas_threshold(self):
+        p = flow_on("path", {"n": 3})
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="feas_threshold must be >= 0"):
+                optimize(p, "exact_newton", OptimizeConfig(feas_threshold=bad))
 
     def test_already_feasible_start_takes_zero_iterations(self):
         g = generate("path", {"n": 3})
