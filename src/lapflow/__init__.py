@@ -1,7 +1,6 @@
 """Distributed SDDM solvers and dual Newton flow optimization on graphs."""
 
 from .graph_core import (
-    DirectedFlowGraph,
     StandardSplitting,
     WeightedGraph,
     diameter_endpoints,
@@ -10,7 +9,6 @@ from .graph_core import (
     hop_distances,
     laplacian,
     load_edge_list,
-    orient,
     save_edge_list,
 )
 from .spectral import (

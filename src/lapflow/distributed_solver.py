@@ -84,22 +84,14 @@ class _EngineBase:
         """One 1-hop round computing M0 y."""
         return self.sim.apply_round(self._op_M, y)
 
-    def esolve(self, b0, eps, iterates=None, marks=None):
+    def esolve(self, b0, eps):
         """Preconditioned Richardson refinement of the crude solver.
 
-        Runs q = richardson_iterations(eps) outer iterations; optionally
-        appends each iterate to `iterates` and a
-        {"round":..., "messages":...} snapshot to `marks` after the initial
-        crude solve and after every iteration.
+        Runs q = richardson_iterations(eps) outer iterations. To watch a
+        solve, iterate richardson_iterates(self.rsolve, self.apply_M, b0, eps)
+        and read self.transcript between yields.
         """
-        for t, y in enumerate(richardson_iterates(self.rsolve, self.apply_M, b0, eps)):
-            if iterates is not None and t > 0:
-                iterates.append(y.copy())
-            if marks is not None:
-                marks.append({
-                    "round": self.sim.completed_rounds,
-                    "messages": self.transcript.messages_total,
-                })
+        *_, y = richardson_iterates(self.rsolve, self.apply_M, b0, eps)
         return y
 
 
@@ -190,10 +182,10 @@ def distr_rsolve(splitting, b0, d):
     return eng.rsolve(b0), eng
 
 
-def distr_esolve(splitting, b0, d, eps, iterates=None, marks=None):
+def distr_esolve(splitting, b0, d, eps):
     """Full-communication eps-approximate solve; returns (x, engine)."""
     eng = FullCommEngine(splitting, d)
-    return eng.esolve(b0, eps, iterates=iterates, marks=marks), eng
+    return eng.esolve(b0, eps), eng
 
 
 def rdist_rsolve(splitting, b0, d, R):
@@ -202,7 +194,7 @@ def rdist_rsolve(splitting, b0, d, R):
     return eng.rsolve(b0), eng
 
 
-def edist_rsolve(splitting, b0, d, R, eps, iterates=None, marks=None):
+def edist_rsolve(splitting, b0, d, R, eps):
     """R-hop eps-approximate solve; returns (x, engine)."""
     eng = RHopEngine(splitting, d, R)
-    return eng.esolve(b0, eps, iterates=iterates, marks=marks), eng
+    return eng.esolve(b0, eps), eng

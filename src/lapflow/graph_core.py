@@ -9,13 +9,11 @@ from scipy.sparse import csgraph
 __all__ = [
     "WeightedGraph",
     "StandardSplitting",
-    "DirectedFlowGraph",
     "laplacian",
     "ground",
     "generate",
     "hop_distances",
     "hop_matrix",
-    "orient",
     "diameter_endpoints",
     "load_edge_list",
     "save_edge_list",
@@ -156,38 +154,6 @@ class StandardSplitting:
         return np.diag(self.D) - self.A.toarray()
 
 
-class DirectedFlowGraph:
-    """Directed version of a connected graph, for flow problems.
-
-    Arcs are the undirected edges oriented from lower to higher node id, so
-    the orientation is deterministic. The incidence matrix has +1 at the
-    tail and -1 at the head of each arc.
-
-    Attributes
-    ----------
-    n, E : int
-        Node and arc counts.
-    arcs : list of (tail, head)
-    incidence : CSR matrix, shape (n, E)
-    graph : WeightedGraph
-        The underlying undirected graph.
-    """
-
-    def __init__(self, graph):
-        arcs = [(i, j) for (i, j, _) in graph.edges]
-        E = len(arcs)
-        rows, cols, vals = [], [], []
-        for e, (t, h) in enumerate(arcs):
-            rows += [t, h]
-            cols += [e, e]
-            vals += [1.0, -1.0]
-        self.n = graph.n
-        self.E = E
-        self.arcs = arcs
-        self.incidence = sparse.csr_matrix((vals, (rows, cols)), shape=(graph.n, E))
-        self.graph = graph
-
-
 def laplacian(g):
     """Standard splitting of the weighted Laplacian of g.
 
@@ -264,11 +230,6 @@ def diameter_endpoints(g):
             if hops[u, v] == best:
                 return u, v
     raise ValueError("graph has no pair at positive distance")
-
-
-def orient(g):
-    """Orient each undirected edge from lower to higher node id."""
-    return DirectedFlowGraph(g)
 
 
 def _weights(rng, m, w_min, w_max):

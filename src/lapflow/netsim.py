@@ -100,10 +100,6 @@ class Simulator:
         self.transcript = SimTranscript()
         self._radius_cache = {}
 
-    @property
-    def completed_rounds(self):
-        return self.transcript.rounds
-
     def _radius_stats(self, r):
         # per-node inbound relay cost c_r[v] = sum_{k != v, hop <= r} hop(k, v)
         # and the largest hop actually inside any radius-r ball
@@ -121,7 +117,7 @@ class Simulator:
         if self.R is not None and r > self.R:
             raise ViolationError(
                 "collective round requested radius %d > R=%d at round %d"
-                % (r, self.R, self.completed_rounds + 1)
+                % (r, self.R, self.transcript.rounds + 1)
             )
 
     def certify(self, matrix, radius):

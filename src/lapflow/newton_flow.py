@@ -15,13 +15,11 @@ import numpy as np
 from scipy import sparse
 
 from .graph_core import (
-    DirectedFlowGraph,
     StandardSplitting,
     WeightedGraph,
     diameter_endpoints,
     ground,
     open_target,
-    orient,
     save_edge_list,
 )
 from .reference_solver import direct_solve, richardson_iterations
@@ -67,12 +65,13 @@ class EdgeCost:
         Curvature bounds gamma <= Phi'' <= Gamma on the working domain.
     delta : float
         Lipschitz constant of 1/Phi''.
-    inv_domain : (float, float), optional
-        Open interval on which inv_deriv is defined; None means all reals.
+
+    Since gamma > 0, Phi' is a bijection of the reals, so inv_deriv is
+    defined everywhere.
     """
 
     def __init__(self, name, value, deriv, second, inv_deriv,
-                 gamma, Gamma, delta, inv_domain=None, param=None):
+                 gamma, Gamma, delta, param=None):
         self.name = name
         self.value = value
         self.deriv = deriv
@@ -81,7 +80,6 @@ class EdgeCost:
         self.gamma = float(gamma)
         self.Gamma = float(Gamma)
         self.delta = float(delta)
-        self.inv_domain = inv_domain
         self.param = param
 
 
@@ -133,11 +131,20 @@ class FlowProblem:
 
     Parameters
     ----------
-    graph : DirectedFlowGraph
+    graph : WeightedGraph
+        Connected, with at least one edge. Edge (i, j), i < j, is the arc
+        from tail i to head j; the incidence matrix has +1 at the tail and
+        -1 at the head of each arc.
     b : array_like
         Finite external sources, must sum to zero.
     cost : EdgeCost
         The one cost shared by all arcs.
+
+    Attributes
+    ----------
+    n, E : int
+        Node and arc counts.
+    incidence : CSR matrix, shape (n, E)
     """
 
     def __init__(self, graph, b, cost):
@@ -148,28 +155,27 @@ class FlowProblem:
             raise ValueError("b has a non-finite entry")
         if abs(b.sum()) > 1e-10 * max(1.0, np.abs(b).max()):
             raise ValueError("sources must sum to zero")
-        if not graph.graph.is_connected():
+        if graph.m == 0:
+            raise ValueError("flow problem needs at least one edge")
+        if not graph.is_connected():
             raise ValueError("flow problem needs a connected graph")
         if not isinstance(cost, EdgeCost):
             raise ValueError("need one EdgeCost shared by all arcs")
         self.graph = graph
         self.b = b
         self.cost = cost
-        self._tails = np.array([t for (t, _) in graph.arcs], dtype=int)
-        self._heads = np.array([h for (_, h) in graph.arcs], dtype=int)
+        self.n = graph.n
+        self.E = graph.m
+        self._tails = np.array([i for (i, _, _) in graph.edges], dtype=int)
+        self._heads = np.array([j for (_, j, _) in graph.edges], dtype=int)
+        # entries in arc order, tail before head
+        self.incidence = sparse.csr_matrix(
+            (np.tile([1.0, -1.0], self.E),
+             (np.column_stack([self._tails, self._heads]).ravel(),
+              np.repeat(np.arange(self.E), 2))),
+            shape=(self.n, self.E),
+        )
         self._lap = None
-
-    @property
-    def n(self):
-        return self.graph.n
-
-    @property
-    def E(self):
-        return self.graph.E
-
-    @property
-    def incidence(self):
-        return self.graph.incidence
 
     def cost_value(self, x):
         """Primal objective sum_e Phi(x_e)."""
@@ -193,7 +199,7 @@ def make_flow_problem(g, cost="exp", magnitude=1.0, x_box=5.0, source=None, sink
 
     Parameters
     ----------
-    g : WeightedGraph or DirectedFlowGraph
+    g : WeightedGraph
     cost : str or EdgeCost
     magnitude : float
         b[source] = +magnitude, b[sink] = -magnitude.
@@ -202,23 +208,22 @@ def make_flow_problem(g, cost="exp", magnitude=1.0, x_box=5.0, source=None, sink
     source, sink : int, optional
         Default to the lexicographically smallest diameter pair.
     """
-    fg = g if isinstance(g, DirectedFlowGraph) else orient(g)
     if source is None or sink is None:
-        u, v = diameter_endpoints(fg.graph)
+        u, v = diameter_endpoints(g)
         source = u if source is None else source
         sink = v if sink is None else sink
-    b = np.zeros(fg.n)
+    b = np.zeros(g.n)
     b[source] += magnitude
     b[sink] -= magnitude
     if isinstance(cost, str):
         cost = make_cost(cost, x_box if cost == "exp" else None)
-    return FlowProblem(fg, b, cost)
+    return FlowProblem(g, b, cost)
 
 
 def save_flow_problem(problem, target):
     """Write edge list, b vector and cost name in plain text to a path or file object."""
     with open_target(target) as fh:
-        save_edge_list(problem.graph.graph, fh)
+        save_edge_list(problem.graph, fh)
         fh.write("b " + " ".join(repr(float(v)) for v in problem.b) + "\n")
         cost = problem.cost
         if cost.param is not None:
@@ -258,12 +263,12 @@ def load_flow_problem(path):
     name, param = rest["cost"][0], rest["cost"][1:]
     cost = make_cost(name, float(param[0]) if param else None)
     b = np.array([float(t) for t in rest["b"]])
-    return FlowProblem(orient(WeightedGraph(n, edges)), b, cost)
+    return FlowProblem(WeightedGraph(n, edges), b, cost)
 
 
 @dataclass
 class DualState:
-    """Dual iterate: variables, flows x(lambda), gradient, index, objective and q.
+    """Dual iterate: variables, flows x(lambda), gradient, objective and q.
 
     ``lam`` is the dual vector (called lambda in the docs; renamed because
     of the Python keyword).
@@ -272,7 +277,6 @@ class DualState:
     lam: np.ndarray
     x_of_lambda: np.ndarray
     g: np.ndarray
-    k: int = 0
     objective: float = math.nan
     value: float = math.nan
 
@@ -281,23 +285,16 @@ def primal_recovery(lam, problem):
     """Per-arc primal flows x_e = [Phi']^{-1}(lambda_tail - lambda_head)."""
     lam = np.asarray(lam, dtype=float).ravel()
     y = lam[problem._tails] - lam[problem._heads]
-    dom = problem.cost.inv_domain
-    if dom is not None:
-        bad = np.flatnonzero(~((dom[0] < y) & (y < dom[1])))
-        if bad.size:
-            e = int(bad[0])
-            raise ValueError("inverse map domain violated on edge %d: %g" % (e, y[e]))
     return np.asarray(problem.cost.inv_deriv(y), dtype=float)
 
 
-def dual_state(lam, problem, k=0):
+def dual_state(lam, problem):
     """Evaluate x(lambda), g = A x - b, objective sum_e Phi(x_e) and q = lambda'g - objective."""
     lam = np.asarray(lam, dtype=float).ravel()
     x = primal_recovery(lam, problem)
     g = problem.incidence @ x - problem.b
     obj = problem.cost_value(x)
-    return DualState(lam=lam, x_of_lambda=x, g=g, k=k, objective=obj,
-                     value=float(lam @ g) - obj)
+    return DualState(lam=lam, x_of_lambda=x, g=g, objective=obj, value=float(lam @ g) - obj)
 
 
 def dual_value(lam, problem):
@@ -413,14 +410,15 @@ def strict_decrement_bound(consts):
     ) * (c.mu2 ** 2 / c.mun ** 4) * c.eta1 ** 2
 
 
-def newton_direction(state, problem, eps=1e-4, R=1, solver_mode="rhop_distributed",
-                     ref_node=0, report=None):
+def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
     """Approximate Newton direction d with H(lambda) d = -g.
 
-    Grounds `ref_node`, solves the SDDM subsystem in the requested mode,
-    re-inserts 0 at the reference node and shifts the result to mean zero.
-    When `report` is a dict it receives eps_prime (the guaranteed relative
-    H-norm error of the direction, derived from eps), messages and rounds.
+    Grounds `ref_node`, solves the SDDM subsystem to accuracy eps with the
+    R-hop engine (R=None: the full-communication engine; eps=0: exactly,
+    with direct_solve), re-inserts 0 at the reference node and shifts the
+    result to mean zero. When `report` is a dict it receives eps_prime (the
+    guaranteed relative H-norm error of the direction, derived from eps),
+    messages and rounds.
     """
     g = state.g
     n = problem.n
@@ -432,17 +430,12 @@ def newton_direction(state, problem, eps=1e-4, R=1, solver_mode="rhop_distribute
     rhs = -g[keep]
     messages = 0
     rounds = 0
-    if solver_mode == "exact_oracle":
+    if eps == 0:
         y = direct_solve(Hg, rhs)
         eps_prime = 0.0
     else:
         spec = estimated_chain(Hg)
-        if solver_mode == "full_distributed":
-            eng = FullCommEngine(Hg, spec)
-        elif solver_mode == "rhop_distributed":
-            eng = RHopEngine(Hg, spec, R)
-        else:
-            raise ValueError("unknown solver_mode %r" % solver_mode)
+        eng = FullCommEngine(Hg, spec) if R is None else RHopEngine(Hg, spec, R)
         y = eng.esolve(rhs, eps)
         messages = eng.transcript.messages_total
         rounds = eng.transcript.rounds
@@ -456,6 +449,10 @@ def newton_direction(state, problem, eps=1e-4, R=1, solver_mode="rhop_distribute
     return d
 
 
+# N of the truncated-Neumann baseline
+NEUMANN_TERMS = 2
+
+
 @dataclass
 class OptimizeConfig:
     """Knobs of the dual descent loop."""
@@ -464,10 +461,8 @@ class OptimizeConfig:
     alpha: float = None  # fixed-step value; None picks a method default
     feas_threshold: float = 1e-5
     max_iters: int = 500
-    eps: float = 1e-4  # solver accuracy for sddm_newton
-    R: int = 1
-    solver_mode: str = "rhop_distributed"
-    neumann_terms: int = 2  # N of the truncated-Neumann baseline
+    eps: float = 1e-4  # solver accuracy for sddm_newton; 0 solves exactly
+    R: int = 1  # hop radius of the sddm_newton solver; None is full communication
     ground_node: int = 0
     lambda0: np.ndarray = None
 
@@ -515,11 +510,15 @@ class Trace:
             "max_iters": cfg.max_iters,
         }
         if self.method == "sddm_newton":
-            items.update(eps=cfg.eps, R=cfg.R, solver_mode=cfg.solver_mode)
+            mode = ("exact_oracle" if cfg.eps == 0 else
+                    "full_distributed" if cfg.R is None else "rhop_distributed")
+            items.update(eps=cfg.eps, R=cfg.R, solver_mode=mode)
+            if self.consts is not None and self.consts.eps != cfg.eps:
+                items.update(consts_eps=self.consts.eps)
         if self.method == "subgradient" and cfg.alpha is not None:
             items.update(alpha=cfg.alpha)
         if self.method == "add_neumann":
-            items.update(neumann_terms=cfg.neumann_terms)
+            items.update(neumann_terms=NEUMANN_TERMS)
         return items
 
     @staticmethod
@@ -559,7 +558,7 @@ def _armijo(problem, state, direction, alpha0, c1=1e-4, shrink=0.5):
     slope = float(state.g @ direction)
     alpha = alpha0
     while alpha > 1e-12:
-        trial = dual_state(state.lam + alpha * direction, problem, k=state.k + 1)
+        trial = dual_state(state.lam + alpha * direction, problem)
         if trial.value <= state.value + c1 * alpha * slope:
             return alpha, trial
         alpha *= shrink
@@ -592,10 +591,14 @@ def optimize(problem, method="sddm_newton", config=None):
         raise ValueError("max_iters must be >= 0")
     if not cfg.feas_threshold >= 0:
         raise ValueError("feas_threshold must be >= 0")
-    eps_for_consts = cfg.eps if method == "sddm_newton" else 0.0
+    eps = cfg.eps if method == "sddm_newton" else 0.0
     try:
-        consts = convergence_constants(problem, eps_for_consts)
+        consts = convergence_constants(problem, eps)
     except ValueError:
+        # eps is beyond the theory's bound: no alpha_star step exists, other
+        # steps fall back to the eps = 0 constants (named in the trace header)
+        if cfg.step == "alpha_star":
+            raise
         consts = convergence_constants(problem, 0.0)
     trace = Trace(method, cfg, consts)
     one_hop = 2 * problem.E
@@ -612,7 +615,7 @@ def optimize(problem, method="sddm_newton", config=None):
         alpha = 0.5  # backtracking warm-starts at twice the last accepted step
 
     lam0 = np.zeros(problem.n) if cfg.lambda0 is None else np.asarray(cfg.lambda0, float).copy()
-    state = dual_state(lam0, problem, k=0)
+    state = dual_state(lam0, problem)
     for k in range(cfg.max_iters + 1):
         feas = float(np.linalg.norm(state.g))
         gl = problem.lnorm(state.g)
@@ -628,11 +631,8 @@ def optimize(problem, method="sddm_newton", config=None):
         solver_msgs = 0
         if method in ("sddm_newton", "exact_newton"):
             report = {}
-            mode = "exact_oracle" if method == "exact_newton" else cfg.solver_mode
-            direction = newton_direction(
-                state, problem, eps=cfg.eps, R=cfg.R, solver_mode=mode,
-                ref_node=cfg.ground_node, report=report,
-            )
+            direction = newton_direction(state, problem, eps=eps, R=cfg.R,
+                                         ref_node=cfg.ground_node, report=report)
             solver_msgs = report.get("messages", 0)
         elif method == "subgradient":
             direction = -state.g
@@ -641,12 +641,12 @@ def optimize(problem, method="sddm_newton", config=None):
             w, D_H = _hessian_weights(state, problem)
             t = state.g / D_H
             acc = t.copy()
-            for _ in range(cfg.neumann_terms):
+            for _ in range(NEUMANN_TERMS):
                 ht = problem.incidence @ (w * (problem.incidence.T @ t))
                 t = (D_H * t - ht) / D_H
                 acc += t
             direction = -acc
-            solver_msgs = cfg.neumann_terms * one_hop
+            solver_msgs = NEUMANN_TERMS * one_hop
 
         if cfg.step == "backtracking":
             alpha, nxt = _armijo(problem, state, direction, alpha0=min(1.0, 2.0 * alpha))
@@ -654,7 +654,7 @@ def optimize(problem, method="sddm_newton", config=None):
                 raise DivergenceError("line search found no decrease at iteration %d" % k,
                                       trace)
         else:
-            nxt = dual_state(state.lam + alpha * direction, problem, k=k + 1)
+            nxt = dual_state(state.lam + alpha * direction, problem)
         row.update(step=float(alpha), messages=int(solver_msgs + one_hop))
         trace.add(row, state.value)
         state = nxt

@@ -11,10 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from lapflow.graph_core import WeightedGraph, generate, ground, laplacian, orient
+from lapflow.graph_core import WeightedGraph, generate, ground, laplacian
 from lapflow.spectral import EPS_D, approx_order_check, chain_length, estimate_condition
-from lapflow.reference_solver import RICHARDSON_RATE, InverseChainView, direct_solve, parallel_rsolve
-from lapflow.distributed_solver import distr_rsolve, edist_rsolve, rdist_rsolve
+from lapflow.reference_solver import (
+    RICHARDSON_RATE,
+    InverseChainView,
+    direct_solve,
+    parallel_rsolve,
+    richardson_iterates,
+)
+from lapflow.distributed_solver import RHopEngine, distr_rsolve, edist_rsolve, rdist_rsolve
 from lapflow.netsim import Simulator, ViolationError
 from lapflow.newton_flow import (
     FlowProblem,
@@ -153,12 +159,11 @@ def test_criterion_05_richardson_iteration_law():
     b = rng.standard_normal(s.n)
     xstar = direct_solve(s, b)
     base = mnorm(s, xstar)
-    x0, _ = rdist_rsolve(s, b, spec, 1)
     qs, lninv, worst_ratio = [], [], 0.0
     for k in range(1, 15):
         eps = 2.0 ** -k
-        iterates = []
-        edist_rsolve(s, b, spec, 1, eps, iterates=iterates)
+        eng = RHopEngine(s, spec, 1)
+        x0, *iterates = richardson_iterates(eng.rsolve, eng.apply_M, b, eps)
         qs.append(len(iterates))
         lninv.append(k * math.log(2.0))
         errs = [mnorm(s, xt - xstar) for xt in [x0] + iterates]
@@ -230,8 +235,7 @@ def test_criterion_08_baseline_ordering():
         p = make_flow_problem(generate(kind, params, seed=seed))
         counts = {}
         for method in ("sddm_newton", "exact_newton", "add_neumann", "subgradient"):
-            cfg = OptimizeConfig(feas_threshold=1e-2, max_iters=300000,
-                                 solver_mode="full_distributed")
+            cfg = OptimizeConfig(feas_threshold=1e-2, max_iters=300000, R=None)
             trace = optimize(p, method, cfg)
             assert trace.converged, (kind, params, method)
             counts[method] = trace.iterations
@@ -246,7 +250,7 @@ def test_criterion_09_convergence_phases():
     # clique with a tight flow box; sources sized so the run starts strict,
     # passes through the narrow quadratic band and ends terminal
     g = generate("random", {"n": 4, "m": 6}, seed=0)
-    p = FlowProblem(orient(g), np.array([6.9, 0.0, 0.0, -6.9]), exp_cost(x_box=3.0))
+    p = FlowProblem(g, np.array([6.9, 0.0, 0.0, -6.9]), exp_cost(x_box=3.0))
     consts = convergence_constants(p, eps=0.0)
     cfg = OptimizeConfig(step="alpha_star", feas_threshold=1e-5, max_iters=2500)
     trace = optimize(p, "exact_newton", cfg)
@@ -280,7 +284,7 @@ def test_criterion_10_realized_solve_sandwich():
     for p in problems:
         # a realized Hessian half an exact Newton step away from the origin
         state0 = dual_state(np.zeros(p.n), p)
-        d0 = newton_direction(state0, p, solver_mode="exact_oracle")
+        d0 = newton_direction(state0, p, eps=0.0)
         state = dual_state(0.5 * d0, p)
         H = dual_hessian(state, p)
         Hg = ground(H, 0)
@@ -320,9 +324,9 @@ def test_criterion_11_message_count_shape():
     rs = np.array([1, 2, 4, 8])
     per_iter = []
     for R in rs:
-        marks = []
-        edist_rsolve(s, b, spec, int(R), 0.5, marks=marks)
-        deltas = np.diff([m["messages"] for m in marks])
+        eng = RHopEngine(s, spec, int(R))
+        deltas = np.diff([eng.transcript.messages_total
+                          for _ in richardson_iterates(eng.rsolve, eng.apply_M, b, 0.5)])
         per_iter.append(float(np.mean(deltas)))
     y = np.array(per_iter)
     model = kappa / rs + rs * d_max

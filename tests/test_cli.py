@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import lapflow
 from lapflow.cli import main
 from lapflow.graph_core import generate, save_edge_list
 from lapflow.newton_flow import DivergenceError, OptimizeConfig, optimize
@@ -147,7 +148,9 @@ class TestFlow:
         "2 1\n0 1 1.0\nb 1.0 -1.0\ncost exp\nflux 7\n",
         "2 1\n0 1 1.0\nb 1.0 -1.0\nb 2.0 -2.0\ncost exp\n",
         "1 -1\nb 0.0\ncost exp\n",
-    ], ids=["empty", "bare_cost", "unknown_line", "second_b", "negative_edge_count"])
+        "1 0\nb 0.0\ncost exp\n",
+    ], ids=["empty", "bare_cost", "unknown_line", "second_b", "negative_edge_count",
+            "no_edges"])
     def test_malformed_problem_file_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -236,10 +239,12 @@ class TestLogging:
         cmd = [sys.executable, "-m", "lapflow.cli", "solve",
                "--graph", "path", "--n", "6", "--eps", "0.5"]
         env = dict(os.environ, LF_LOG="info")
-        loud = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        # run next to the imported package, so the child finds it without an install
+        cwd = os.path.dirname(os.path.dirname(os.path.abspath(lapflow.__file__)))
+        loud = subprocess.run(cmd, env=env, capture_output=True, text=True, cwd=cwd)
         assert loud.returncode == 0
         assert "INFO" in loud.stderr
         env.pop("LF_LOG")
-        quiet = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        quiet = subprocess.run(cmd, env=env, capture_output=True, text=True, cwd=cwd)
         assert quiet.returncode == 0
         assert "INFO" not in quiet.stderr

@@ -11,7 +11,6 @@ from lapflow.graph_core import (
     generate,
     hop_distances,
     hop_matrix,
-    orient,
     diameter_endpoints,
     load_edge_list,
     save_edge_list,
@@ -174,24 +173,6 @@ class TestHops:
             diameter_endpoints(g)
         with pytest.raises(ValueError, match="disconnected"):
             hop_distances(g, 0)
-
-
-class TestOrient:
-    def test_incidence_columns(self):
-        fg = orient(path_graph(3))
-        inc = fg.incidence.toarray()
-        assert inc.shape == (3, 2)
-        assert np.allclose(inc.sum(axis=0), 0.0)
-        # tail +1 at the lower id, head -1 at the higher id
-        assert inc[0, 0] == 1.0 and inc[1, 0] == -1.0
-        assert fg.arcs == [(0, 1), (1, 2)]
-
-    def test_incidence_gives_unweighted_laplacian(self):
-        g = generate("random", {"n": 8, "m": 14}, seed=9)
-        fg = orient(g)
-        L = (fg.incidence @ fg.incidence.T).toarray()
-        unit = WeightedGraph(g.n, [(i, j, 1.0) for (i, j, _) in g.edges])
-        assert np.allclose(L, laplacian(unit).dense())
 
 
 class TestEdgeListIO:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapflow.graph_core import WeightedGraph, generate, load_edge_list, orient
+from lapflow.graph_core import WeightedGraph, generate, laplacian, load_edge_list
 from lapflow.newton_flow import (
     ConvergenceConstants,
     DivergenceError,
@@ -82,18 +82,34 @@ class TestEdgeCosts:
 
 class TestFlowProblem:
     def test_rejects_unbalanced_sources(self):
-        g = orient(generate("path", {"n": 3}))
+        g = generate("path", {"n": 3})
         with pytest.raises(ValueError):
             FlowProblem(g, [1.0, 0.0, 0.0], exp_cost())
         with pytest.raises(ValueError):
             FlowProblem(g, [1.0, math.nan, -1.0], exp_cost())
 
     def test_rejects_wrong_cost_count(self):
-        g = orient(generate("path", {"n": 3}))
+        g = generate("path", {"n": 3})
         with pytest.raises(ValueError):
             FlowProblem(g, [1.0, 0.0, -1.0], [exp_cost()])
         with pytest.raises(ValueError):
-            FlowProblem(g, [1.0, 0.0, -1.0], [exp_cost()] * g.E)
+            FlowProblem(g, [1.0, 0.0, -1.0], [exp_cost()] * g.m)
+
+    def test_incidence_columns(self):
+        p = FlowProblem(generate("path", {"n": 3}), np.zeros(3), exp_cost())
+        inc = p.incidence.toarray()
+        assert inc.shape == (3, 2)
+        assert np.allclose(inc.sum(axis=0), 0.0)
+        # tail +1 at the lower id, head -1 at the higher id
+        assert inc[0, 0] == 1.0 and inc[1, 0] == -1.0
+        assert list(zip(p._tails.tolist(), p._heads.tolist())) == [(0, 1), (1, 2)]
+
+    def test_incidence_gives_unweighted_laplacian(self):
+        g = generate("random", {"n": 8, "m": 14}, seed=9)
+        p = FlowProblem(g, np.zeros(g.n), exp_cost())
+        L = (p.incidence @ p.incidence.T).toarray()
+        unit = WeightedGraph(g.n, [(i, j, 1.0) for (i, j, _) in g.edges])
+        assert np.allclose(L, laplacian(unit).dense())
 
     def test_default_endpoints_are_diameter_pair(self):
         p = flow_on("path", {"n": 5})
@@ -119,7 +135,7 @@ class TestFlowProblem:
         path = tmp_path / "prob.txt"
         save_flow_problem(p, str(path))
         q = load_flow_problem(str(path))
-        assert q.graph.graph.edges == p.graph.graph.edges
+        assert q.graph.edges == p.graph.edges
         assert np.array_equal(q.b, p.b)
         assert q.cost.name == "exp"
         assert q.cost.param == p.cost.param
@@ -176,23 +192,6 @@ class TestPrimalRecovery:
         p = flow_on("path", {"n": 3}, cost="quadratic")
         lam = np.array([3.0, 1.0, -2.0])
         assert np.allclose(primal_recovery(lam, p), [2.0, 3.0])
-
-    def test_domain_violation_names_edge(self):
-        bounded = EdgeCost(
-            "bounded",
-            value=lambda x: np.square(x),
-            deriv=lambda x: 2.0 * np.asarray(x, float),
-            second=lambda x: 2.0 * np.ones_like(np.asarray(x, float)),
-            inv_deriv=lambda y: np.asarray(y, float) / 2.0,
-            gamma=2.0,
-            Gamma=2.0,
-            delta=0.0,
-            inv_domain=(-1.0, 1.0),
-        )
-        p = FlowProblem(orient(generate("path", {"n": 4})), [1.0, 0.0, 0.0, -1.0], bounded)
-        # arc 0 is inside the domain, arcs 1 and 2 both violate it
-        with pytest.raises(ValueError, match="edge 1"):
-            primal_recovery(np.array([0.0, 0.0, 5.0, 0.0]), p)
 
 
 class TestDualCalculus:
@@ -255,7 +254,7 @@ class TestDualCalculus:
             Gamma=0.0,
             delta=0.0,
         )
-        p = FlowProblem(orient(generate("path", {"n": 2})), [1.0, -1.0], flat)
+        p = FlowProblem(generate("path", {"n": 2}), [1.0, -1.0], flat)
         with pytest.raises(RuntimeError, match="edge 0"):
             dual_hessian(dual_state(np.zeros(2), p), p)
         # zero curvature constants are rejected before any step is taken
@@ -335,22 +334,16 @@ class TestConstants:
 
 class TestNewtonDirection:
     def test_zero_gradient_gives_zero_direction(self):
-        p = FlowProblem(orient(generate("path", {"n": 3})), np.zeros(3), exp_cost())
+        p = FlowProblem(generate("path", {"n": 3}), np.zeros(3), exp_cost())
         st0 = dual_state(np.zeros(3), p)
-        d = newton_direction(st0, p, solver_mode="exact_oracle")
+        d = newton_direction(st0, p, eps=0.0)
         assert np.allclose(d, 0.0)
 
     def test_rejects_unbalanced_gradient(self):
         p = flow_on("path", {"n": 3})
         bogus = DualState(lam=np.zeros(3), x_of_lambda=np.zeros(2), g=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            newton_direction(bogus, p, solver_mode="exact_oracle")
-
-    def test_unknown_solver_mode(self):
-        p = flow_on("path", {"n": 3})
-        st0 = dual_state(np.zeros(3), p)
-        with pytest.raises(ValueError):
-            newton_direction(st0, p, solver_mode="telepathy")
+            newton_direction(bogus, p, eps=0.0)
 
     def test_exact_direction_matches_pseudoinverse(self):
         p = random_flow(12, 24, seed=9, magnitude=1.2)
@@ -358,7 +351,7 @@ class TestNewtonDirection:
         st0 = dual_state(rng.standard_normal(p.n) * 0.2, p)
         H = dual_hessian(st0, p).dense()
         want = -np.linalg.pinv(H) @ st0.g
-        got = newton_direction(st0, p, solver_mode="exact_oracle")
+        got = newton_direction(st0, p, eps=0.0)
         assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
         assert abs(got.mean()) <= 1e-12
 
@@ -367,7 +360,7 @@ class TestNewtonDirection:
         rng = np.random.default_rng(4)
         st0 = dual_state(rng.standard_normal(p.n) * 0.2, p)
         H = dual_hessian(st0, p).dense()
-        exact = newton_direction(st0, p, solver_mode="exact_oracle")
+        exact = newton_direction(st0, p, eps=0.0)
         report = {}
         approx = newton_direction(st0, p, eps=1e-4, R=1, report=report)
         diff = approx - exact
@@ -382,8 +375,8 @@ class TestNewtonDirection:
     def test_full_distributed_mode(self):
         p = random_flow(10, 18, seed=10)
         st0 = dual_state(np.zeros(p.n), p)
-        exact = newton_direction(st0, p, solver_mode="exact_oracle")
-        approx = newton_direction(st0, p, eps=1e-4, solver_mode="full_distributed")
+        exact = newton_direction(st0, p, eps=0.0)
+        approx = newton_direction(st0, p, eps=1e-4, R=None)
         assert np.linalg.norm(approx - exact) <= 1e-3 * np.linalg.norm(exact)
 
     def test_rank_one_shift_matches_pseudoinverse_quadform(self):
@@ -427,7 +420,7 @@ class TestOptimize:
 
     def test_already_feasible_start_takes_zero_iterations(self):
         g = generate("path", {"n": 3})
-        p = FlowProblem(orient(g), np.zeros(3), exp_cost())
+        p = FlowProblem(g, np.zeros(3), exp_cost())
         trace = optimize(p, "exact_newton")
         assert trace.converged
         assert trace.iterations == 0
@@ -444,8 +437,7 @@ class TestOptimize:
         p = random_flow(12, 25, seed=12)
         counts = {}
         for method in ("sddm_newton", "exact_newton", "subgradient", "add_neumann"):
-            cfg = OptimizeConfig(feas_threshold=1e-3, max_iters=5000,
-                                 solver_mode="full_distributed")
+            cfg = OptimizeConfig(feas_threshold=1e-3, max_iters=5000, R=None)
             trace = optimize(p, method, cfg)
             assert trace.converged, method
             counts[method] = trace.iterations
@@ -466,8 +458,7 @@ class TestOptimize:
         # line search the subgradient would not be the usual baseline
         p = random_flow(20, 60, seed=1, magnitude=2.0)
         newton = optimize(p, "sddm_newton",
-                          OptimizeConfig(feas_threshold=1e-2, max_iters=200000,
-                                         solver_mode="full_distributed"))
+                          OptimizeConfig(feas_threshold=1e-2, max_iters=200000, R=None))
         sub = optimize(p, "subgradient",
                        OptimizeConfig(step="fixed", feas_threshold=1e-2,
                                       max_iters=200000))
@@ -504,9 +495,9 @@ class TestOptimize:
         seen = []
         real = nf.dual_state
 
-        def recording(lam, problem, k=0):
+        def recording(lam, problem):
             seen.append(np.asarray(lam, dtype=float).tobytes())
-            return real(lam, problem, k=k)
+            return real(lam, problem)
 
         monkeypatch.setattr(nf, "dual_state", recording)
         p = random_flow(10, 18, seed=17)
@@ -527,6 +518,12 @@ class TestOptimize:
         assert again.converged
         assert again.iterations == 0
 
+    def test_alpha_star_step_rejects_eps_beyond_bound(self):
+        # eps = 1e-3 is above this problem's bound of about 4.1e-4
+        p = make_flow_problem(generate("barbell", {"clique": 8, "path_len": 6}))
+        with pytest.raises(ValueError, match="eps=0.001 is outside"):
+            optimize(p, "sddm_newton", OptimizeConfig(eps=1e-3, step="alpha_star"))
+
     def test_fixed_subgradient_default_step(self):
         p = random_flow(10, 18, seed=15)
         consts = convergence_constants(p)
@@ -537,22 +534,31 @@ class TestOptimize:
 class TestTraceCSV:
     def test_columns_and_comments(self):
         p = random_flow(8, 14, seed=16)
-        trace = optimize(p, "sddm_newton",
-                         OptimizeConfig(feas_threshold=1e-3, max_iters=50,
-                                        solver_mode="full_distributed"))
-        buf = io.StringIO()
-        trace.to_csv(buf, extra_header={"instance": "random(8,14)"})
-        lines = buf.getvalue().splitlines()
-        comments = [ln for ln in lines if ln.startswith("# ")]
-        assert any(ln == "# method=sddm_newton" for ln in comments)
-        assert any(ln.startswith("# eps=") for ln in comments)
-        assert any(ln.startswith("# solver_mode=") for ln in comments)
-        assert any(ln == "# instance=random(8,14)" for ln in comments)
-        header = [ln for ln in lines if not ln.startswith("#")][0]
-        assert header == "iter,objective,feasibility,grad_lnorm,step,phase,messages"
-        body = [ln for ln in lines if not ln.startswith("#")][1:]
-        assert len(body) == len(trace.rows)
-        assert body[0].startswith("0,")
+        for R, mode in ((1, "rhop_distributed"), (None, "full_distributed")):
+            trace = optimize(p, "sddm_newton",
+                             OptimizeConfig(feas_threshold=1e-3, max_iters=50, R=R))
+            buf = io.StringIO()
+            trace.to_csv(buf, extra_header={"instance": "random(8,14)"})
+            lines = buf.getvalue().splitlines()
+            comments = [ln for ln in lines if ln.startswith("# ")]
+            assert any(ln == "# method=sddm_newton" for ln in comments)
+            assert any(ln.startswith("# eps=") for ln in comments)
+            assert "# solver_mode=%s" % mode in comments
+            assert any(ln == "# instance=random(8,14)" for ln in comments)
+            # eps = 1e-4 is inside this problem's bound, so no fallback is named
+            assert not any(ln.startswith("# consts_eps=") for ln in comments)
+            header = [ln for ln in lines if not ln.startswith("#")][0]
+            assert header == "iter,objective,feasibility,grad_lnorm,step,phase,messages"
+            body = [ln for ln in lines if not ln.startswith("#")][1:]
+            assert len(body) == len(trace.rows)
+            assert body[0].startswith("0,")
+
+    def test_fallback_constants_named(self):
+        # eps = 1e-3 is above this problem's bound of about 4.1e-4
+        p = make_flow_problem(generate("barbell", {"clique": 8, "path_len": 6}))
+        trace = optimize(p, "sddm_newton", OptimizeConfig(eps=1e-3, max_iters=0))
+        assert trace.consts.eps == 0.0
+        assert trace.header_items()["consts_eps"] == 0.0
 
     def test_deterministic_bytes(self):
         outs = []
@@ -571,7 +577,7 @@ def band_instance():
     # terminal; flows stay inside the box so Gamma really bounds Phi''
     g = generate("random", {"n": 4, "m": 6}, seed=0)
     b = np.array([6.9, 0.0, 0.0, -6.9])
-    return FlowProblem(orient(g), b, exp_cost(x_box=3.0))
+    return FlowProblem(g, b, exp_cost(x_box=3.0))
 
 
 class TestPhases:
