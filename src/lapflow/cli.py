@@ -175,18 +175,26 @@ def cmd_flow(cfg, parser=None):
 
 
 def cmd_bench(cfg, parser=None):
-    """Run every method on the same problem and emit one combined trace CSV."""
+    """Run every method on the same problem and emit one combined trace CSV.
+
+    Each method's resolved settings follow the graph items as
+    `# <method>.<key>=<value>` comments.
+    """
     problem = _build_problem(parser, cfg)
     extra = header_items(cfg)
     extra.update(cost=problem.cost.name, nodes=problem.n, arcs=problem.E)
+    traces = {}
+    for method in ("sddm_newton", "exact_newton", "add_neumann", "subgradient"):
+        try:
+            trace = optimize(problem, method, _flow_config(cfg))
+        except DivergenceError as exc:
+            trace = exc.trace
+        traces[method] = trace
+        extra.update(("%s.%s" % (method, key), val) for key, val in trace.header_items().items())
     with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, extra)
         fh.write("method," + ",".join(Trace.COLUMNS) + "\n")
-        for method in ("sddm_newton", "exact_newton", "add_neumann", "subgradient"):
-            try:
-                trace = optimize(problem, method, _flow_config(cfg))
-            except DivergenceError as exc:
-                trace = exc.trace
+        for method, trace in traces.items():
             for row in trace.rows:
                 fh.write("%s,%s\n" % (method, Trace.format_row(row)))
             msgs = sum(trace.column("messages"))

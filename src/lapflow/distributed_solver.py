@@ -11,8 +11,8 @@ message charges:
 * RHopEngine first caches each node's rows of (A0 D0^{-1})^R and
   (D0^{-1} A0)^R through R-1 one-hop row-extension rounds, then applies
   powers 2^{i-1} either as repeated 1-hop products (exponent below R) or as
-  exponent/R strided R-hop products, on a simulator that rejects any
-  round wider than R.
+  exponent/R strided R-hop products, each power one batch of identical
+  rounds, on a simulator that rejects any round wider than R.
 
 Backward-pass values are published D-scaled, so no node ever needs diagonal
 entries from beyond its 1-hop neighborhood.
@@ -156,16 +156,12 @@ class RHopEngine(_EngineBase):
         self._op_C0, self._op_C1 = cached
 
     def _chain(self, vec, exponent, op1, opR):
-        # apply the exponent-th power of the 1-hop operator: straight 1-hop
-        # products below R, strides of the cached radius-R power otherwise
-        u = vec
+        # apply the exponent-th power of the 1-hop operator as one batch:
+        # straight 1-hop products below R, strides of the cached radius-R
+        # power otherwise
         if exponent < self.R:
-            for _ in range(exponent):
-                u = self.sim.apply_round(op1, u)
-        else:
-            for _ in range(exponent // self.R):
-                u = self.sim.apply_round(opR, u)
-        return u
+            return self.sim.apply_round(op1, vec, count=exponent)
+        return self.sim.apply_round(opR, vec, count=exponent // self.R)
 
     def rsolve(self, b0):
         """Crude solve under strict R-hop locality."""

@@ -11,15 +11,23 @@ There is one execution path, the collective round: ``certify`` proves once
 that a matrix's support stays inside the r-hop mask, after which
 ``apply_round`` performs the whole-network gather-and-combine round as one
 matrix-vector product. ``account_round`` charges a round whose combine step
-is done by the caller (row-extension rounds). The tests check both against
-an independent per-node executor (``tests/oracles.py``) that runs each
-node's program on its own.
+is done by the caller (row-extension rounds). Both take a ``count`` of
+identical rounds and charge the whole batch with one radius check and one
+cached per-radius message total; ``apply_round`` runs a CSR operator's
+``count`` products in scipy's compiled CSR kernel on two reused buffers.
+The tests check both against an independent per-node executor
+(``tests/oracles.py``) that runs each node's program on its own.
 """
 
 import numpy as np
 from scipy import sparse
 
 from .graph_core import hop_matrix, open_target
+
+try:  # scipy's compiled y += A x; private, so guarded
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:
+    _csr_matvec = None
 
 __all__ = [
     "SimTranscript",
@@ -34,33 +42,37 @@ class ViolationError(RuntimeError):
 
 
 class SimTranscript:
-    """Per-round message counts and hop audit.
+    """Message counts and hop audit, kept as runs of identical rounds.
 
     Attributes
     ----------
-    messages_per_round : list of int
-    max_hop_per_round : list of int
+    runs : list of (messages, max_hop, count)
+        One record per batch of `count` identical rounds.
+    rounds, messages_total, max_hop_used : int
+        Running totals over all rounds.
     """
 
     def __init__(self):
-        self.messages_per_round = []
-        self.max_hop_per_round = []
+        self.runs = []
+        self.rounds = 0
+        self.messages_total = 0
+        self.max_hop_used = 0
 
     @property
-    def rounds(self):
-        return len(self.messages_per_round)
+    def messages_per_round(self):
+        return [msg for msg, _, count in self.runs for _ in range(count)]
 
     @property
-    def messages_total(self):
-        return int(sum(self.messages_per_round))
+    def max_hop_per_round(self):
+        return [hop for _, hop, count in self.runs for _ in range(count)]
 
-    @property
-    def max_hop_used(self):
-        return max(self.max_hop_per_round, default=0)
-
-    def append(self, messages, max_hop):
-        self.messages_per_round.append(int(messages))
-        self.max_hop_per_round.append(int(max_hop))
+    def append(self, messages, max_hop, count=1):
+        """Record `count` rounds of `messages` messages each, reaching `max_hop`."""
+        messages, max_hop = int(messages), int(max_hop)
+        self.runs.append((messages, max_hop, count))
+        self.rounds += count
+        self.messages_total += messages * count
+        self.max_hop_used = max(self.max_hop_used, max_hop)
 
     def to_csv(self, target):
         """Write `round,messages,max_hop` rows; target is a path or file object."""
@@ -101,14 +113,15 @@ class Simulator:
         self._radius_cache = {}
 
     def _radius_stats(self, r):
-        # per-node inbound relay cost c_r[v] = sum_{k != v, hop <= r} hop(k, v)
-        # and the largest hop actually inside any radius-r ball
+        # per-node inbound relay cost c_r[v] = sum_{k != v, hop <= r} hop(k, v),
+        # the largest hop actually inside any radius-r ball, and the message
+        # total of a round in which every node sends one value
         key = int(min(r, self.n))
         if key not in self._radius_cache:
             mask = (self.hops <= key) & (self.hops > 0)
             costs = np.where(mask, self.hops, 0.0).sum(axis=0)
             max_hop = int(self.hops[mask].max()) if mask.any() else 0
-            self._radius_cache[key] = (costs, max_hop)
+            self._radius_cache[key] = (costs, max_hop, int(round(costs.sum())))
         return self._radius_cache[key]
 
     def _check_radius(self, r):
@@ -137,21 +150,42 @@ class Simulator:
             )
         return LocalOperator(matrix, radius)
 
-    def account_round(self, radius, payload=None):
-        """Charge one whole-network gather round at `radius`.
+    def account_round(self, radius, payload=None, count=1):
+        """Charge `count` identical whole-network gather rounds at `radius`.
 
-        payload[v] is the number of scalars node v sends (default 1).
-        Returns nothing; the caller performs the equivalent combine step.
+        payload[v] is the number of scalars node v sends per round (default
+        1). Returns nothing; the caller performs the equivalent combine step.
         """
+        if count < 0:
+            raise ValueError("round count must be >= 0, got %r" % (count,))
+        if count == 0:
+            return
         self._check_radius(radius)
-        costs, max_hop = self._radius_stats(radius)
-        if payload is None:
-            messages = costs.sum()
-        else:
-            messages = float(costs @ np.asarray(payload, dtype=float))
-        self.transcript.append(int(round(messages)), max_hop)
+        costs, max_hop, messages = self._radius_stats(radius)
+        if payload is not None:
+            messages = int(round(float(costs @ np.asarray(payload, dtype=float))))
+        self.transcript.append(messages, max_hop, count)
 
-    def apply_round(self, op, x):
-        """One round in which every node combines gathered values via its row of op."""
-        self.account_round(op.radius)
-        return op.matrix @ x
+    def apply_round(self, op, x, count=1):
+        """`count` rounds in which every node combines gathered values via its row of op.
+
+        Returns op.matrix^count x; x itself is never written to.
+        """
+        self.account_round(op.radius, count=count)
+        mat = op.matrix
+        if (_csr_matvec is not None and count > 0 and sparse.issparse(mat)
+                and mat.format == "csr" and mat.dtype == np.float64
+                and mat.shape[0] == mat.shape[1] and isinstance(x, np.ndarray)
+                and x.dtype == np.float64 and x.shape == (mat.shape[1],)):
+            # from zeros, y += A u is exactly what `mat @ u` computes
+            n = mat.shape[0]
+            u, y = np.zeros(n), np.empty(n)
+            _csr_matvec(n, n, mat.indptr, mat.indices, mat.data, np.ascontiguousarray(x), u)
+            for _ in range(count - 1):
+                y.fill(0.0)
+                _csr_matvec(n, n, mat.indptr, mat.indices, mat.data, u, y)
+                u, y = y, u
+            return u
+        for _ in range(count):
+            x = mat @ x
+        return x

@@ -206,6 +206,22 @@ class TestBench:
         assert header[0] == "method"
         methods = {row[0] for row in rows}
         assert methods == {"sddm_newton", "exact_newton", "add_neumann", "subgradient"}
+        items = read_header(out)
+        assert items["sddm_newton.eps"] == "0.01"
+        assert items["sddm_newton.solver_mode"] == "rhop_distributed"
+        assert items["add_neumann.neumann_terms"] == "2"
+        assert "sddm_newton.consts_eps" not in items
+
+    def test_fallback_constants_named_per_method(self, tmp_path):
+        # eps 1e-3 lies above this barbell's bound 9.8e-4, so sddm_newton
+        # takes the eps = 0 convergence constants
+        out = str(tmp_path / "bench.csv")
+        rc = main(["bench", "--graph", "barbell", "--clique", "6", "--path-len", "4",
+                   "--eps", "1e-3", "--max-iters", "0", "--out", out])
+        assert rc == 0
+        items = read_header(out)
+        assert items["sddm_newton.consts_eps"] == "0.0"
+        assert items["sddm_newton.eps"] == "0.001"
 
 
 class TestScale:

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from lapflow.graph_core import StandardSplitting, WeightedGraph, generate, ground, laplacian
+from lapflow import netsim
 from lapflow.netsim import ViolationError
 from lapflow.reference_solver import (
     InverseChainView,
@@ -280,6 +281,19 @@ class TestMessageAccounting:
             _, eng = edist_rsolve(s, b, 5, R, 1e-2)
         tr = eng.transcript
         assert (tr.rounds, tr.messages_total, tr.max_hop_used) == (rounds, messages, max_hop)
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_batched_kernel_solve_bit_identical(self, R, monkeypatch):
+        # n = 224 > DENSE_LIMIT, so the crude solve's batches run the CSR kernel;
+        # the plain `matrix @ x` loop is the single-round arithmetic
+        s = ground(laplacian(generate("grid", {"rows": 15, "cols": 15})), 0)
+        assert s.n > DENSE_LIMIT
+        b = np.random.default_rng(3).standard_normal(s.n)
+        fast, fast_eng = edist_rsolve(s, b, 6, R, 1e-2)
+        monkeypatch.setattr(netsim, "_csr_matvec", None)
+        slow, slow_eng = edist_rsolve(s, b, 6, R, 1e-2)
+        assert fast.tobytes() == slow.tobytes()
+        assert fast_eng.transcript.runs == slow_eng.transcript.runs
 
     def test_strict_violation_surfaces(self):
         s = grounded_path(6)

@@ -5,7 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from lapflow.graph_core import generate
+from lapflow import netsim
+from lapflow.distributed_solver import RHopEngine
+from lapflow.graph_core import generate, ground, laplacian
 from lapflow.netsim import LocalOperator, Simulator, ViolationError
 from oracles import OracleViolation, PerNodeNetwork
 
@@ -272,3 +274,124 @@ class TestCollective:
         out = sim.apply_round(op, x)
         assert np.allclose(out, W @ x)
         assert sim.transcript.messages_per_round == [2 * g.m]
+
+
+def grid_operator(rows=20, cols=20):
+    """A simulator and the grounded grid's certified R=1 walk operator.
+
+    Above DENSE_LIMIT nodes (the 20x20 default) the operator is stored CSR.
+    """
+    s = ground(laplacian(generate("grid", {"rows": rows, "cols": cols})), 0)
+    eng = RHopEngine(s, 1, 1)
+    return eng.sim, eng._op_P1
+
+
+def transcript_view(sim):
+    buf = io.StringIO()
+    sim.transcript.to_csv(buf)
+    tr = sim.transcript
+    return buf.getvalue(), tr.rounds, tr.messages_total, tr.max_hop_used
+
+
+class TestBatchedRounds:
+    """count=k charges and computes exactly what k single rounds do."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["csr", "dense"])
+    def test_apply_round_batch_matches_single_rounds(self, dense):
+        g = generate("random", {"n": 12, "m": 30}, seed=2)
+        W = g.adjacency_matrix().tocsr() * 0.2
+        if dense:
+            W = W.toarray()
+        x0 = np.random.default_rng(0).standard_normal(g.n)
+        single, batched = Simulator(g, R=1), Simulator(g, R=1)
+        x = x0
+        for _ in range(7):
+            x = single.apply_round(single.certify(W, 1), x)
+        y = batched.apply_round(batched.certify(W, 1), x0, count=7)
+        assert y.tobytes() == x.tobytes()
+        assert transcript_view(batched) == transcript_view(single)
+
+    def test_account_round_batch_matches_single_rounds(self):
+        g = path_graph(6)
+        single, batched = Simulator(g, R=2), Simulator(g, R=2)
+        for sim, count in ((single, 1), (batched, 4)):
+            sim.account_round(1)
+            for _ in range(4 // count):
+                sim.account_round(2, count=count)
+            for _ in range(4 // count):
+                sim.account_round(1, payload=[1, 2, 3, 3, 2, 1], count=count)
+        assert transcript_view(batched) == transcript_view(single)
+        assert batched.transcript.runs == [(10, 1, 1), (26, 2, 4), (22, 1, 4)]
+        assert single.transcript.messages_per_round == [10] + [26] * 4 + [22] * 4
+
+    def test_zero_count_is_a_no_op(self):
+        sim, op = grid_operator(4, 4)
+        before = transcript_view(sim)
+        x = np.arange(float(op.matrix.shape[0]))
+        assert sim.apply_round(op, x, count=0) is x
+        sim.account_round(1, count=0)
+        assert transcript_view(sim) == before
+
+    def test_negative_count_rejected(self):
+        sim, op = grid_operator(4, 4)
+        before = transcript_view(sim)
+        with pytest.raises(ValueError):
+            sim.apply_round(op, np.ones(op.matrix.shape[0]), count=-1)
+        with pytest.raises(ValueError):
+            sim.account_round(1, count=-2)
+        assert transcript_view(sim) == before
+
+    def test_strict_batch_names_its_first_round(self):
+        sim = Simulator(path_graph(5), R=1)
+        sim.account_round(1, count=3)
+        with pytest.raises(ViolationError, match="radius 2 > R=1 at round 4"):
+            sim.account_round(2, count=5)
+        assert sim.transcript.rounds == 3
+
+
+class TestCsrKernel:
+    """The compiled CSR loop is guarded and gives the bits of `matrix @ x`."""
+
+    def test_fallback_matches_kernel_bits(self, monkeypatch):
+        sim, op = grid_operator()
+        assert op.matrix.format == "csr" and netsim._csr_matvec is not None
+        x = np.random.default_rng(1).standard_normal(op.matrix.shape[0])
+        fast = sim.apply_round(op, x, count=1000)
+        monkeypatch.setattr(netsim, "_csr_matvec", None)
+        slow = sim.apply_round(op, x, count=1000)
+        plain = x
+        for _ in range(1000):
+            plain = op.matrix @ plain
+        assert fast.tobytes() == slow.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("x", [
+        np.ones(398), np.ones(400), np.ones((399, 1)), np.ones(399, dtype=np.float32),
+        np.ones(399, dtype=np.int64), np.ones(798)[::2],
+    ], ids=["short", "long", "column", "float32", "int64", "strided"])
+    def test_bad_vectors_never_reach_kernel(self, monkeypatch, x):
+        sim, op = grid_operator()
+        calls = []
+
+        def spy(n_row, n_col, indptr, indices, data, u, y):
+            assert u.dtype == np.float64 and u.shape == (n_col,) and y.shape == (n_row,)
+            calls.append(u.flags.c_contiguous)
+            return real(n_row, n_col, indptr, indices, data, u, y)
+
+        real = netsim._csr_matvec
+        monkeypatch.setattr(netsim, "_csr_matvec", spy)
+        try:
+            got = sim.apply_round(op, x, count=3)
+        except ValueError:
+            return
+        want = op.matrix @ (op.matrix @ (op.matrix @ x))
+        assert np.array_equal(got, want)
+        assert all(calls)
+
+    def test_caller_vector_untouched(self):
+        sim, op = grid_operator()
+        x = np.random.default_rng(2).standard_normal(op.matrix.shape[0])
+        kept = x.copy()
+        for count in (1, 2, 5):
+            y = sim.apply_round(op, x, count=count)
+            assert y is not x
+            assert x.tobytes() == kept.tobytes()
