@@ -122,6 +122,9 @@ def cmd_solve(cfg, parser=None):
         for k in range(x.shape[0]):
             fh.write("%d,%r\n" % (k, float(x[k])))
     print("solve: n=%d residual=%.3e messages=%d" % (s.n, residual, eng.transcript.messages_total))
+    if s.n <= 500 and not rel <= cfg.eps * (1 + 1e-9):
+        print("numerical failure: mnorm_rel_error %r exceeds eps %r" % (rel, cfg.eps), file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -240,7 +243,7 @@ def cmd_scale(cfg, parser=None):
         )
         log.info("scale: n=%d messages=%d", n_actual, rows[-1][2])
     slope = float("nan")
-    if len(rows) >= 2:
+    if len({r[0] for r in rows}) >= 2:
         xs = np.log([r[0] for r in rows])
         ys = np.log([max(1, r[2]) for r in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])

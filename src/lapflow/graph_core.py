@@ -224,12 +224,10 @@ def _connected_hops(g):
 def diameter_endpoints(g):
     """Lexicographically smallest pair (u, v) at the diameter; ValueError if disconnected."""
     hops = _connected_hops(g)
-    best = hops.max()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if hops[u, v] == best:
-                return u, v
-    raise ValueError("graph has no pair at positive distance")
+    top = np.triu(hops == hops.max(), 1)
+    if not top.any():
+        raise ValueError("graph has no pair at positive distance")
+    return divmod(int(top.argmax()), g.n)  # first row-major hit
 
 
 def _weights(rng, m, w_min, w_max):

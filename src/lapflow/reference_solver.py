@@ -83,10 +83,8 @@ def direct_solve(s, b):
     Parameters
     ----------
     s : StandardSplitting
-        Positive definite SDDM system, or a singular Laplacian of a
-        connected graph (then b must be orthogonal to the ones vector and
-        the mean-zero solution is returned, obtained by grounding node 0,
-        back-substituting 0 there and shifting).
+        Positive definite SDDM system; ground a Laplacian first
+        (graph_core.ground).
     b : array_like
 
     Returns
@@ -99,22 +97,11 @@ def direct_solve(s, b):
         raise ValueError("b has wrong length")
     if not np.all(np.isfinite(b)):
         raise ValueError("b has a non-finite entry")
-    rep = validate_sddm(s)
+    if not validate_sddm(s).positive_definite:
+        raise ValueError("direct_solve needs positive definite SDDM; ground a Laplacian first")
     M = s.dense()
-    if rep.positive_definite:
-        x = np.linalg.solve(M, b)
-        x += np.linalg.solve(M, b - M @ x)  # one refinement step
-    elif rep.is_sdd and not rep.strict_rows.any() and rep.support_connected:
-        if abs(b.sum()) > 1e-9 * max(1.0, np.linalg.norm(b)):
-            raise ValueError("singular Laplacian system needs b orthogonal to ones")
-        Mg = M[1:, 1:]
-        bg = b[1:]
-        xg = np.linalg.solve(Mg, bg)
-        xg += np.linalg.solve(Mg, bg - Mg @ xg)
-        x = np.concatenate(([0.0], xg))
-        x -= x.mean()
-    else:
-        raise ValueError("splitting is not solvable: singular or not SDD")
+    x = np.linalg.solve(M, b)
+    x += np.linalg.solve(M, b - M @ x)  # one refinement step
     resid = np.linalg.norm(M @ x - b)
     if resid > 1e-10 * max(np.linalg.norm(b), 1e-300):
         raise RuntimeError("direct solve residual %.3e exceeds tolerance" % resid)

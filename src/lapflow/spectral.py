@@ -157,40 +157,14 @@ def condition_bound(g, grounded):
     return float(g.n) ** power * g.w_max / g.w_min
 
 
-def _exact_apply_inverse(s):
-    # factorized solve; Laplacian inputs are grounded at node 0 and the
-    # solution is returned in the 1-perp representative
-    report = validate_sddm(s)
-    M = s.matrix().tocsc()
-    if report.positive_definite:
-        lu = splu(M)
-
-        def inv(v):
-            return lu.solve(v)
-
-        return inv, False
-    if report.is_sdd and not report.strict_rows.any():
-        # singular Laplacian: solve on 1-perp through the grounded system
-        lu = splu(M[1:, 1:].tocsc())
-
-        def inv(v):
-            # for v in 1-perp the padded vector solves M y = v exactly
-            # (deleted row holds because rows of M and v both sum to zero)
-            y = np.concatenate(([0.0], lu.solve(v[1:])))
-            return y - y.mean()
-
-        return inv, True
-    raise ValueError("estimate_condition needs an SDDM or Laplacian splitting")
-
-
 def estimate_condition(s, tol=1e-8, max_iters=20000, seed=0):
     """Estimate kappa(M) by power and inverse-power iteration.
 
     Parameters
     ----------
     s : StandardSplitting
-        SDDM system, or a singular Laplacian (then the spectrum is taken on
-        the subspace orthogonal to the all-ones vector).
+        Positive definite SDDM system; ground a Laplacian first
+        (graph_core.ground).
     tol : float
         Relative change of the Rayleigh quotient at which iteration stops.
     max_iters : int
@@ -204,25 +178,25 @@ def estimate_condition(s, tol=1e-8, max_iters=20000, seed=0):
 
     Raises
     ------
+    ValueError
+        If s is not positive definite SDDM.
     ConvergenceError
         If either iteration fails to settle; the exception carries the last
         Rayleigh quotients in ``.rayleigh``.
     """
+    if not validate_sddm(s).positive_definite:
+        raise ValueError("estimate_condition needs positive definite SDDM; ground a Laplacian first")
     M = s.matrix()
     n = s.n
-    inv, on_ones_complement = _exact_apply_inverse(s)
+    inv = splu(M.tocsc()).solve
     rng = np.random.default_rng(seed)
 
     def iterate(apply_op, label, state):
         v = rng.standard_normal(n)
-        if on_ones_complement:
-            v -= v.mean()
         v /= np.linalg.norm(v)
         lam = None
         for _ in range(max_iters):
             w = apply_op(v)
-            if on_ones_complement:
-                w -= w.mean()
             nrm = np.linalg.norm(w)
             if nrm == 0:
                 raise ConvergenceError("iteration collapsed to zero", dict(state))
@@ -281,21 +255,21 @@ def _as_apply(op):
     return lambda v: mat @ v
 
 
-def approx_order_check(X_apply, Y_apply, alpha, probes=64, seed=None, n=None, restrict_ones=False):
+def approx_order_check(X_apply, Y_apply, alpha, probes=64, seed=None, n=None):
     """Sample the two-sided sandwich e^{-alpha} X <= Y <= e^{alpha} X.
 
     Parameters
     ----------
     X_apply, Y_apply : matrix or callable
         Symmetric operators on the same space; callables get vectors.
+        Probes span the whole space, so compare positive definite SDDM
+        operators (or their inverses); ground a Laplacian first.
     alpha : float
     probes : int
         Number of random quadratic-form probes.
     seed : int, optional
     n : int, optional
         Vector dimension; required when both operators are callables.
-    restrict_ones : bool
-        Project probes onto the complement of the all-ones vector.
 
     Returns
     -------
@@ -318,8 +292,6 @@ def approx_order_check(X_apply, Y_apply, alpha, probes=64, seed=None, n=None, re
     lo, hi = math.exp(-alpha), math.exp(alpha)
     for _ in range(probes):
         v = rng.standard_normal(n)
-        if restrict_ones:
-            v -= v.mean()
         qx = float(v @ fx(v))
         qy = float(v @ fy(v))
         slack = 1e-9 * max(abs(qx), abs(qy), 1e-300)

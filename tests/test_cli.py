@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -10,6 +11,7 @@ import lapflow
 from lapflow.cli import main
 from lapflow.graph_core import generate, save_edge_list
 from lapflow.newton_flow import DivergenceError, OptimizeConfig, optimize
+from lapflow.spectral import chain_length
 
 
 def read_header(path):
@@ -46,6 +48,20 @@ class TestSolve:
         assert header == ["node", "x"]
         assert len(rows) == 9
         assert "solve: n=9" in capsys.readouterr().out
+
+    def test_missed_eps_exits_3_after_writing_solution(self, tmp_path, monkeypatch, capsys):
+        import lapflow.cli as cli_mod
+
+        # a chain sized for kappa 1 is far too short for this grid
+        monkeypatch.setattr(cli_mod, "estimated_chain", lambda s: chain_length(1.0, "estimated"))
+        out = str(tmp_path / "sol.csv")
+        rc = main(["solve", "--graph", "grid", "--rows", "6", "--cols", "6",
+                   "--eps", "1e-4", "--out", out])
+        assert rc == 3
+        assert float(read_header(out)["mnorm_rel_error"]) > 1e-4
+        header, rows = read_rows(out)
+        assert header == ["node", "x"] and len(rows) == 35
+        assert "mnorm_rel_error" in capsys.readouterr().err
 
     def test_eps_out_of_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -238,6 +254,17 @@ class TestScale:
         assert header == ["n", "rounds", "messages", "iterations"]
         msgs = [int(r[2]) for r in rows]
         assert msgs == sorted(msgs) and msgs[0] < msgs[-1]
+
+    def test_repeated_node_count_gives_nan_slope(self, tmp_path):
+        # sizes 2 and 4 both build a 2x2 grid, so there is no slope to fit
+        out = str(tmp_path / "scale.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["scale", "--family", "grid", "--sizes", "2,4", "--out", out])
+        assert rc == 0
+        assert read_header(out)["loglog_slope"] == "nan"
+        assert [int(r[0]) for r in read_rows(out)[1]] == [4, 4]
+        assert not [w for w in caught if w.category.__name__ == "RankWarning"]
 
     def test_empty_sizes_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -163,6 +163,18 @@ class TestHops:
     def test_diameter_endpoints_path(self):
         assert diameter_endpoints(path_graph(5)) == (0, 4)
 
+    @pytest.mark.parametrize(
+        "kind, params, seed",
+        [("random", {"n": 30, "m": 45}, seed) for seed in range(8)]
+        + [("barbell", {"clique": 5, "path_len": 3}, None)],
+    )
+    def test_diameter_endpoints_match_pair_scan(self, kind, params, seed):
+        g = generate(kind, params, seed=seed)
+        ref = floyd_warshall_hops(g)
+        best = ref.max()
+        first = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if ref[u, v] == best)
+        assert diameter_endpoints(g) == first
+
     def test_disconnected_diameter_raises(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         hops = hop_matrix(g)

@@ -35,16 +35,10 @@ class TestDirectSolve:
         s = ground(laplacian(path_graph(3)), 2)
         assert np.allclose(direct_solve(s, [1.0, 0.0]), [2.0, 1.0])
 
-    def test_laplacian_needs_zero_sum(self):
-        s = laplacian(path_graph(2))
-        with pytest.raises(ValueError):
-            direct_solve(s, [1.0, 1.0])
-
-    def test_laplacian_mean_zero_solution(self):
+    def test_singular_laplacian_rejected(self):
         s = laplacian(path_graph(3))
-        x = direct_solve(s, [1.0, 0.0, -1.0])
-        assert np.allclose(x, [1.0, 0.0, -1.0])
-        assert abs(x.mean()) <= 1e-12
+        with pytest.raises(ValueError, match="ground"):
+            direct_solve(s, [1.0, 0.0, -1.0])
 
     def test_residual_guarantee(self):
         s = grounded_random(30, 80, seed=3, w_min=0.1, w_max=10.0)
