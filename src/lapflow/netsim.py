@@ -10,14 +10,19 @@ radius limit.
 There is one execution path, the collective round: ``certify`` proves once
 that a matrix's support stays inside the r-hop mask, after which
 ``apply_round`` performs the whole-network gather-and-combine round as one
-matrix-vector product. ``account_round`` charges a round whose combine step
-is done by the caller (row-extension rounds). Both take a ``count`` of
+matrix-vector product. ``certify`` also picks the smaller storage: a sparse
+matrix whose n x n array takes no more bytes than its CSR arrays is kept
+dense, so nearly dense operators (radius-R powers that cover most of the
+graph) run as BLAS matvecs. ``account_round`` charges a round whose combine
+step is done by the caller (row-extension rounds). Both take a ``count`` of
 identical rounds and charge the whole batch with one radius check and one
 cached per-radius message total; ``apply_round`` runs a CSR operator's
 ``count`` products in scipy's compiled CSR kernel on two reused buffers.
 The tests check both against an independent per-node executor
 (``tests/oracles.py``) that runs each node's program on its own.
 """
+
+import operator
 
 import numpy as np
 from scipy import sparse
@@ -137,13 +142,36 @@ class Simulator:
         """Prove supp(matrix) lies inside the radius-hop mask; return a LocalOperator.
 
         The radius must also respect R. The proof makes later apply_round
-        calls locality-sound without per-entry checks.
+        calls locality-sound without per-entry checks. A sparse matrix is
+        stored dense when the n x n array takes no more bytes than its CSR
+        arrays, and otherwise checked on its stored entries, so it costs no
+        n x n temporary; a dense matrix stays dense.
         """
+        if not sparse.issparse(matrix):
+            matrix = np.asarray(matrix)
+        n = self.n
+        if matrix.shape != (n, n):
+            raise ValueError("operator shape %r is not (%d, %d)" % (matrix.shape, n, n))
         self._check_radius(radius)
-        dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
-        outside = (dense != 0) & (self.hops > min(radius, self.n))
-        if outside.any():
-            i, j = np.argwhere(outside)[0]
+        reach = min(radius, n)
+        if sparse.issparse(matrix):
+            csr = matrix.tocsr()
+            csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+            if matrix.dtype.itemsize * n * n <= csr_bytes:
+                matrix = csr.toarray()
+        if sparse.issparse(matrix):
+            rows = np.repeat(np.arange(n, dtype=csr.indices.dtype), np.diff(csr.indptr))
+            far = self.hops[rows, csr.indices] > reach
+            # duplicates add up and the first violation is named in row-major
+            # order, as in the dense scan
+            far = sparse.coo_matrix((csr.data[far], (rows[far], csr.indices[far])), shape=(n, n))
+            far.sum_duplicates()
+            outside = np.column_stack((far.row, far.col))[far.data != 0]
+        else:
+            mask = (matrix != 0) & (self.hops > reach)
+            outside = [divmod(int(mask.argmax()), n)] if mask.any() else []
+        if len(outside):
+            i, j = outside[0]
             raise ViolationError(
                 "matrix entry (%d,%d) reaches hop %d beyond radius %d"
                 % (i, j, int(self.hops[i, j]), radius)
@@ -156,6 +184,7 @@ class Simulator:
         payload[v] is the number of scalars node v sends per round (default
         1). Returns nothing; the caller performs the equivalent combine step.
         """
+        count = operator.index(count)
         if count < 0:
             raise ValueError("round count must be >= 0, got %r" % (count,))
         if count == 0:
@@ -171,6 +200,7 @@ class Simulator:
 
         Returns op.matrix^count x; x itself is never written to.
         """
+        count = operator.index(count)
         self.account_round(op.radius, count=count)
         mat = op.matrix
         if (_csr_matvec is not None and count > 0 and sparse.issparse(mat)

@@ -13,7 +13,13 @@ from lapflow.reference_solver import (
     richardson_iterates,
     richardson_iterations,
 )
-from lapflow.spectral import EPS_D, approx_order_check, chain_length, estimate_condition
+from lapflow.spectral import (
+    EPS_D,
+    approx_order_check,
+    chain_length,
+    estimate_condition,
+    estimated_chain,
+)
 from lapflow.distributed_solver import (
     DENSE_LIMIT,
     FullCommEngine,
@@ -77,6 +83,20 @@ class TestEngineConstruction:
         want = parallel_rsolve(InverseChainView(s, 3), b)
         got = eng.rsolve(b)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_nearly_dense_rhop_powers_are_promoted(self):
+        # n = 219 > DENSE_LIMIT: the 1-hop operators stay CSR, while the
+        # radius-4 powers hold 95% of all entries and are stored dense
+        s = ground(laplacian(generate("random", {"n": 220, "m": 660}, seed=0)), 0)
+        b = np.random.default_rng(0).standard_normal(s.n)
+        x, eng = edist_rsolve(s, b, estimated_chain(s), 4, 1e-2)
+        assert s.n > DENSE_LIMIT
+        assert sparse.issparse(eng._op_P1.matrix) and sparse.issparse(eng._op_M.matrix)
+        assert isinstance(eng._op_C0.matrix, np.ndarray)
+        assert isinstance(eng._op_C1.matrix, np.ndarray)
+        assert mnorm_rel_error(s, x, direct_solve(s, b)) <= 1e-2
+        tr = eng.transcript
+        assert (tr.rounds, tr.messages_total, tr.max_hop_used) == (5151, 740047716, 4)
 
 
 class TestEquivalence:

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lapflow import netsim
 from lapflow.distributed_solver import RHopEngine
@@ -241,6 +242,16 @@ class TestCollective:
         with pytest.raises(ViolationError):
             sim.certify(P2, 2)
 
+    @pytest.mark.parametrize("matrix", [
+        np.full((1, 5), 0.1), np.full((5, 1), 0.1), np.full(5, 0.1), np.eye(6),
+        sparse.csr_matrix(np.full((1, 5), 0.1)),
+    ], ids=["row", "column", "vector", "too_big", "sparse_row"])
+    def test_certify_rejects_wrong_shape(self, matrix):
+        sim = Simulator(path_graph(5), R=None)
+        with pytest.raises(ValueError, match=r"not \(5, 5\)"):
+            sim.certify(matrix, 5)
+        assert sim.transcript.runs == []
+
     def test_account_round_matches_per_node_costs(self):
         g = generate("random", {"n": 10, "m": 20}, seed=3)
         for R in (1, 2, 3, None):
@@ -341,6 +352,29 @@ class TestBatchedRounds:
             sim.account_round(1, count=-2)
         assert transcript_view(sim) == before
 
+    def test_fractional_account_count_rejected_before_charging(self):
+        sim = Simulator(path_graph(5), R=1)
+        sim.account_round(1)
+        runs = list(sim.transcript.runs)
+        with pytest.raises(TypeError):
+            sim.account_round(1, count=2.5)
+        assert sim.transcript.runs == runs
+        assert (sim.transcript.rounds, sim.transcript.messages_total) == (1, 8)
+
+    def test_fractional_apply_count_rejected_before_charging(self):
+        sim, op = grid_operator(4, 4)
+        runs = list(sim.transcript.runs)
+        with pytest.raises(TypeError):
+            sim.apply_round(op, np.ones(op.matrix.shape[0]), count=2.5)
+        assert sim.transcript.runs == runs
+
+    def test_integer_like_counts_accepted(self):
+        sim, op = grid_operator(4, 4)
+        x = np.ones(op.matrix.shape[0])
+        y = sim.apply_round(op, x, count=np.int64(3))
+        assert np.array_equal(y, sim.apply_round(op, x, count=3))
+        assert [count for _, _, count in sim.transcript.runs][-2:] == [3, 3]
+
     def test_strict_batch_names_its_first_round(self):
         sim = Simulator(path_graph(5), R=1)
         sim.account_round(1, count=3)
@@ -395,3 +429,82 @@ class TestCsrKernel:
             y = sim.apply_round(op, x, count=count)
             assert y is not x
             assert x.tobytes() == kept.tobytes()
+
+
+class TestCertifyStorage:
+    """certify keeps the smaller of the dense array and the CSR arrays."""
+
+    def test_byte_rule_at_the_boundary(self):
+        # n=5: the dense array takes 200 bytes; CSR takes 12 per entry plus
+        # a 24-byte indptr, so 14 entries stay CSR and 15 are promoted
+        sim = Simulator(path_graph(5), R=None)
+        full = np.arange(1.0, 26.0).reshape(5, 5)
+        for nnz, promoted in ((14, False), (15, True)):
+            W = full.copy()
+            W.flat[nnz:] = 0.0
+            csr = sparse.csr_matrix(W)
+            assert csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes == 12 * nnz + 24
+            op = sim.certify(csr, 4)
+            assert isinstance(op.matrix, np.ndarray) == promoted
+            assert sparse.issparse(op.matrix) != promoted
+            assert np.array_equal(sim.apply_round(op, np.ones(5)), W @ np.ones(5))
+
+    def test_nearly_dense_csr_is_promoted(self):
+        g = generate("random", {"n": 30, "m": 90}, seed=0)
+        sim = Simulator(g, R=4)
+        W = g.adjacency_matrix().tocsr() * 0.1
+        W4 = (W @ W @ W @ W).tocsr()
+        op = sim.certify(W4, 4)
+        assert isinstance(op.matrix, np.ndarray)
+        assert op.matrix.tobytes() == W4.toarray().tobytes()
+        x = np.random.default_rng(0).standard_normal(g.n)
+        assert np.allclose(sim.apply_round(op, x, count=3), W4 @ (W4 @ (W4 @ x)))
+
+    def test_grid_walk_operator_stays_csr(self):
+        sim, op = grid_operator()
+        assert op.matrix.shape == (399, 399)
+        assert sparse.issparse(op.matrix) and op.matrix.format == "csr"
+
+    def test_dense_input_stays_dense(self):
+        g = path_graph(5)
+        sim = Simulator(g, R=1)
+        A = g.adjacency_matrix().toarray()
+        assert sim.certify(A, 1).matrix is A
+
+
+class TestCertifySupport:
+    """Sparse operators are checked on their stored entries, with the dense scan's verdicts."""
+
+    @pytest.mark.parametrize("form", ["dense", "csr", "coo_shuffled", "csr_unsorted"])
+    def test_names_row_major_first_violation(self, form):
+        # path 5 at radius 1: entries (3,0), (1,4) and (0,2) are out of reach,
+        # and the row-major first one, (0,2), is named whatever the storage order
+        sim = Simulator(path_graph(5), R=None)
+        rows, cols = [3, 1, 1, 0, 0, 2], [0, 4, 2, 2, 1, 3]
+        vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        if form == "dense":
+            W = np.zeros((5, 5))
+            W[rows, cols] = vals
+        elif form == "coo_shuffled":
+            W = sparse.coo_matrix((vals, (rows, cols)), shape=(5, 5))
+        elif form == "csr":
+            W = sparse.csr_matrix((vals, (rows, cols)), shape=(5, 5))
+        else:
+            W = sparse.csr_matrix(
+                (np.array([4.0, 5.0, 2.0, 3.0, 6.0, 1.0]), np.array([2, 1, 4, 2, 3, 0]),
+                 np.array([0, 2, 4, 5, 6, 6])), shape=(5, 5))
+            assert not W.has_sorted_indices
+        with pytest.raises(ViolationError) as err:
+            sim.certify(W, 1)
+        assert str(err.value) == "matrix entry (0,2) reaches hop 2 beyond radius 1"
+
+    def test_stored_zeros_outside_radius_accepted(self):
+        sim = Simulator(path_graph(5), R=1)
+        # row 0 stores an explicit 0.0 at (0,4); row 1 stores (1,3) twice,
+        # summing to zero, as the dense array sees it
+        W = sparse.csr_matrix(
+            (np.array([1.0, 0.0, 2.0, -2.0, 1.0]), np.array([1, 4, 3, 3, 3]),
+             np.array([0, 2, 4, 4, 4, 5])), shape=(5, 5))
+        assert not W.has_canonical_format
+        for form in (W, W.tocoo(), W.toarray()):
+            assert sim.certify(form, 1).radius == 1
