@@ -72,7 +72,13 @@ class SimTranscript:
         return [hop for _, hop, count in self.runs for _ in range(count)]
 
     def append(self, messages, max_hop, count=1):
-        """Record `count` rounds of `messages` messages each, reaching `max_hop`."""
+        """Record `count` rounds of `messages` messages each, reaching `max_hop`.
+
+        `count` must be a non-negative integer; a rejected count records nothing.
+        """
+        count = operator.index(count)
+        if count < 0:
+            raise ValueError("round count must be >= 0, got %r" % (count,))
         messages, max_hop = int(messages), int(max_hop)
         self.runs.append((messages, max_hop, count))
         self.rounds += count
@@ -144,8 +150,7 @@ class Simulator:
         The radius must also respect R. The proof makes later apply_round
         calls locality-sound without per-entry checks. A sparse matrix is
         stored dense when the n x n array takes no more bytes than its CSR
-        arrays, and otherwise checked on its stored entries, so it costs no
-        n x n temporary; a dense matrix stays dense.
+        arrays; a dense matrix stays dense.
         """
         if not sparse.issparse(matrix):
             matrix = np.asarray(matrix)
@@ -153,29 +158,18 @@ class Simulator:
         if matrix.shape != (n, n):
             raise ValueError("operator shape %r is not (%d, %d)" % (matrix.shape, n, n))
         self._check_radius(radius)
-        reach = min(radius, n)
-        if sparse.issparse(matrix):
-            csr = matrix.tocsr()
-            csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-            if matrix.dtype.itemsize * n * n <= csr_bytes:
-                matrix = csr.toarray()
-        if sparse.issparse(matrix):
-            rows = np.repeat(np.arange(n, dtype=csr.indices.dtype), np.diff(csr.indptr))
-            far = self.hops[rows, csr.indices] > reach
-            # duplicates add up and the first violation is named in row-major
-            # order, as in the dense scan
-            far = sparse.coo_matrix((csr.data[far], (rows[far], csr.indices[far])), shape=(n, n))
-            far.sum_duplicates()
-            outside = np.column_stack((far.row, far.col))[far.data != 0]
-        else:
-            mask = (matrix != 0) & (self.hops > reach)
-            outside = [divmod(int(mask.argmax()), n)] if mask.any() else []
-        if len(outside):
-            i, j = outside[0]
+        dense = matrix.toarray() if sparse.issparse(matrix) else matrix
+        outside = (dense != 0) & (self.hops > min(radius, n))
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
             raise ViolationError(
                 "matrix entry (%d,%d) reaches hop %d beyond radius %d"
                 % (i, j, int(self.hops[i, j]), radius)
             )
+        if sparse.issparse(matrix):
+            csr = matrix.tocsr()
+            if dense.nbytes <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes:
+                matrix = dense
         return LocalOperator(matrix, radius)
 
     def account_round(self, radius, payload=None, count=1):
@@ -184,9 +178,6 @@ class Simulator:
         payload[v] is the number of scalars node v sends per round (default
         1). Returns nothing; the caller performs the equivalent combine step.
         """
-        count = operator.index(count)
-        if count < 0:
-            raise ValueError("round count must be >= 0, got %r" % (count,))
         if count == 0:
             return
         self._check_radius(radius)
@@ -200,7 +191,6 @@ class Simulator:
 
         Returns op.matrix^count x; x itself is never written to.
         """
-        count = operator.index(count)
         self.account_round(op.radius, count=count)
         mat = op.matrix
         if (_csr_matvec is not None and count > 0 and sparse.issparse(mat)

@@ -9,7 +9,7 @@ from scipy import sparse
 from lapflow import netsim
 from lapflow.distributed_solver import RHopEngine
 from lapflow.graph_core import generate, ground, laplacian
-from lapflow.netsim import LocalOperator, Simulator, ViolationError
+from lapflow.netsim import LocalOperator, SimTranscript, Simulator, ViolationError
 from oracles import OracleViolation, PerNodeNetwork
 
 
@@ -368,6 +368,15 @@ class TestBatchedRounds:
             sim.apply_round(op, np.ones(op.matrix.shape[0]), count=2.5)
         assert sim.transcript.runs == runs
 
+    @pytest.mark.parametrize("count, error", [(2.5, TypeError), (-3, ValueError)])
+    def test_transcript_append_rejects_bad_counts(self, count, error):
+        transcript = SimTranscript()
+        transcript.append(10, 1, count=2)
+        with pytest.raises(error):
+            transcript.append(10, 1, count=count)
+        assert transcript.runs == [(10, 1, 2)]
+        assert (transcript.rounds, transcript.messages_total) == (2, 20)
+
     def test_integer_like_counts_accepted(self):
         sim, op = grid_operator(4, 4)
         x = np.ones(op.matrix.shape[0])
@@ -473,7 +482,7 @@ class TestCertifyStorage:
 
 
 class TestCertifySupport:
-    """Sparse operators are checked on their stored entries, with the dense scan's verdicts."""
+    """The support check reads summed values and names the row-major first violation."""
 
     @pytest.mark.parametrize("form", ["dense", "csr", "coo_shuffled", "csr_unsorted"])
     def test_names_row_major_first_violation(self, form):
