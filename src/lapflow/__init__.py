@@ -42,10 +42,7 @@ from .netsim import (
 from .distributed_solver import (
     FullCommEngine,
     RHopEngine,
-    distr_esolve,
-    distr_rsolve,
     edist_rsolve,
-    rdist_rsolve,
     support_graph,
 )
 from .newton_flow import (

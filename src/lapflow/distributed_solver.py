@@ -2,20 +2,23 @@
 
 Both engines run the reference solver's own chain recursion (crude_solve)
 and Richardson loop (richardson_iterates); an engine only supplies the
-power appliers, which run as synchronous rounds on netsim with per-round
-message charges:
+walk-power applier apply_p(i, v) = P^{2^i} v with P = A0 D0^{-1}, which runs
+as synchronous rounds on netsim with per-round message charges. The
+backward pass applies Q = D0^{-1} A0 as P on D-scaled values
+(Q^p = D0^{-1} P^p D0), so no node ever needs diagonal entries from beyond
+its 1-hop neighborhood and each engine keeps one stack of certified powers:
 
 * FullCommEngine squares the walk operator d times (each node extends its
   row using rows gathered from the half-power radius), then each solve runs
   d forward and d backward gather rounds.
-* RHopEngine first caches each node's rows of (A0 D0^{-1})^R and
-  (D0^{-1} A0)^R through R-1 one-hop row-extension rounds, then applies
-  powers 2^{i-1} either as repeated 1-hop products (exponent below R) or as
+* RHopEngine first caches each node's row of P^R through R-1 one-hop
+  row-extension rounds, and charges the protocol's R-1 rounds for the row of
+  Q^R too (same support, so the same payloads). It then applies powers
+  2^{i-1} either as repeated 1-hop products (exponent below R) or as
   exponent/R strided R-hop products, each power one batch of identical
   rounds, on a simulator that rejects any round wider than R.
 
-Backward-pass values are published D-scaled, so no node ever needs diagonal
-entries from beyond its 1-hop neighborhood.
+Simulator.certify alone decides whether an operator is stored dense or CSR.
 """
 
 import numpy as np
@@ -23,15 +26,12 @@ from scipy import sparse
 
 from .graph_core import WeightedGraph
 from .netsim import Simulator
-from .reference_solver import DENSE_LIMIT, crude_solve, richardson_iterates
+from .reference_solver import crude_solve, richardson_iterates
 
 __all__ = [
     "FullCommEngine",
     "RHopEngine",
     "support_graph",
-    "distr_rsolve",
-    "distr_esolve",
-    "rdist_rsolve",
     "edist_rsolve",
 ]
 
@@ -63,18 +63,12 @@ class _EngineBase:
             raise ValueError("chain length must be nonnegative")
         self.D = splitting.D
         self.sim = sim = Simulator(support_graph(splitting), R)
-        n = splitting.n
         P1 = splitting.A.multiply(1.0 / self.D[None, :]).tocsr()  # P[k,j] = A[k,j]/D[j]
-        Q1 = splitting.A.multiply(1.0 / self.D[:, None]).tocsr()  # Q[k,j] = A[k,j]/D[k]
-        M = splitting.matrix()
-        if n <= DENSE_LIMIT:
-            P1, Q1, M = P1.toarray(), Q1.toarray(), M.toarray()
         # one 1-hop round: neighbors exchange diagonal entries, after which
         # every node can form its rows of P and Q
         sim.account_round(1)
         self._op_P1 = sim.certify(P1, 1)
-        self._op_Q1 = sim.certify(Q1, 1)
-        self._op_M = sim.certify(M, 1)
+        self._op_M = sim.certify(splitting.matrix(), 1)
 
     @property
     def transcript(self):
@@ -117,14 +111,9 @@ class FullCommEngine(_EngineBase):
     def _apply_p(self, s, v):
         return self.sim.apply_round(self._ops[s], v)
 
-    def _apply_q(self, s, x):
-        # published values are D-scaled, so Q^p x = (P^p (D x)) / D without
-        # remote diagonal knowledge
-        return self.sim.apply_round(self._ops[s], self.D * x) / self.D
-
     def rsolve(self, b0):
         """Crude solve; d forward and d backward gather rounds."""
-        return crude_solve(b0, self.D, self.d, self._apply_p, self._apply_q)
+        return crude_solve(b0, self.D, self.d, self._apply_p)
 
 
 class RHopEngine(_EngineBase):
@@ -139,55 +128,37 @@ class RHopEngine(_EngineBase):
     """
 
     def __init__(self, splitting, d, R):
+        if not float(R).is_integer():
+            raise ValueError("R must be an integer, got %r" % (R,))
         R = int(R)
         if R < 1 or (R & (R - 1)) != 0:
             raise ValueError("R must be a power of two")
         self.R = R
         super().__init__(splitting, d, R)
-        # Part One: rows of P^R and Q^R by 1-hop row extension, R-1 rounds
-        # per routine (the published payload is each node's current row)
-        cached = []
-        for op in (self._op_P1, self._op_Q1):
-            one_hop = c = op.matrix
-            for _ in range(1, R):
-                self.sim.account_round(1, payload=_row_nnz(c))
-                c = one_hop @ c
-            cached.append(self.sim.certify(c, R))
-        self._op_C0, self._op_C1 = cached
+        # Part One: rows of P^R by 1-hop row extension, R-1 rounds in which
+        # each node publishes its current row. The protocol's Q routine runs
+        # R-1 more such rounds; supp(Q^k) = supp(P^k), so they are charged
+        # with the same payloads, and Q^R = D^{-1} P^R D needs no operator
+        one_hop = c = self._op_P1.matrix
+        payloads = []
+        for _ in range(1, R):
+            payloads.append(_row_nnz(c))
+            c = one_hop @ c
+        for payload in payloads * 2:  # the P routine's rounds, then the Q routine's
+            self.sim.account_round(1, payload=payload)
+        self._op_C0 = self.sim.certify(c, R)
 
-    def _chain(self, vec, exponent, op1, opR):
-        # apply the exponent-th power of the 1-hop operator as one batch:
-        # straight 1-hop products below R, strides of the cached radius-R
-        # power otherwise
+    def _apply_p(self, i, v):
+        # apply P^{2^i} as one batch: straight 1-hop products below R,
+        # strides of the cached radius-R power otherwise
+        exponent = 2 ** i
         if exponent < self.R:
-            return self.sim.apply_round(op1, vec, count=exponent)
-        return self.sim.apply_round(opR, vec, count=exponent // self.R)
+            return self.sim.apply_round(self._op_P1, v, count=exponent)
+        return self.sim.apply_round(self._op_C0, v, count=exponent // self.R)
 
     def rsolve(self, b0):
         """Crude solve under strict R-hop locality."""
-        return crude_solve(
-            b0, self.D, self.d,
-            lambda i, v: self._chain(v, 2 ** i, self._op_P1, self._op_C0),
-            lambda i, v: self._chain(v, 2 ** i, self._op_Q1, self._op_C1),
-        )
-
-
-def distr_rsolve(splitting, b0, d):
-    """Full-communication crude solve; returns (x0, engine)."""
-    eng = FullCommEngine(splitting, d)
-    return eng.rsolve(b0), eng
-
-
-def distr_esolve(splitting, b0, d, eps):
-    """Full-communication eps-approximate solve; returns (x, engine)."""
-    eng = FullCommEngine(splitting, d)
-    return eng.esolve(b0, eps), eng
-
-
-def rdist_rsolve(splitting, b0, d, R):
-    """R-hop crude solve; returns (x0, engine)."""
-    eng = RHopEngine(splitting, d, R)
-    return eng.rsolve(b0), eng
+        return crude_solve(b0, self.D, self.d, self._apply_p)
 
 
 def edist_rsolve(splitting, b0, d, R, eps):

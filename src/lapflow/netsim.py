@@ -109,11 +109,14 @@ class Simulator:
     graph : WeightedGraph
         Communication topology.
     R : int, optional
-        Permitted gather radius, at least 1. None means full communication:
-        rounds of any radius are allowed.
+        Permitted gather radius, an integer of at least 1 (a fractional R is
+        rejected, not truncated). None means full communication: rounds of
+        any radius are allowed.
     """
 
     def __init__(self, graph, R=None):
+        if R is not None and not float(R).is_integer():
+            raise ValueError("R must be an integer, got %r" % (R,))
         if R is not None and R < 1:
             raise ValueError("R must be >= 1")
         self.graph = graph

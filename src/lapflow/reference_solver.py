@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .spectral import validate_sddm
 
@@ -15,9 +16,6 @@ __all__ = [
     "parallel_esolve",
     "richardson_iterations",
 ]
-
-# systems up to this size keep their chain powers as dense matrices
-DENSE_LIMIT = 200
 
 # ln(1/(2^{1/3}-1)); per-iteration contraction guarantee of the
 # chain-preconditioned Richardson scheme
@@ -32,13 +30,12 @@ def richardson_iterations(eps):
 
 
 class InverseChainView:
-    """Implicit inverse chain over one splitting.
+    """Dense inverse chain over one splitting; the reference the tests compare against.
 
-    The chain keeps D_k = D0 and A_k = D0 (D0^{-1} A0)^{2^k}, so everything
-    reduces to powers of P = A0 D0^{-1} and Q = D0^{-1} A0 = D0^{-1} P D0.
-    Powers are cached densely by repeated squaring for systems of at most
-    DENSE_LIMIT nodes and applied as repeated sparse matrix-vector products
-    otherwise (never materialized).
+    The chain keeps D_k = D0 and A_k = D0 (D0^{-1} A0)^{2^k}, so every level
+    is a power of the walk matrix P = A0 D0^{-1}. The view holds the d dense
+    n x n powers P^{2^i}, i = 0..d-1, built by repeated squaring, so it is
+    meant for test-sized systems.
 
     Parameters
     ----------
@@ -54,27 +51,15 @@ class InverseChainView:
         self.splitting = splitting
         self.d = d
         self.D = splitting.D
-        self.A = splitting.A
-        self._ppow = None
-        if splitting.n <= DENSE_LIMIT and d >= 1:
-            P = splitting.A.toarray() / self.D  # P[i,j] = A[i,j]/D[j]
-            pows = [P]
+        self._ppow = []
+        if d >= 1:
+            self._ppow.append(splitting.A.toarray() / self.D)  # P[i,j] = A[i,j]/D[j]
             for _ in range(1, d):
-                pows.append(pows[-1] @ pows[-1])
-            self._ppow = pows
+                self._ppow.append(self._ppow[-1] @ self._ppow[-1])
 
     def apply_p_power(self, i, v):
         """(A0 D0^{-1})^{2^i} v."""
-        if self._ppow is not None:
-            return self._ppow[i] @ v
-        out = v
-        for _ in range(2 ** i):
-            out = self.A @ (out / self.D)
-        return out
-
-    def apply_q_power(self, i, v):
-        """(D0^{-1} A0)^{2^i} v, via Q^p = D^{-1} P^p D."""
-        return self.apply_p_power(i, v * self.D) / self.D
+        return self._ppow[i] @ v
 
 
 def direct_solve(s, b):
@@ -100,22 +85,24 @@ def direct_solve(s, b):
     if not validate_sddm(s).positive_definite:
         raise ValueError("direct_solve needs positive definite SDDM; ground a Laplacian first")
     M = s.dense()
-    x = np.linalg.solve(M, b)
-    x += np.linalg.solve(M, b - M @ x)  # one refinement step
+    lu = scipy.linalg.lu_factor(M)
+    x = scipy.linalg.lu_solve(lu, b)
+    x += scipy.linalg.lu_solve(lu, b - M @ x)  # one refinement step on the same factors
     resid = np.linalg.norm(M @ x - b)
     if resid > 1e-10 * max(np.linalg.norm(b), 1e-300):
         raise RuntimeError("direct solve residual %.3e exceeds tolerance" % resid)
     return x
 
 
-def crude_solve(b0, D, d, apply_p, apply_q):
-    """Crude solve x0 = Z0 b0 through the inverse chain, given its power appliers.
+def crude_solve(b0, D, d, apply_p):
+    """Crude solve x0 = Z0 b0 through the inverse chain, given its power applier.
 
     Forward pass b_i = b_{i-1} + P^{2^{i-1}} b_{i-1} for i = 1..d, top solve
     x_d = b_d / D, backward pass x_i = (b_i/D + x_{i+1} + Q^{2^i} x_{i+1})/2,
-    where apply_p(i, v) = P^{2^i} v and apply_q(i, v) = Q^{2^i} v. The
-    realized operator Z0 satisfies the e^{±eps_d} sandwich against M0^{-1}
-    when d comes from chain_length. Returns x0.
+    where apply_p(i, v) = P^{2^i} v. The backward pass needs no second
+    applier: Q = D^{-1} P D, so Q^{2^i} x = P^{2^i}(D x) / D, and its values
+    travel D-scaled. The realized operator Z0 satisfies the e^{±eps_d}
+    sandwich against M0^{-1} when d comes from chain_length. Returns x0.
     """
     b = np.asarray(b0, dtype=float).ravel()
     levels = [b]
@@ -124,7 +111,7 @@ def crude_solve(b0, D, d, apply_p, apply_q):
         levels.append(b)
     x = levels[d] / D
     for i in range(d - 1, -1, -1):
-        x = 0.5 * (levels[i] / D + x + apply_q(i, x))
+        x = 0.5 * (levels[i] / D + x + apply_p(i, D * x) / D)
     return x
 
 
@@ -146,7 +133,7 @@ def richardson_iterates(rsolve, apply_M, b0, eps):
 
 def parallel_rsolve(chain, b0):
     """Crude solve x0 = Z0 b0 through an InverseChainView (see crude_solve)."""
-    return crude_solve(b0, chain.D, chain.d, chain.apply_p_power, chain.apply_q_power)
+    return crude_solve(b0, chain.D, chain.d, chain.apply_p_power)
 
 
 def parallel_esolve(chain, b0, eps):

@@ -20,7 +20,7 @@ from lapflow.reference_solver import (
     parallel_rsolve,
     richardson_iterates,
 )
-from lapflow.distributed_solver import RHopEngine, distr_rsolve, edist_rsolve, rdist_rsolve
+from lapflow.distributed_solver import FullCommEngine, RHopEngine, edist_rsolve
 from lapflow.netsim import Simulator, ViolationError
 from lapflow.newton_flow import (
     FlowProblem,
@@ -113,10 +113,10 @@ def test_criterion_03_implementation_equivalence():
         b = rng.standard_normal(s.n)
         x_par = parallel_rsolve(InverseChainView(s, spec), b)
         scale = np.linalg.norm(x_par)
-        x_dist, _ = distr_rsolve(s, b, spec)
+        x_dist = FullCommEngine(s, spec).rsolve(b)
         worst = max(worst, np.linalg.norm(x_dist - x_par) / scale)
         for R in (1, 2, 4):
-            x_r, _ = rdist_rsolve(s, b, spec, R)
+            x_r = RHopEngine(s, spec, R).rsolve(b)
             worst = max(worst, np.linalg.norm(x_r - x_par) / scale)
     assert worst <= 1e-9
     print("criterion 3 PASS: three implementations agree on 50 instances, "

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -21,13 +23,9 @@ from lapflow.spectral import (
     estimated_chain,
 )
 from lapflow.distributed_solver import (
-    DENSE_LIMIT,
     FullCommEngine,
     RHopEngine,
-    distr_esolve,
-    distr_rsolve,
     edist_rsolve,
-    rdist_rsolve,
     support_graph,
 )
 from conftest import grounded_random, mnorm_rel_error
@@ -67,16 +65,16 @@ class TestEngineConstruction:
 
     def test_rhop_requires_power_of_two(self):
         s = grounded_path(5)
-        for bad in (3, 6, 12):
+        # a fractional R is rejected, not truncated to a power of two
+        for bad in (3, 6, 12, 1.5, 2.9, math.nan, math.inf):
             with pytest.raises(ValueError):
                 RHopEngine(s, 2, bad)
-        for ok in (1, 2, 4, 8):
-            RHopEngine(s, 2, ok)
+        for ok in (1, 2, 4, 8, 2.0):
+            assert RHopEngine(s, 2, ok).R == ok
 
     def test_large_system_stays_sparse(self):
         s = grounded_random(250, 500, seed=0)
         eng = FullCommEngine(s, 3)
-        assert s.n > DENSE_LIMIT
         assert sparse.issparse(eng._op_P1.matrix)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(s.n)
@@ -85,15 +83,13 @@ class TestEngineConstruction:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_nearly_dense_rhop_powers_are_promoted(self):
-        # n = 219 > DENSE_LIMIT: the 1-hop operators stay CSR, while the
-        # radius-4 powers hold 95% of all entries and are stored dense
+        # the 1-hop operators stay CSR, while the radius-4 power holds 95%
+        # of all entries and is stored dense
         s = ground(laplacian(generate("random", {"n": 220, "m": 660}, seed=0)), 0)
         b = np.random.default_rng(0).standard_normal(s.n)
         x, eng = edist_rsolve(s, b, estimated_chain(s), 4, 1e-2)
-        assert s.n > DENSE_LIMIT
         assert sparse.issparse(eng._op_P1.matrix) and sparse.issparse(eng._op_M.matrix)
         assert isinstance(eng._op_C0.matrix, np.ndarray)
-        assert isinstance(eng._op_C1.matrix, np.ndarray)
         assert mnorm_rel_error(s, x, direct_solve(s, b)) <= 1e-2
         tr = eng.transcript
         assert (tr.rounds, tr.messages_total, tr.max_hop_used) == (5151, 740047716, 4)
@@ -102,7 +98,7 @@ class TestEngineConstruction:
 class TestEquivalence:
     def test_diagonal_system(self):
         s = StandardSplitting([2.0, 4.0, 8.0], np.zeros((3, 3)))
-        x, eng = distr_rsolve(s, [2.0, 4.0, 8.0], 2)
+        x = FullCommEngine(s, 2).rsolve([2.0, 4.0, 8.0])
         assert np.allclose(x, [1.0, 1.0, 1.0])
 
     def test_three_implementations_agree(self, rng):
@@ -111,11 +107,12 @@ class TestEquivalence:
             d = chain_d(s)
             b = rng.standard_normal(s.n)
             x_ref = parallel_rsolve(InverseChainView(s, d), b)
-            x_full, _ = distr_rsolve(s, b, d)
+            x_full = FullCommEngine(s, d).rsolve(b)
             scale = np.linalg.norm(x_ref)
             assert np.linalg.norm(x_full - x_ref) <= 1e-9 * scale
             for R in (1, 2, 4):
-                x_r, eng = rdist_rsolve(s, b, d, R)
+                eng = RHopEngine(s, d, R)
+                x_r = eng.rsolve(b)
                 assert np.linalg.norm(x_r - x_ref) <= 1e-9 * scale
                 assert eng.transcript.max_hop_used <= R
 
@@ -125,7 +122,7 @@ class TestEquivalence:
         b = rng.standard_normal(s.n)
         for eps in (0.5, 1e-2):
             want = parallel_esolve(InverseChainView(s, d), b, eps)
-            got, _ = distr_esolve(s, b, d, eps)
+            got = FullCommEngine(s, d).esolve(b, eps)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             got_r, eng = edist_rsolve(s, b, d, 2, eps)
             assert np.linalg.norm(got_r - want) <= 1e-8 * np.linalg.norm(want)
@@ -144,19 +141,19 @@ class TestEquivalence:
         s = grounded_random(12, 24, seed=11)
         d = 3
         b = rng.standard_normal(s.n)
-        x_full, _ = distr_rsolve(s, b, d)
-        x_r, _ = rdist_rsolve(s, b, d, 8)  # R >= 2^{d-1}
+        x_full = FullCommEngine(s, d).rsolve(b)
+        x_r = RHopEngine(s, d, 8).rsolve(b)  # R >= 2^{d-1}
         assert np.linalg.norm(x_r - x_full) <= 1e-12 * np.linalg.norm(x_full)
 
 
-def wide_ratio_system(k):
-    """Grounded random graph, n = 8 + 3k and m = 2n, whose weights span exactly 1 to 1e6."""
+def wide_ratio_system(k, ratio=1e6):
+    """Grounded random graph, n = 8 + 3k and m = 2n, whose weights span exactly 1 to ratio."""
     n = 8 + 3 * k
     g = generate("random", {"n": n, "m": 2 * n}, seed=k)
-    w = 10.0 ** np.random.default_rng(k).uniform(0.0, 6.0, g.m)
-    w[w.argmin()], w[w.argmax()] = 1.0, 1e6
+    w = 10.0 ** np.random.default_rng(k).uniform(0.0, math.log10(ratio), g.m)
+    w[w.argmin()], w[w.argmax()] = 1.0, ratio
     g = WeightedGraph(n, [(i, j, wt) for (i, j, _), wt in zip(g.edges, w)])
-    assert g.w_max / g.w_min == 1e6
+    assert g.w_max / g.w_min == ratio
     return ground(laplacian(g), 0)
 
 
@@ -181,7 +178,7 @@ class TestWeightRatio:
         b = np.random.default_rng(k).standard_normal(s.n)
         xstar = direct_solve(s, b)
         x_ref = parallel_esolve(InverseChainView(s, d), b, 1e-4)
-        x_full, _ = distr_esolve(s, b, d, 1e-4)
+        x_full = FullCommEngine(s, d).esolve(b, 1e-4)
         assert mnorm_rel_error(s, x_ref, xstar) <= 1e-4
         assert mnorm_rel_error(s, x_full, xstar) <= 1e-4
 
@@ -216,28 +213,79 @@ class TestPerNodeExecution:
             assert eng.transcript.max_hop_used <= R
 
 
+def as_dense(mat):
+    return mat.toarray() if sparse.issparse(mat) else mat
+
+
 class TestRowRoutines:
+    """The cached radius-R row of P^R, and Q^R = D^{-1} P^R D read off it."""
+
     def test_radius_one_rows_are_walk_matrices(self):
         s = grounded_random(9, 16, seed=4, w_min=0.5, w_max=3.0)
         P = s.A.toarray() / s.D[None, :]
         Q = s.A.toarray() / s.D[:, None]
         eng = RHopEngine(s, 0, 1)
-        rows0, rows1 = eng._op_C0.matrix, eng._op_C1.matrix
-        assert np.allclose(np.asarray(rows0), P, atol=1e-15)
-        assert np.allclose(np.asarray(rows1), Q, atol=1e-15)
+        rows0 = as_dense(eng._op_C0.matrix)
+        assert np.allclose(rows0, P, atol=1e-15)
+        assert np.allclose(rows0 * s.D[None, :] / s.D[:, None], Q, atol=1e-15)
 
     def test_path4_squared_rows(self):
         s = ground(laplacian(generate("path", {"n": 5})), 4)  # path on 4 nodes
         P = s.A.toarray() / s.D[None, :]
         Q = s.A.toarray() / s.D[:, None]
         eng = RHopEngine(s, 0, 2)
-        rows0, rows1 = eng._op_C0.matrix, eng._op_C1.matrix
-        assert np.abs(np.asarray(rows0) - P @ P).max() <= 1e-12
-        assert np.abs(np.asarray(rows1) - Q @ Q).max() <= 1e-12
+        rows0 = as_dense(eng._op_C0.matrix)
+        assert np.abs(rows0 - P @ P).max() <= 1e-12
+        assert np.abs(rows0 * s.D[None, :] / s.D[:, None] - Q @ Q).max() <= 1e-12
         # support stays inside the 2-hop neighborhoods
         hops = floyd_warshall_hops(support_graph(s))
-        assert not ((np.asarray(rows0) != 0) & (hops > 2)).any()
+        assert not ((rows0 != 0) & (hops > 2)).any()
         assert eng.transcript.max_hop_used <= 2
+
+    @pytest.mark.parametrize("R", [2, 4, 8])
+    def test_scaled_power_is_q_power(self, R):
+        # D^{-1} C0 D against Q^R from dense algebra, at weight ratio 1e6
+        s = wide_ratio_system(2)
+        Q = s.A.toarray() / s.D[:, None]
+        eng = RHopEngine(s, 0, R)
+        c0 = as_dense(eng._op_C0.matrix)
+        want = np.linalg.matrix_power(Q, R)
+        got = c0 * s.D[None, :] / s.D[:, None]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert ((got != 0) == (want != 0)).all()
+
+    @pytest.mark.parametrize("ratio", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("R", [2, 4, 8])
+    def test_setup_charges_match_row_supports(self, R, ratio):
+        # one diagonal exchange, then the R-1 row-extension rounds of each of
+        # the P and Q routines: in round k node v sends its row of P^k (or
+        # Q^k) to each neighbor, so a round costs sum_v deg(v) nnz_v
+        s = wide_ratio_system(3, ratio)
+        A = s.A.toarray()
+        P, Q = A / s.D[None, :], A / s.D[:, None]
+        deg = (floyd_warshall_hops(support_graph(s)) == 1).sum(axis=0)
+        want = [(int(deg.sum()), 1, 1)]
+        for walk in (P, Q):
+            for k in range(1, R):
+                nnz = np.count_nonzero(np.linalg.matrix_power(walk, k), axis=1)
+                want.append((int(deg @ nnz), 1, 1))
+        eng = RHopEngine(s, 3, R)
+        assert eng.transcript.runs == want
+
+
+class TestOperatorStorage:
+    """certify alone decides dense or CSR storage of the engine operators."""
+
+    def test_sparse_system_keeps_csr_clique_is_dense(self):
+        path = grounded_path(20)
+        clique = ground(laplacian(WeightedGraph(10, [(i, j, 1.0) for i in range(10)
+                                                   for j in range(i + 1, 10)])), 0)
+        for eng in (RHopEngine(path, 2, 1), FullCommEngine(path, 2)):
+            for op in (eng._op_P1, eng._op_M):
+                assert sparse.issparse(op.matrix) and op.matrix.format == "csr"
+        rhop = RHopEngine(clique, 2, 2)
+        for op in (rhop._op_P1, rhop._op_M, rhop._op_C0, *FullCommEngine(clique, 2)._ops):
+            assert isinstance(op.matrix, np.ndarray)
 
 
 class TestMessageAccounting:
@@ -282,7 +330,8 @@ class TestMessageAccounting:
             _, eng = edist_rsolve(s, b, d, R, eps)
             crude = 2 * sum(2 ** i if 2 ** i < R else 2 ** i // R for i in range(d))
             assert eng.transcript.rounds == 1 + 2 * (R - 1) + (q + 1) * crude + q
-        _, eng = distr_esolve(s, b, d, eps)
+        eng = FullCommEngine(s, d)
+        eng.esolve(b, eps)
         assert eng.transcript.rounds == d + (q + 1) * 2 * d + q
 
     @pytest.mark.parametrize("R, rounds, messages, max_hop", [
@@ -296,7 +345,8 @@ class TestMessageAccounting:
         s = ground(laplacian(generate("grid", {"rows": 4, "cols": 4})), 0)
         b = np.random.default_rng(0).standard_normal(s.n)
         if R is None:
-            _, eng = distr_esolve(s, b, 5, 1e-2)
+            eng = FullCommEngine(s, 5)
+            eng.esolve(b, 1e-2)
         else:
             _, eng = edist_rsolve(s, b, 5, R, 1e-2)
         tr = eng.transcript
@@ -304,12 +354,13 @@ class TestMessageAccounting:
 
     @pytest.mark.parametrize("R", [1, 2])
     def test_batched_kernel_solve_bit_identical(self, R, monkeypatch):
-        # n = 224 > DENSE_LIMIT, so the crude solve's batches run the CSR kernel;
-        # the plain `matrix @ x` loop is the single-round arithmetic
+        # certify keeps the grid's operators CSR, so the crude solve's batches
+        # run the CSR kernel; the plain `matrix @ x` loop is the single-round
+        # arithmetic
         s = ground(laplacian(generate("grid", {"rows": 15, "cols": 15})), 0)
-        assert s.n > DENSE_LIMIT
         b = np.random.default_rng(3).standard_normal(s.n)
         fast, fast_eng = edist_rsolve(s, b, 6, R, 1e-2)
+        assert sparse.issparse(fast_eng._op_P1.matrix) and sparse.issparse(fast_eng._op_C0.matrix)
         monkeypatch.setattr(netsim, "_csr_matvec", None)
         slow, slow_eng = edist_rsolve(s, b, 6, R, 1e-2)
         assert fast.tobytes() == slow.tobytes()

@@ -34,6 +34,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             Simulator(path_graph(3), R=0)
 
+    def test_rejects_non_integral_radius(self):
+        # a fractional R would otherwise run as its truncation
+        for bad in (1.5, 2.9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="integer"):
+                Simulator(path_graph(3), R=bad)
+        assert Simulator(path_graph(3), R=2.0).R == 2
+
     def test_full_communication_has_no_radius_limit(self):
         sim = Simulator(path_graph(5))
         assert sim.R is None
@@ -290,7 +297,8 @@ class TestCollective:
 def grid_operator(rows=20, cols=20):
     """A simulator and the grounded grid's certified R=1 walk operator.
 
-    Above DENSE_LIMIT nodes (the 20x20 default) the operator is stored CSR.
+    certify keeps the grid's 1-hop operator CSR: its n x n array would take
+    more bytes than its CSR arrays.
     """
     s = ground(laplacian(generate("grid", {"rows": rows, "cols": cols})), 0)
     eng = RHopEngine(s, 1, 1)

@@ -524,6 +524,12 @@ class TestOptimize:
         with pytest.raises(ValueError, match="eps=0.001 is outside"):
             optimize(p, "sddm_newton", OptimizeConfig(eps=1e-3, step="alpha_star"))
 
+    def test_non_integral_radius_rejected(self):
+        # R = 2.9 must not run as R = 2 under a trace header reading R=2.9
+        p = random_flow(10, 18, seed=15)
+        with pytest.raises(ValueError, match="integer"):
+            optimize(p, "sddm_newton", OptimizeConfig(R=2.9, max_iters=3))
+
     def test_fixed_subgradient_default_step(self):
         p = random_flow(10, 18, seed=15)
         consts = convergence_constants(p)

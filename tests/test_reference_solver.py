@@ -100,31 +100,6 @@ class TestInverseChainView:
             want = np.linalg.matrix_power(P, 2 ** i) @ v
             assert np.allclose(chain.apply_p_power(i, v), want, atol=1e-12)
 
-    def test_q_power_matches_matrix_power(self, rng):
-        s = grounded_random(10, 20, seed=0, w_min=0.5, w_max=2.0)
-        chain = InverseChainView(s, 3)
-        Q = s.A.toarray() / s.D[:, None]
-        v = rng.standard_normal(s.n)
-        for i in range(3):
-            want = np.linalg.matrix_power(Q, 2 ** i) @ v
-            assert np.allclose(chain.apply_q_power(i, v), want, atol=1e-12)
-
-    def test_sparse_fallback_matches_dense(self, rng, monkeypatch):
-        s = grounded_random(12, 24, seed=7)
-        dense_chain = InverseChainView(s, 3)
-        monkeypatch.setattr("lapflow.reference_solver.DENSE_LIMIT", 0)
-        sparse_chain = InverseChainView(s, 3)
-        assert sparse_chain._ppow is None
-        v = rng.standard_normal(s.n)
-        for i in range(3):
-            assert np.allclose(
-                sparse_chain.apply_p_power(i, v), dense_chain.apply_p_power(i, v), atol=1e-10
-            )
-        b = rng.standard_normal(s.n)
-        assert np.allclose(
-            parallel_rsolve(sparse_chain, b), parallel_rsolve(dense_chain, b), atol=1e-10
-        )
-
 
 class TestParallelRSolve:
     def test_diagonal_system_is_exact(self):

@@ -1,18 +1,29 @@
-"""Snapshot a fixed list of lapflow CLI runs for byte-identity checks.
+"""Snapshot a fixed list of lapflow CLI runs and compare two snapshots.
 
     python3 tools/cli_snapshot.py OUTDIR
+    python3 tools/cli_snapshot.py --compare BEFORE AFTER
 
-Runs each invocation below in a subprocess of its own, with lapflow imported
-from src/ of the checkout that holds this script, and writes
+The first form runs each invocation below in a subprocess of its own, with
+lapflow imported from src/ of the checkout that holds this script, and writes
 OUTDIR/<name>.stdout, <name>.stderr, <name>.exit and <name>.csv (the file
-the run wrote through --out). Run it in two checkouts; then
+the run wrote through --out). Run it in two checkouts; for a change that
+keeps every output bit-identical
 
     diff -r before/ after/
 
-is the whole check. Uses only the standard library.
+is the whole check. An arithmetic change moves the last digits of floats,
+so --compare splits each file into float literals (numbers written with a
+point, an exponent, nan or inf) and the text between them, which holds the
+integers: exit codes, message and round counts, iter, phase. It prints, per
+file, whether that text matches exactly, the largest relative and absolute
+float deviation, and how many floats differ by more than 1e-9 relative and
+1e-15 absolute at once. It exits 1 when any file is missing on one side or
+its non-float text differs. Uses only the standard library.
 """
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,9 +55,68 @@ RUNS = [
 ]
 
 
+# a float literal not glued to a word or another number; integers are text
+FLOAT = re.compile(r"(?<![\w.])([-+]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|nan|inf))(?![\w.])")
+RTOL, ATOL = 1e-9, 1e-15
+
+
+def compare_text(before, after):
+    """(text_same, floats, beyond, max_rel, max_abs) of two file contents.
+
+    beyond lists (line, before, after) for each float off by more than RTOL
+    relative and ATOL absolute. Non-finite floats must match as text;
+    finite ones are compared by value.
+    """
+    a, b = FLOAT.split(before), FLOAT.split(after)
+    if len(a) != len(b) or a[0::2] != b[0::2]:
+        return False, 0, [], 0.0, 0.0
+    floats, beyond, line = 0, [], 1
+    max_rel = max_abs = 0.0
+    for k in range(1, len(a), 2):
+        line += a[k - 1].count("\n")
+        x, y = a[k], b[k]
+        fx, fy = float(x), float(y)
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            if x != y:
+                return False, 0, [], 0.0, 0.0
+            continue
+        floats += 1
+        dev = abs(fx - fy)
+        rel = dev / max(abs(fx), abs(fy)) if dev else 0.0
+        max_rel, max_abs = max(max_rel, rel), max(max_abs, dev)
+        if rel > RTOL and dev > ATOL:
+            beyond.append((line, x, y))
+    return True, floats, beyond, max_rel, max_abs
+
+
+def compare(before_dir, after_dir):
+    """Print one report per snapshot file; return 1 if any non-float text differs."""
+    before_dir, after_dir = Path(before_dir), Path(after_dir)
+    names = sorted({p.name for p in before_dir.iterdir()} | {p.name for p in after_dir.iterdir()})
+    status = 0
+    for name in names:
+        pa, pb = before_dir / name, after_dir / name
+        if not (pa.is_file() and pb.is_file()):
+            print("%s: MISSING in %s" % (name, after_dir if pa.is_file() else before_dir))
+            status = 1
+            continue
+        same, floats, beyond, max_rel, max_abs = compare_text(pa.read_text(), pb.read_text())
+        if not same:
+            print("%s: NON-FLOAT TEXT DIFFERS" % name)
+            status = 1
+            continue
+        print("%s: text same; %d floats, max rel %.3g, max abs %.3g, %d beyond %g rel and %g abs"
+              % (name, floats, max_rel, max_abs, len(beyond), RTOL, ATOL))
+        for line, x, y in beyond:
+            print("    line %d: %s -> %s" % (line, x, y))
+    return status
+
+
 def main(argv):
-    if len(argv) != 1:
-        print("usage: cli_snapshot.py OUTDIR", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: cli_snapshot.py OUTDIR | --compare BEFORE AFTER", file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
