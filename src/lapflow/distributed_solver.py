@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph_core import WeightedGraph
-from .netsim import Simulator
+from .netsim import Simulator, check_radius
 from .reference_solver import crude_solve, richardson_iterates
 
 __all__ = [
@@ -128,11 +128,9 @@ class RHopEngine(_EngineBase):
     """
 
     def __init__(self, splitting, d, R):
-        if not float(R).is_integer():
-            raise ValueError("R must be an integer, got %r" % (R,))
-        R = int(R)
-        if R < 1 or (R & (R - 1)) != 0:
-            raise ValueError("R must be a power of two")
+        R = check_radius(R)
+        if R is None or (R & (R - 1)) != 0:
+            raise ValueError("R must be a power of two, got %r" % (R,))
         self.R = R
         super().__init__(splitting, d, R)
         # Part One: rows of P^R by 1-hop row extension, R-1 rounds in which

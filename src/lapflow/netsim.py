@@ -17,7 +17,8 @@ graph) run as BLAS matvecs. ``account_round`` charges a round whose combine
 step is done by the caller (row-extension rounds). Both take a ``count`` of
 identical rounds and charge the whole batch with one radius check and one
 cached per-radius message total; ``apply_round`` runs a CSR operator's
-``count`` products in scipy's compiled CSR kernel on two reused buffers.
+``count`` products in scipy's compiled CSR kernel on two reused buffers
+(``csr_apply``, which the dual loop in ``newton_flow`` shares).
 The tests check both against an independent per-node executor
 (``tests/oracles.py``) that runs each node's program on its own.
 """
@@ -35,6 +36,8 @@ except ImportError:
     _csr_matvec = None
 
 __all__ = [
+    "check_radius",
+    "csr_apply",
     "SimTranscript",
     "Simulator",
     "LocalOperator",
@@ -44,6 +47,53 @@ __all__ = [
 
 class ViolationError(RuntimeError):
     """A round or an operator reaches beyond the permitted radius."""
+
+
+def check_radius(R):
+    """R as an int of at least 1, or None (full communication).
+
+    Raises ValueError for a fractional or non-finite R (never truncated) and
+    for R < 1; an integral float such as 2.0 is accepted.
+    """
+    if R is None:
+        return None
+    if not float(R).is_integer():
+        raise ValueError("R must be an integer, got %r" % (R,))
+    if R < 1:
+        raise ValueError("R must be >= 1, got %r" % (R,))
+    return int(R)
+
+
+def csr_apply(mat, x, count=1):
+    """mat^count x, bit for bit what `count` products `mat @ x` give.
+
+    A float64 csr_matrix and a float64 vector of length mat.shape[1] (and a
+    square matrix when count > 1) run in scipy's compiled CSR kernel on two
+    reused buffers. The kernel computes y += A u without bounds checks, so
+    the guards stay; from a zeroed y it is exactly what `mat @ u` computes.
+    Anything else, or a scipy without the kernel, takes `mat @ x`. x itself
+    is never written to.
+    """
+    # a class check, not sparse.issparse: the dual loop calls this for
+    # vectors of a few hundred entries, where issparse's abstract-class check
+    # costs a tenth of the whole product
+    if (_csr_matvec is not None and count > 0 and isinstance(mat, sparse.csr_matrix)
+            and mat.dtype == np.float64 and isinstance(x, np.ndarray)
+            and x.dtype == np.float64 and x.shape == (mat.shape[1],)
+            and (count == 1 or mat.shape[0] == mat.shape[1])):
+        rows, cols = mat.shape
+        u = np.zeros(rows)
+        _csr_matvec(rows, cols, mat.indptr, mat.indices, mat.data, np.ascontiguousarray(x), u)
+        if count > 1:
+            y = np.empty(rows)
+            for _ in range(count - 1):
+                y.fill(0.0)
+                _csr_matvec(rows, cols, mat.indptr, mat.indices, mat.data, u, y)
+                u, y = y, u
+        return u
+    for _ in range(count):
+        x = mat @ x
+    return x
 
 
 class SimTranscript:
@@ -115,12 +165,8 @@ class Simulator:
     """
 
     def __init__(self, graph, R=None):
-        if R is not None and not float(R).is_integer():
-            raise ValueError("R must be an integer, got %r" % (R,))
-        if R is not None and R < 1:
-            raise ValueError("R must be >= 1")
         self.graph = graph
-        self.R = None if R is None else int(R)
+        self.R = check_radius(R)
         self.n = graph.n
         self.hops = hop_matrix(graph)
         self.transcript = SimTranscript()
@@ -195,20 +241,4 @@ class Simulator:
         Returns op.matrix^count x; x itself is never written to.
         """
         self.account_round(op.radius, count=count)
-        mat = op.matrix
-        if (_csr_matvec is not None and count > 0 and sparse.issparse(mat)
-                and mat.format == "csr" and mat.dtype == np.float64
-                and mat.shape[0] == mat.shape[1] and isinstance(x, np.ndarray)
-                and x.dtype == np.float64 and x.shape == (mat.shape[1],)):
-            # from zeros, y += A u is exactly what `mat @ u` computes
-            n = mat.shape[0]
-            u, y = np.zeros(n), np.empty(n)
-            _csr_matvec(n, n, mat.indptr, mat.indices, mat.data, np.ascontiguousarray(x), u)
-            for _ in range(count - 1):
-                y.fill(0.0)
-                _csr_matvec(n, n, mat.indptr, mat.indices, mat.data, u, y)
-                u, y = y, u
-            return u
-        for _ in range(count):
-            x = mat @ x
-        return x
+        return csr_apply(op.matrix, x, count)

@@ -6,6 +6,10 @@ g = A x(lambda) - b and its Hessian is the weighted Laplacian with edge
 weights 1/Phi''. Newton directions are obtained by grounding a reference
 node and solving the SDDM subsystem with the distributed solvers (or the
 direct oracle), then re-inserting zero and shifting to mean zero.
+
+The dual loop's products with A and A' run in scipy's compiled CSR kernel
+through netsim.csr_apply, on the incidence and its transpose that
+FlowProblem builds once.
 """
 
 import math
@@ -25,6 +29,7 @@ from .graph_core import (
 from .reference_solver import direct_solve, richardson_iterations
 from .spectral import estimated_chain
 from .distributed_solver import FullCommEngine, RHopEngine
+from .netsim import check_radius, csr_apply
 
 __all__ = [
     "EdgeCost",
@@ -60,7 +65,8 @@ class EdgeCost:
     ----------
     name : str
     value, deriv, second, inv_deriv : callables
-        Phi, Phi', Phi'' and the inverse of Phi', all vectorized.
+        Phi, Phi', Phi'' and the inverse of Phi', all vectorized: an array
+        of flows in, an array of the same shape out.
     gamma, Gamma : float
         Curvature bounds gamma <= Phi'' <= Gamma on the working domain.
     delta : float
@@ -145,6 +151,8 @@ class FlowProblem:
     n, E : int
         Node and arc counts.
     incidence : CSR matrix, shape (n, E)
+    incidence_t : CSR matrix, shape (E, n)
+        The transpose of incidence, built once for the dual loop's A' products.
     """
 
     def __init__(self, graph, b, cost):
@@ -175,17 +183,17 @@ class FlowProblem:
               np.repeat(np.arange(self.E), 2))),
             shape=(self.n, self.E),
         )
+        self.incidence_t = self.incidence.T.tocsr()
         self._lap = None
 
     def cost_value(self, x):
         """Primal objective sum_e Phi(x_e)."""
-        return float(np.sum(self.cost.value(x)))
+        return float(self.cost.value(x).sum())
 
     def unweighted_laplacian(self):
         """Dense L = A A' of the incidence matrix (cached)."""
         if self._lap is None:
-            inc = self.incidence
-            self._lap = (inc @ inc.T).toarray()
+            self._lap = (self.incidence @ self.incidence_t).toarray()
         return self._lap
 
     def lnorm(self, v):
@@ -292,7 +300,7 @@ def dual_state(lam, problem):
     """Evaluate x(lambda), g = A x - b, objective sum_e Phi(x_e) and q = lambda'g - objective."""
     lam = np.asarray(lam, dtype=float).ravel()
     x = primal_recovery(lam, problem)
-    g = problem.incidence @ x - problem.b
+    g = csr_apply(problem.incidence, x) - problem.b
     obj = problem.cost_value(x)
     return DualState(lam=lam, x_of_lambda=x, g=g, objective=obj, value=float(lam @ g) - obj)
 
@@ -309,12 +317,14 @@ def _hessian_weights(state, problem):
     and positive, or whose weight underflows or overflows.
     """
     dd = np.asarray(problem.cost.second(state.x_of_lambda), dtype=float)
-    if not np.all(np.isfinite(dd)) or np.any(dd <= 0):
-        bad = int(np.flatnonzero(~np.isfinite(dd) | (dd <= 0))[0])
+    ok = (dd > 0) & (dd < math.inf)  # finite and positive; False on nan
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
         raise RuntimeError("Hessian curvature invalid on edge %d" % bad)
     w = 1.0 / dd
-    if not np.all(w > 0) or not np.all(np.isfinite(w)):
-        bad = int(np.flatnonzero(~(w > 0) | ~np.isfinite(w))[0])
+    ok = (w > 0) & (w < math.inf)
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
         raise RuntimeError("Hessian weight underflow on edge %d" % bad)
     n = problem.n
     t, h = problem._tails, problem._heads
@@ -464,7 +474,7 @@ class OptimizeConfig:
     eps: float = 1e-4  # solver accuracy for sddm_newton; 0 solves exactly
     R: int = 1  # hop radius of the sddm_newton solver; None is full communication
     ground_node: int = 0
-    lambda0: np.ndarray = None
+    lambda0: np.ndarray = None  # n finite start values; None starts at zero
 
 
 class DivergenceError(RuntimeError):
@@ -591,6 +601,14 @@ def optimize(problem, method="sddm_newton", config=None):
         raise ValueError("max_iters must be >= 0")
     if not cfg.feas_threshold >= 0:
         raise ValueError("feas_threshold must be >= 0")
+    check_radius(cfg.R)
+    if cfg.lambda0 is None:
+        lam0 = np.zeros(problem.n)
+    else:
+        lam0 = np.array(cfg.lambda0, dtype=float)
+        if lam0.shape != (problem.n,) or not np.isfinite(lam0).all():
+            raise ValueError("lambda0 must hold %d finite values, got shape %r"
+                             % (problem.n, lam0.shape))
     eps = cfg.eps if method == "sddm_newton" else 0.0
     try:
         consts = convergence_constants(problem, eps)
@@ -614,10 +632,9 @@ def optimize(problem, method="sddm_newton", config=None):
     else:
         alpha = 0.5  # backtracking warm-starts at twice the last accepted step
 
-    lam0 = np.zeros(problem.n) if cfg.lambda0 is None else np.asarray(cfg.lambda0, float).copy()
     state = dual_state(lam0, problem)
     for k in range(cfg.max_iters + 1):
-        feas = float(np.linalg.norm(state.g))
+        feas = math.sqrt(state.g.dot(state.g))  # what np.linalg.norm computes
         gl = problem.lnorm(state.g)
         if not (math.isfinite(state.objective) and math.isfinite(feas)):
             raise DivergenceError("objective diverged at iteration %d" % k, trace)
@@ -642,7 +659,7 @@ def optimize(problem, method="sddm_newton", config=None):
             t = state.g / D_H
             acc = t.copy()
             for _ in range(NEUMANN_TERMS):
-                ht = problem.incidence @ (w * (problem.incidence.T @ t))
+                ht = csr_apply(problem.incidence, w * csr_apply(problem.incidence_t, t))
                 t = (D_H * t - ht) / D_H
                 acc += t
             direction = -acc

@@ -41,6 +41,17 @@ class TestSimConfig:
                 Simulator(path_graph(3), R=bad)
         assert Simulator(path_graph(3), R=2.0).R == 2
 
+    def test_check_radius_is_the_one_rule(self):
+        # Simulator, RHopEngine and optimize all call this helper
+        assert netsim.check_radius(None) is None
+        for ok, want in ((1, 1), (2.0, 2), (np.int64(4), 4)):
+            got = netsim.check_radius(ok)
+            assert got == want and type(got) is int
+        for bad, match in ((0, ">= 1"), (-1, ">= 1"), (-2.0, ">= 1"), (2.9, "integer"),
+                           (float("nan"), "integer"), (float("-inf"), "integer")):
+            with pytest.raises(ValueError, match=match):
+                netsim.check_radius(bad)
+
     def test_full_communication_has_no_radius_limit(self):
         sim = Simulator(path_graph(5))
         assert sim.R is None
@@ -437,6 +448,25 @@ class TestCsrKernel:
         want = op.matrix @ (op.matrix @ (op.matrix @ x))
         assert np.array_equal(got, want)
         assert all(calls)
+
+    def test_rectangular_matrix_runs_once_in_kernel(self, monkeypatch):
+        # the flow incidence is n x E: one product runs in the kernel with
+        # the bits of `matrix @ x`; a power of a non-square matrix falls back
+        A = sparse.random(7, 11, density=0.4, random_state=3, format="csr")
+        x = np.random.default_rng(4).standard_normal(11)
+        calls = []
+        real = netsim._csr_matvec
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(netsim, "_csr_matvec", spy)
+        assert netsim.csr_apply(A, x).tobytes() == (A @ x).tobytes()
+        assert calls == [(7, 11)]
+        with pytest.raises(ValueError):
+            netsim.csr_apply(A, x, count=2)
+        assert calls == [(7, 11)]
 
     def test_caller_vector_untouched(self):
         sim, op = grid_operator()

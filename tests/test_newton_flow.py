@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lapflow import netsim
 from lapflow.graph_core import WeightedGraph, generate, laplacian, load_edge_list
 from lapflow.newton_flow import (
     ConvergenceConstants,
@@ -530,11 +531,128 @@ class TestOptimize:
         with pytest.raises(ValueError, match="integer"):
             optimize(p, "sddm_newton", OptimizeConfig(R=2.9, max_iters=3))
 
+    @pytest.mark.parametrize("R", [2.9, 0, -1, math.nan])
+    def test_radius_checked_before_any_step(self, R):
+        # with max_iters=0 no Newton step builds an engine, so only the
+        # check at the top of optimize can refuse these
+        p = random_flow(10, 18, seed=15)
+        with pytest.raises(ValueError, match="R must be"):
+            optimize(p, "sddm_newton", OptimizeConfig(R=R, max_iters=0))
+
+    @pytest.mark.parametrize("lam0", [np.zeros(11), np.zeros(9), np.zeros((10, 2)),
+                                      np.zeros(()), np.full(10, math.nan),
+                                      np.r_[np.zeros(9), math.inf]],
+                             ids=["long", "short", "two_column", "scalar", "nan", "inf"])
+    def test_rejects_bad_lambda0(self, lam0):
+        p = random_flow(10, 18, seed=15)
+        for method in ("subgradient", "add_neumann", "exact_newton"):
+            with pytest.raises(ValueError, match="lambda0 must hold 10 finite values"):
+                optimize(p, method, OptimizeConfig(lambda0=lam0, max_iters=3))
+
+    def test_lambda0_list_accepted_and_not_aliased(self):
+        p = random_flow(10, 18, seed=15)
+        lam0 = np.linspace(-1.0, 1.0, 10)
+        kept = lam0.copy()
+        from_list = optimize(p, "subgradient", OptimizeConfig(lambda0=lam0.tolist(), max_iters=3))
+        from_array = optimize(p, "subgradient", OptimizeConfig(lambda0=lam0, max_iters=3))
+        assert from_list.rows == from_array.rows
+        assert lam0.tobytes() == kept.tobytes()
+
     def test_fixed_subgradient_default_step(self):
         p = random_flow(10, 18, seed=15)
         consts = convergence_constants(p)
         trace = optimize(p, "subgradient", OptimizeConfig(step="fixed", max_iters=3))
         assert trace.rows[0]["step"] == pytest.approx(consts.gamma / consts.mun)
+
+
+def trace_bytes(trace):
+    """Trace rows, dual values and final lambda as one byte string."""
+    rows = "\n".join(Trace.format_row(row) for row in trace.rows)
+    return (rows + repr(trace.dual)).encode() + trace.final_state.lam.tobytes()
+
+
+def signed_zero_vector(rng, size):
+    v = rng.standard_normal(size)
+    v[::5] = 0.0
+    v[2::5] = -0.0
+    return v
+
+
+class TestKernelPath:
+    """The dual loop's incidence products run in netsim's guarded CSR kernel."""
+
+    PROBLEMS = [("grid", {"rows": 5, "cols": 6}, None),
+                ("random", {"n": 30, "m": 80}, 4),
+                ("barbell", {"clique": 8, "path_len": 6}, None)]
+
+    @pytest.mark.parametrize("kind, params, seed", PROBLEMS)
+    def test_transposed_incidence_is_the_transpose(self, kind, params, seed):
+        p = flow_on(kind, params, seed=seed)
+        want = p.incidence.T.tocsr()
+        got = p.incidence_t
+        assert got.format == "csr" and got.shape == (p.E, p.n)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("kind, params, seed", PROBLEMS)
+    def test_kernel_products_match_matmul_bits(self, kind, params, seed, monkeypatch):
+        p = flow_on(kind, params, seed=seed)
+        rng = np.random.default_rng(5)
+        calls = []
+        real = netsim._csr_matvec
+        assert real is not None
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(netsim, "_csr_matvec", spy)
+        for _ in range(5):
+            x = signed_zero_vector(rng, p.E)
+            lam = signed_zero_vector(rng, p.n)
+            # signbits included: tobytes tells -0.0 from 0.0
+            assert netsim.csr_apply(p.incidence, x).tobytes() == (p.incidence @ x).tobytes()
+            assert netsim.csr_apply(p.incidence_t, lam).tobytes() == (p.incidence_t @ lam).tobytes()
+            assert netsim.csr_apply(p.incidence_t, lam).tobytes() == (p.incidence.T @ lam).tobytes()
+        assert calls.count((p.n, p.E)) == 5 and calls.count((p.E, p.n)) == 10
+
+    def test_add_neumann_builds_no_transpose(self, monkeypatch):
+        p = flow_on("barbell", {"clique": 8, "path_len": 6})
+        calls = []
+        real = p.incidence.transpose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(p.incidence, "transpose", counting)
+        trace = optimize(p, "add_neumann", OptimizeConfig(feas_threshold=1e-2, max_iters=200))
+        assert trace.iterations > 10
+        assert calls == []
+
+    @pytest.mark.parametrize("method, step", [("add_neumann", "backtracking"),
+                                              ("subgradient", "backtracking"),
+                                              ("subgradient", "fixed"),
+                                              ("add_neumann", "fixed")])
+    @pytest.mark.parametrize("cost", ["exp", "quadratic"])
+    def test_fallback_traces_identical(self, method, step, cost, monkeypatch):
+        p = flow_on("barbell", {"clique": 8, "path_len": 6}, cost=cost)
+        cfg = OptimizeConfig(step=step, feas_threshold=1e-3, max_iters=400)
+        calls = []
+        real = netsim._csr_matvec
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(netsim, "_csr_matvec", spy)
+        fast = optimize(p, method, cfg)
+        assert len(calls) >= fast.iterations
+        monkeypatch.setattr(netsim, "_csr_matvec", None)
+        slow = optimize(p, method, cfg)
+        assert fast.iterations >= 10
+        assert trace_bytes(fast) == trace_bytes(slow)
 
 
 class TestTraceCSV:

@@ -41,6 +41,8 @@ RUNS = [
     ("flow_random_40_100_exact", ["flow", "--graph", "random", "--n", "40", "--edges", "100",
                                   "--method", "exact-newton"]),
     ("flow_barbell_8_6_add", ["flow"] + BARBELL_8_6 + ["--method", "add"]),
+    ("flow_barbell_8_6_add_quadratic", ["flow"] + BARBELL_8_6 + ["--method", "add",
+                                                                 "--cost", "quadratic"]),
     ("flow_barbell_8_6_subgradient", ["flow"] + BARBELL_8_6 + ["--method", "subgradient"]),
     ("flow_barbell_8_6_subgradient_fixed", ["flow"] + BARBELL_8_6 + ["--method", "subgradient",
                                                                      "--step", "fixed"]),
