@@ -98,7 +98,7 @@ def exp_cost(x_box=5.0):
         value=lambda x: np.exp(x) + np.exp(-x),
         deriv=lambda x: np.exp(x) - np.exp(-x),
         second=lambda x: np.exp(x) + np.exp(-x),
-        inv_deriv=lambda y: np.arcsinh(np.asarray(y, dtype=float) / 2.0),
+        inv_deriv=lambda y: np.arcsinh(np.asarray(y, dtype=float) * 0.5),
         gamma=2.0,
         Gamma=2.0 * math.cosh(x_box),
         delta=0.25,  # max |d/dx (1/(2 cosh x))| attained at sinh x = 1
@@ -292,7 +292,8 @@ class DualState:
 def primal_recovery(lam, problem):
     """Per-arc primal flows x_e = [Phi']^{-1}(lambda_tail - lambda_head)."""
     lam = np.asarray(lam, dtype=float).ravel()
-    y = lam[problem._tails] - lam[problem._heads]
+    y = lam.take(problem._tails)
+    y -= lam.take(problem._heads)
     return np.asarray(problem.cost.inv_deriv(y), dtype=float)
 
 
@@ -300,7 +301,8 @@ def dual_state(lam, problem):
     """Evaluate x(lambda), g = A x - b, objective sum_e Phi(x_e) and q = lambda'g - objective."""
     lam = np.asarray(lam, dtype=float).ravel()
     x = primal_recovery(lam, problem)
-    g = csr_apply(problem.incidence, x) - problem.b
+    g = csr_apply(problem.incidence, x)
+    g -= problem.b
     obj = problem.cost_value(x)
     return DualState(lam=lam, x_of_lambda=x, g=g, objective=obj, value=float(lam @ g) - obj)
 
