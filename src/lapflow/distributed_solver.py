@@ -16,7 +16,13 @@ its 1-hop neighborhood and each engine keeps one stack of certified powers:
   Q^R too (same support, so the same payloads). It then applies powers
   2^{i-1} either as repeated 1-hop products (exponent below R) or as
   exponent/R strided R-hop products, each power one batch of identical
-  rounds, on a simulator that rejects any round wider than R.
+  rounds, on a simulator that rejects any round wider than R. Level i >=
+  log2 R of a crude solve is 2^i/R rounds, so nearly all rounds sit in the
+  top levels; the engine asks netsim once for a stride power of the
+  radius-R operator, passing its largest batch 2^(d-1)/R (Simulator.stride).
+  Batches of at least s rounds are then computed with a few products by
+  the certified power, while every one of their rounds is still charged at
+  radius R, so the transcript is the one of the round-by-round computation.
 
 Simulator.certify alone decides whether an operator is stored dense or CSR.
 """
@@ -32,6 +38,7 @@ __all__ = [
     "FullCommEngine",
     "RHopEngine",
     "support_graph",
+    "check_rhop_radius",
     "edist_rsolve",
 ]
 
@@ -41,6 +48,18 @@ def support_graph(splitting):
     coo = sparse.triu(splitting.A, k=1).tocoo()
     edges = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
     return WeightedGraph(splitting.n, edges)
+
+
+def check_rhop_radius(R):
+    """R as an int power of two, the one rule for RHopEngine's radius.
+
+    check_radius's rule, with None (full communication) and integers that
+    are not powers of two also raising ValueError.
+    """
+    R = check_radius(R)
+    if R is None or (R & (R - 1)) != 0:
+        raise ValueError("R must be a power of two, got %r" % (R,))
+    return R
 
 
 def _row_nnz(mat):
@@ -128,10 +147,7 @@ class RHopEngine(_EngineBase):
     """
 
     def __init__(self, splitting, d, R):
-        R = check_radius(R)
-        if R is None or (R & (R - 1)) != 0:
-            raise ValueError("R must be a power of two, got %r" % (R,))
-        self.R = R
+        self.R = R = check_rhop_radius(R)
         super().__init__(splitting, d, R)
         # Part One: rows of P^R by 1-hop row extension, R-1 rounds in which
         # each node publishes its current row. The protocol's Q routine runs
@@ -145,6 +161,7 @@ class RHopEngine(_EngineBase):
         for payload in payloads * 2:  # the P routine's rounds, then the Q routine's
             self.sim.account_round(1, payload=payload)
         self._op_C0 = self.sim.certify(c, R)
+        self.sim.stride(self._op_C0, 2 ** self.d // (2 * R))  # the top level's 2^(d-1)/R rounds
 
     def _apply_p(self, i, v):
         # apply P^{2^i} as one batch: straight 1-hop products below R,

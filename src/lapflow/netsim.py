@@ -21,8 +21,19 @@ cached per-radius message total; ``apply_round`` runs a CSR operator's
 (``csr_apply``, which the dual loop in ``newton_flow`` shares).
 The tests check both against an independent per-node executor
 (``tests/oracles.py``) that runs each node's program on its own.
+
+A batch of many identical rounds need not be computed one product at a
+time. ``stride`` gives a certified operator one stride power op^s, built by
+log2(s) dense squarings, support-checked within s * radius hops and stored
+under certify's byte rule; ``apply_round`` then computes a batch of count >= s
+rounds as op^(count mod s) followed by (op^s)^(count div s). The charge does
+not change: the batch is still `count` rounds at op's radius, so transcripts
+are the same with or without a stride; only the floating-point rounding of
+the result differs. ``stride_length`` picks s from the caller's largest
+batch, with no setting to tune.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -38,6 +49,7 @@ except ImportError:
 __all__ = [
     "check_radius",
     "csr_apply",
+    "stride_length",
     "SimTranscript",
     "Simulator",
     "LocalOperator",
@@ -143,12 +155,44 @@ class SimTranscript:
                 fh.write("%d,%d,%d\n" % (t, msg, hop))
 
 
+def stride_length(n, nnz, batch):
+    """Stride s for batches of up to C = `batch` rounds of an n x n operator with nnz stored entries.
+
+    One product at a time, a batch of C rounds costs C * nnz multiply-adds;
+    with a stride it costs (C div s) * n^2 + (C mod s) * nnz, which at an
+    expected remainder of s/2 is least near s = sqrt(2 C n^2 / nnz). s is the
+    largest power of two at or below that. Building op^s takes log2(s) dense
+    squarings, log2(s) * n^3 multiply-adds in BLAS-3 gemms; the rule counts
+    those at 1/n of a round's multiply-add (a round is one kernel call that
+    streams the whole operator once, a gemm reuses each entry it loads
+    across a block of rows). The stride is built only when the squarings
+    cost no more than the stride saves on one batch of C rounds, which a
+    chain runs at least twice per crude solve. Returns 0 for no stride:
+    C < 2, s < 2, or squarings that do not pay.
+    """
+    if batch < 2 or nnz < 1:
+        return 0
+    limit = math.isqrt(2 * batch * n * n // nnz)
+    if limit < 2:
+        return 0
+    s = 1 << (limit.bit_length() - 1)
+    saved = batch * nnz - (batch // s) * n * n - (batch % s) * nnz
+    if (s.bit_length() - 1) * n ** 3 > n * saved:
+        return 0
+    return s
+
+
 class LocalOperator:
-    """A matrix certified to combine only values from within `radius` hops."""
+    """A matrix certified to combine only values from within `radius` hops.
+
+    `stride` is None or (s, op^s), a certified power that apply_round uses
+    for batches of at least s rounds (Simulator.stride).
+    """
 
     def __init__(self, matrix, radius):
         self.matrix = matrix
         self.radius = radius
+        self.stride = None
 
 
 class Simulator:
@@ -208,18 +252,45 @@ class Simulator:
             raise ValueError("operator shape %r is not (%d, %d)" % (matrix.shape, n, n))
         self._check_radius(radius)
         dense = matrix.toarray() if sparse.issparse(matrix) else matrix
-        outside = (dense != 0) & (self.hops > min(radius, n))
+        self._check_support(dense, radius)
+        if sparse.issparse(matrix):
+            csr = matrix.tocsr()
+            if dense.nbytes <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes:
+                matrix = dense
+        return LocalOperator(matrix, radius)
+
+    def _check_support(self, dense, radius):
+        # ViolationError naming the row-major first nonzero beyond radius hops
+        outside = (dense != 0) & (self.hops > min(radius, self.n))
         if outside.any():
             i, j = np.argwhere(outside)[0]
             raise ViolationError(
                 "matrix entry (%d,%d) reaches hop %d beyond radius %d"
                 % (i, j, int(self.hops[i, j]), radius)
             )
-        if sparse.issparse(matrix):
-            csr = matrix.tocsr()
-            if dense.nbytes <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes:
-                matrix = dense
-        return LocalOperator(matrix, radius)
+
+    def stride(self, op, batch):
+        """Give op a stride power op^s for batches of up to `batch` rounds; return s.
+
+        s comes from stride_length (0: no stride, op is left as it is).
+        op^s is built by log2(s) dense squarings, checked to lie within
+        s * op.radius hops (ViolationError naming the first entry beyond,
+        as certify does) and stored under certify's byte rule. It is not a
+        round and charges nothing; apply_round still charges every round.
+        """
+        mat = op.matrix
+        s = stride_length(self.n, mat.nnz if sparse.issparse(mat) else mat.size, batch)
+        if s:
+            power = mat.toarray() if sparse.issparse(mat) else mat
+            for _ in range(s.bit_length() - 1):
+                power = power @ power
+            self._check_support(power, s * op.radius)
+            # certify's byte rule, without building the CSR arrays to weigh
+            # them: float64 data and int32 indices per entry, int32 indptr
+            if power.nbytes > 12 * np.count_nonzero(power) + 4 * (self.n + 1):
+                power = sparse.csr_matrix(power)
+            op.stride = (s, power)
+        return s
 
     def account_round(self, radius, payload=None, count=1):
         """Charge `count` identical whole-network gather rounds at `radius`.
@@ -238,7 +309,13 @@ class Simulator:
     def apply_round(self, op, x, count=1):
         """`count` rounds in which every node combines gathered values via its row of op.
 
-        Returns op.matrix^count x; x itself is never written to.
+        Returns op.matrix^count x; x itself is never written to. With a
+        stride (s, op^s) and count >= s the result is computed as
+        op^(count mod s) x, then count div s products with op^s; the charge
+        is `count` rounds at op's radius either way.
         """
         self.account_round(op.radius, count=count)
+        if op.stride is not None and count >= op.stride[0]:
+            s, power = op.stride
+            return csr_apply(power, csr_apply(op.matrix, x, count % s), count // s)
         return csr_apply(op.matrix, x, count)

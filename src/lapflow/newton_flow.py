@@ -28,7 +28,7 @@ from .graph_core import (
 )
 from .reference_solver import direct_solve, richardson_iterations
 from .spectral import estimated_chain
-from .distributed_solver import FullCommEngine, RHopEngine
+from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius
 from .netsim import check_radius, csr_apply
 
 __all__ = [
@@ -604,6 +604,14 @@ def optimize(problem, method="sddm_newton", config=None):
     if not cfg.feas_threshold >= 0:
         raise ValueError("feas_threshold must be >= 0")
     check_radius(cfg.R)
+    if method == "sddm_newton" and cfg.R is not None:
+        check_rhop_radius(cfg.R)
+    if cfg.step == "fixed" and cfg.alpha is not None and not (
+            cfg.alpha > 0 and math.isfinite(cfg.alpha)):
+        raise ValueError("alpha must be a finite step > 0, got %r" % (cfg.alpha,))
+    if not float(cfg.ground_node).is_integer():
+        raise ValueError("ground_node must be an integer, got %r" % (cfg.ground_node,))
+    ground_node = int(cfg.ground_node)
     if cfg.lambda0 is None:
         lam0 = np.zeros(problem.n)
     else:
@@ -651,7 +659,7 @@ def optimize(problem, method="sddm_newton", config=None):
         if method in ("sddm_newton", "exact_newton"):
             report = {}
             direction = newton_direction(state, problem, eps=eps, R=cfg.R,
-                                         ref_node=cfg.ground_node, report=report)
+                                         ref_node=ground_node, report=report)
             solver_msgs = report.get("messages", 0)
         elif method == "subgradient":
             direction = -state.g

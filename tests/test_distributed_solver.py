@@ -41,6 +41,16 @@ def chain_d(s, safety=1.05):
     return chain_length(max(kappa, 1.0), "estimated")
 
 
+def closed_form_rounds(d, q, R):
+    """Rounds of one R-hop eps-solve: (q+1) crude solves, q M-applies, setup.
+
+    (q+1) * 2 * sum_{i<d} c(2^i) + q + 1 + 2(R-1), with c(e) = e when e < R
+    and e/R otherwise.
+    """
+    crude = 2 * sum(2 ** i if 2 ** i < R else 2 ** i // R for i in range(d))
+    return (q + 1) * crude + q + 1 + 2 * (R - 1)
+
+
 class TestSupportGraph:
     def test_edges_follow_offdiagonal_pattern(self):
         s = grounded_random(10, 18, seed=2, w_min=0.5, w_max=2.0)
@@ -328,8 +338,7 @@ class TestMessageAccounting:
         assert d >= 1
         for R in (1, 2, 4):
             _, eng = edist_rsolve(s, b, d, R, eps)
-            crude = 2 * sum(2 ** i if 2 ** i < R else 2 ** i // R for i in range(d))
-            assert eng.transcript.rounds == 1 + 2 * (R - 1) + (q + 1) * crude + q
+            assert eng.transcript.rounds == closed_form_rounds(d, q, R)
         eng = FullCommEngine(s, d)
         eng.esolve(b, eps)
         assert eng.transcript.rounds == d + (q + 1) * 2 * d + q
@@ -375,3 +384,43 @@ class TestMessageAccounting:
         with pytest.raises(ViolationError):
             eng.sim.certify(P @ P, 2)
 
+
+class TestStridedChain:
+    """The top chain levels run as products with one certified stride power."""
+
+    def grid(self):
+        s = ground(laplacian(generate("grid", {"rows": 20, "cols": 20})), 0)
+        return s, chain_length(estimate_condition(s) * 1.05, "estimated").d
+
+    def test_grid_r1_builds_a_stride(self):
+        s, d = self.grid()
+        eng = RHopEngine(s, d, 1)
+        assert eng._op_C0.stride is not None
+        stride, power = eng._op_C0.stride
+        assert stride == netsim.stride_length(s.n, eng._op_C0.matrix.nnz, 2 ** (d - 1))
+        assert 2 <= stride <= 2 ** (d - 1)
+        assert power.shape == (s.n, s.n)
+
+    def test_grid_r1_eps_solve_meets_target_with_closed_form_rounds(self, monkeypatch):
+        s, d = self.grid()
+        b = np.random.default_rng(5).standard_normal(s.n)
+        eps = 1e-4
+        x, eng = edist_rsolve(s, b, d, 1, eps)
+        assert eng._op_C0.stride is not None
+        assert mnorm_rel_error(s, x, direct_solve(s, b)) <= eps
+        tr = eng.transcript
+        assert tr.rounds == closed_form_rounds(d, richardson_iterations(eps), 1)
+        assert tr.max_hop_used == 1
+        # the round-by-round engine charges the same runs
+        monkeypatch.setattr(netsim, "stride_length", lambda n, nnz, batch: 0)
+        y, plain = edist_rsolve(s, b, d, 1, eps)
+        assert plain._op_C0.stride is None
+        assert tr.runs == plain.transcript.runs
+        assert np.linalg.norm(x - y) <= 1e-9 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_short_chain_builds_no_stride(self, d):
+        # d = 1 has one chain level, a batch of 2^0 / R rounds at most
+        s, _ = self.grid()
+        for R in (1, 2):
+            assert RHopEngine(s, d, R)._op_C0.stride is None

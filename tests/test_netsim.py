@@ -555,3 +555,90 @@ class TestCertifySupport:
         assert not W.has_canonical_format
         for form in (W, W.tocoo(), W.toarray()):
             assert sim.certify(form, 1).radius == 1
+
+
+def plain_products(matrix, x, count):
+    for _ in range(count):
+        x = matrix @ x
+    return x
+
+
+class TestStride:
+    """A stride power changes how a batch is computed, never what it charges."""
+
+    def test_stride_length_rule(self):
+        # the 20x20 grid's R=1 operator at its chain's top batch 2^14
+        assert netsim.stride_length(399, 1516, 2 ** 14) == 1024
+        # a dense operator: s is the power of two at or below sqrt(2 C)
+        assert netsim.stride_length(299, 299 ** 2, 512) == 32
+        # no batch to stride, or nothing to multiply
+        for batch in (0, 1):
+            assert netsim.stride_length(399, 1516, batch) == 0
+        assert netsim.stride_length(399, 0, 2 ** 14) == 0
+        # a short chain on a large graph: the 9 squarings of 2000 x 2000
+        # arrays cost far more than the 2^10 rounds they would save on
+        assert netsim.stride_length(2000, 10000, 2 ** 10) == 0
+        assert netsim.stride_length(2000, 10000, 2 ** 17) == 8192
+
+    def test_strided_batch_matches_plain_products(self):
+        sim, op = grid_operator()
+        assert sim.stride(op, 2 ** 14) == 1024
+        s, power = op.stride
+        assert s == 1024
+        # the grid is bipartite, so its even powers are checkerboards: CSR
+        # under certify's byte rule
+        assert sparse.issparse(power) and power.format == "csr"
+        assert power.nnz == np.count_nonzero(power.toarray())
+        x = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
+        kept = x.copy()
+        count = 2 * 1024 + 452
+        want = plain_products(op.matrix, x, count)
+        got = sim.apply_round(op, x, count=count)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert x.tobytes() == kept.tobytes()
+
+    def test_strided_batch_charges_every_round(self):
+        (strided, op), (plain, plain_op) = grid_operator(), grid_operator()
+        strided.stride(op, 2 ** 14)
+        x = np.ones(op.matrix.shape[0])
+        for count in (3, 1024, 2500, 4096):
+            strided.apply_round(op, x, count=count)
+            plain.apply_round(plain_op, x, count=count)
+        assert strided.transcript.runs == plain.transcript.runs
+        assert transcript_view(strided) == transcript_view(plain)
+
+    def test_forged_out_of_radius_stride_raises(self):
+        # P^2 on a path reaches 2 hops; forged past certify as a radius-1
+        # operator, its stride P^(2 s) reaches beyond s hops (to even hops
+        # only: the path is bipartite)
+        g = path_graph(20)
+        sim = Simulator(g, R=1)
+        W = g.adjacency_matrix().tocsr() * 0.5
+        op = LocalOperator((W @ W).tocsr(), 1)
+        assert netsim.stride_length(20, op.matrix.nnz, 64) == 16
+        with pytest.raises(ViolationError) as err:
+            sim.stride(op, 64)
+        assert str(err.value) == "matrix entry (0,18) reaches hop 18 beyond radius 16"
+        assert op.stride is None
+
+    def test_operator_without_stride_keeps_matvec_bits(self):
+        sim, op = grid_operator()
+        assert sim.stride(op, 1) == 0 and op.stride is None
+        x = np.random.default_rng(1).standard_normal(op.matrix.shape[0])
+        assert sim.apply_round(op, x, count=9).tobytes() == plain_products(op.matrix, x, 9).tobytes()
+        # below the stride, a strided operator runs the plain products too
+        sim.stride(op, 2 ** 14)
+        got = sim.apply_round(op, x, count=1023)
+        assert got.tobytes() == plain_products(op.matrix, x, 1023).tobytes()
+
+    def test_dense_operator_keeps_dense_stride(self):
+        g = generate("random", {"n": 30, "m": 90}, seed=0)
+        sim = Simulator(g, R=4)
+        W = g.adjacency_matrix().tocsr() * 0.1
+        op = sim.certify((W @ W @ W @ W).tocsr(), 4)
+        assert isinstance(op.matrix, np.ndarray)
+        assert sim.stride(op, 64) == 8
+        assert isinstance(op.stride[1], np.ndarray)
+        x = np.random.default_rng(2).standard_normal(g.n)
+        want = plain_products(op.matrix, x, 64)
+        assert np.linalg.norm(sim.apply_round(op, x, count=64) - want) <= 1e-12 * np.linalg.norm(want)

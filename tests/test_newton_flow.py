@@ -539,6 +539,35 @@ class TestOptimize:
         with pytest.raises(ValueError, match="R must be"):
             optimize(p, "sddm_newton", OptimizeConfig(R=R, max_iters=0))
 
+    @pytest.mark.parametrize("R", [3, 6, 12.0])
+    def test_non_power_of_two_radius_checked_before_any_step(self, R):
+        # RHopEngine rejects these at the first Newton step; with
+        # max_iters=0 there is none, so only the check up front can
+        p = random_flow(10, 18, seed=15)
+        with pytest.raises(ValueError, match="R must be a power of two"):
+            optimize(p, "sddm_newton", OptimizeConfig(R=R, max_iters=0))
+        # other methods run no engine
+        assert optimize(p, "exact_newton", OptimizeConfig(R=R, max_iters=0)).iterations == 0
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_fixed_step_alpha_must_be_finite_and_positive(self, alpha):
+        # a step of -1 or 0 would otherwise run all max_iters iterations
+        p = random_flow(10, 18, seed=15)
+        with pytest.raises(ValueError, match="alpha must be a finite step > 0"):
+            optimize(p, "subgradient", OptimizeConfig(step="fixed", alpha=alpha, max_iters=50))
+        # alpha is read by the fixed step only
+        cfg = OptimizeConfig(step="backtracking", alpha=alpha, max_iters=3)
+        assert optimize(p, "subgradient", cfg).iterations == 3
+
+    def test_non_integral_ground_node_rejected(self):
+        # 2.5 names no node; direct_solve's grounding message would hide that
+        p = random_flow(10, 18, seed=15)
+        with pytest.raises(ValueError, match="ground_node must be an integer, got 2.5"):
+            optimize(p, "exact_newton", OptimizeConfig(ground_node=2.5, max_iters=3))
+        as_float = optimize(p, "exact_newton", OptimizeConfig(ground_node=2.0, max_iters=3))
+        as_int = optimize(p, "exact_newton", OptimizeConfig(ground_node=2, max_iters=3))
+        assert as_float.rows == as_int.rows
+
     @pytest.mark.parametrize("lam0", [np.zeros(11), np.zeros(9), np.zeros((10, 2)),
                                       np.zeros(()), np.full(10, math.nan),
                                       np.r_[np.zeros(9), math.inf]],
