@@ -24,8 +24,8 @@ The tests check both against an independent per-node executor
 
 A batch of many identical rounds need not be computed one product at a
 time. ``stride`` gives a certified operator one stride power op^s, built by
-log2(s) dense squarings, support-checked within s * radius hops and stored
-under certify's byte rule; ``apply_round`` then computes a batch of count >= s
+log2(s) dense squarings, support-checked within s * radius hops and kept as
+a dense array; ``apply_round`` then computes a batch of count >= s
 rounds as op^(count mod s) followed by (op^s)^(count div s). The charge does
 not change: the batch is still `count` rounds at op's radius, so transcripts
 are the same with or without a stride; only the floating-point rounding of
@@ -155,20 +155,30 @@ class SimTranscript:
                 fh.write("%d,%d,%d\n" % (t, msg, hop))
 
 
-def stride_length(n, nnz, batch):
+# What one multiply-add of a round costs, counted in multiply-adds of a dense
+# n x n gemm. Timed on a 2-vCPU VM at n = 300 to 2000 (best of 7): a gemm
+# took 0.018-0.024 ns per multiply-add, a dense matvec 0.11-0.21 ns (4.4-11
+# gemm multiply-adds) and a csr_apply round of a sparse operator 0.98-2.5 ns
+# (47-68). Each weight sits below its measured range, so the gate prices
+# the squarings high against the rounds they replace.
+_DENSE_ROUND_WEIGHT = 4
+_CSR_ROUND_WEIGHT = 32
+
+
+def stride_length(n, nnz, batch, dense=False):
     """Stride s for batches of up to C = `batch` rounds of an n x n operator with nnz stored entries.
 
     One product at a time, a batch of C rounds costs C * nnz multiply-adds;
     with a stride it costs (C div s) * n^2 + (C mod s) * nnz, which at an
     expected remainder of s/2 is least near s = sqrt(2 C n^2 / nnz). s is the
     largest power of two at or below that. Building op^s takes log2(s) dense
-    squarings, log2(s) * n^3 multiply-adds in BLAS-3 gemms; the rule counts
-    those at 1/n of a round's multiply-add (a round is one kernel call that
-    streams the whole operator once, a gemm reuses each entry it loads
-    across a block of rows). The stride is built only when the squarings
-    cost no more than the stride saves on one batch of C rounds, which a
-    chain runs at least twice per crude solve. Returns 0 for no stride:
-    C < 2, s < 2, or squarings that do not pay.
+    squarings, log2(s) * n^3 gemm multiply-adds; a round's multiply-add is
+    weighed as _CSR_ROUND_WEIGHT of those for a CSR operator and as
+    _DENSE_ROUND_WEIGHT for a `dense` one and for a product with op^s, which
+    is dense. The stride is built only when the squarings cost no more than
+    the stride saves on one batch of C rounds, which a chain runs at least
+    twice per crude solve. Returns 0 for no stride: C < 2, s < 2, or
+    squarings that do not pay.
     """
     if batch < 2 or nnz < 1:
         return 0
@@ -176,8 +186,9 @@ def stride_length(n, nnz, batch):
     if limit < 2:
         return 0
     s = 1 << (limit.bit_length() - 1)
-    saved = batch * nnz - (batch // s) * n * n - (batch % s) * nnz
-    if (s.bit_length() - 1) * n ** 3 > n * saved:
+    weight = _DENSE_ROUND_WEIGHT if dense else _CSR_ROUND_WEIGHT
+    saved = (batch - batch % s) * nnz * weight - (batch // s) * n * n * _DENSE_ROUND_WEIGHT
+    if (s.bit_length() - 1) * n ** 3 > saved:
         return 0
     return s
 
@@ -185,8 +196,8 @@ def stride_length(n, nnz, batch):
 class LocalOperator:
     """A matrix certified to combine only values from within `radius` hops.
 
-    `stride` is None or (s, op^s), a certified power that apply_round uses
-    for batches of at least s rounds (Simulator.stride).
+    `stride` is None or (s, op^s), a certified power, a dense array, that
+    apply_round uses for batches of at least s rounds (Simulator.stride).
     """
 
     def __init__(self, matrix, radius):
@@ -275,20 +286,21 @@ class Simulator:
         s comes from stride_length (0: no stride, op is left as it is).
         op^s is built by log2(s) dense squarings, checked to lie within
         s * op.radius hops (ViolationError naming the first entry beyond,
-        as certify does) and stored under certify's byte rule. It is not a
-        round and charges nothing; apply_round still charges every round.
+        as certify does) and kept as the dense array the squarings produce:
+        it is in memory in full while it is squared anyway, and its products
+        run as BLAS matvecs. It is not a round and charges nothing;
+        apply_round still charges every round.
         """
         mat = op.matrix
-        s = stride_length(self.n, mat.nnz if sparse.issparse(mat) else mat.size, batch)
+        if sparse.issparse(mat):
+            s = stride_length(self.n, mat.nnz, batch)
+        else:
+            s = stride_length(self.n, mat.size, batch, dense=True)
         if s:
             power = mat.toarray() if sparse.issparse(mat) else mat
             for _ in range(s.bit_length() - 1):
                 power = power @ power
             self._check_support(power, s * op.radius)
-            # certify's byte rule, without building the CSR arrays to weigh
-            # them: float64 data and int32 indices per entry, int32 indptr
-            if power.nbytes > 12 * np.count_nonzero(power) + 4 * (self.n + 1):
-                power = sparse.csr_matrix(power)
             op.stride = (s, power)
         return s
 

@@ -399,7 +399,7 @@ class TestStridedChain:
         stride, power = eng._op_C0.stride
         assert stride == netsim.stride_length(s.n, eng._op_C0.matrix.nnz, 2 ** (d - 1))
         assert 2 <= stride <= 2 ** (d - 1)
-        assert power.shape == (s.n, s.n)
+        assert isinstance(power, np.ndarray) and power.shape == (s.n, s.n)
 
     def test_grid_r1_eps_solve_meets_target_with_closed_form_rounds(self, monkeypatch):
         s, d = self.grid()
@@ -412,7 +412,7 @@ class TestStridedChain:
         assert tr.rounds == closed_form_rounds(d, richardson_iterations(eps), 1)
         assert tr.max_hop_used == 1
         # the round-by-round engine charges the same runs
-        monkeypatch.setattr(netsim, "stride_length", lambda n, nnz, batch: 0)
+        monkeypatch.setattr(netsim, "stride_length", lambda n, nnz, batch, dense=False: 0)
         y, plain = edist_rsolve(s, b, d, 1, eps)
         assert plain._op_C0.stride is None
         assert tr.runs == plain.transcript.runs
