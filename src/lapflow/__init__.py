@@ -6,7 +6,6 @@ from .graph_core import (
     diameter_endpoints,
     generate,
     ground,
-    hop_distances,
     laplacian,
     load_edge_list,
     save_edge_list,

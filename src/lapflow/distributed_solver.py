@@ -24,6 +24,7 @@ its 1-hop neighborhood and each engine keeps one stack of certified powers:
   the certified power, while every one of their rounds is still charged at
   radius R, so the transcript is the one of the round-by-round computation.
 
+Each engine runs on the Simulator it is given; FlowProblem.network builds one per topology.
 Simulator.certify alone decides whether an operator is stored dense or CSR.
 """
 
@@ -33,6 +34,7 @@ from scipy import sparse
 from .graph_core import WeightedGraph
 from .netsim import Simulator, check_radius
 from .reference_solver import crude_solve, richardson_iterates
+from .spectral import check_chain_length
 
 __all__ = [
     "FullCommEngine",
@@ -71,22 +73,21 @@ def _row_nnz(mat):
 class _EngineBase:
     """Shared machinery: the simulator, walk operators and the Richardson loop.
 
-    The simulator runs on the support graph with gather radius R; R=None is
-    full communication.
+    `sim` runs on the support graph of the splitting with gather radius sim.R
+    (None: full communication); its transcript records this engine's rounds.
     """
 
-    def __init__(self, splitting, d, R=None):
-        self.splitting = splitting
-        self.d = int(getattr(d, "d", d))
-        if self.d < 0:
-            raise ValueError("chain length must be nonnegative")
+    def __init__(self, splitting, d, sim):
+        self.d = check_chain_length(d)
         self.D = splitting.D
-        self.sim = sim = Simulator(support_graph(splitting), R)
+        self.sim = sim
         P1 = splitting.A.multiply(1.0 / self.D[None, :]).tocsr()  # P[k,j] = A[k,j]/D[j]
+        self._op_P1 = sim.certify(P1, 1)  # every entry lies on an edge of sim's graph
+        if np.count_nonzero(sim.hops == 1) != P1.count_nonzero():
+            raise ValueError("simulator graph has edges that the splitting does not")
         # one 1-hop round: neighbors exchange diagonal entries, after which
         # every node can form its rows of P and Q
         sim.account_round(1)
-        self._op_P1 = sim.certify(P1, 1)
         self._op_M = sim.certify(splitting.matrix(), 1)
 
     @property
@@ -115,10 +116,12 @@ class FullCommEngine(_EngineBase):
     ----------
     splitting : StandardSplitting
     d : int or ChainSpec
+    sim : Simulator
+        Network on the support graph; R=None lets the squarings reach any radius.
     """
 
-    def __init__(self, splitting, d):
-        super().__init__(splitting, d)
+    def __init__(self, splitting, d, sim):
+        super().__init__(splitting, d, sim)
         # cache P^{2^s} for s = 0..d-1; squaring round s gathers rows of the
         # half power from radius 2^{s-1}
         self._ops = [self._op_P1]
@@ -142,13 +145,13 @@ class RHopEngine(_EngineBase):
     ----------
     splitting : StandardSplitting
     d : int or ChainSpec
-    R : int
-        Hop radius, a power of two.
+    sim : Simulator
+        Network on the support graph; its R, a power of two, is the hop radius.
     """
 
-    def __init__(self, splitting, d, R):
-        self.R = R = check_rhop_radius(R)
-        super().__init__(splitting, d, R)
+    def __init__(self, splitting, d, sim):
+        self.R = R = check_rhop_radius(sim.R)
+        super().__init__(splitting, d, sim)
         # Part One: rows of P^R by 1-hop row extension, R-1 rounds in which
         # each node publishes its current row. The protocol's Q routine runs
         # R-1 more such rounds; supp(Q^k) = supp(P^k), so they are charged
@@ -177,6 +180,6 @@ class RHopEngine(_EngineBase):
 
 
 def edist_rsolve(splitting, b0, d, R, eps):
-    """R-hop eps-approximate solve; returns (x, engine)."""
-    eng = RHopEngine(splitting, d, R)
+    """R-hop eps-approximate solve on the support graph of splitting; returns (x, engine)."""
+    eng = RHopEngine(splitting, d, Simulator(support_graph(splitting), R))
     return eng.esolve(b0, eps), eng

@@ -12,7 +12,6 @@ __all__ = [
     "laplacian",
     "ground",
     "generate",
-    "hop_distances",
     "hop_matrix",
     "diameter_endpoints",
     "load_edge_list",
@@ -37,8 +36,6 @@ class WeightedGraph:
     ----------
     n : int
     edges : list of (i, j, w)
-    adjacency : list of list of int
-        Sorted neighbor ids per node.
     """
 
     def __init__(self, n, edges):
@@ -63,11 +60,6 @@ class WeightedGraph:
             norm.append((i, j, w))
         self.n = n
         self.edges = norm
-        adj = [[] for _ in range(n)]
-        for (i, j, _) in norm:
-            adj[i].append(j)
-            adj[j].append(i)
-        self.adjacency = [sorted(nb) for nb in adj]
 
     @property
     def m(self):
@@ -83,7 +75,7 @@ class WeightedGraph:
 
     @property
     def d_max(self):
-        return max(len(nb) for nb in self.adjacency)
+        return int(np.diff(self.adjacency_matrix().indptr).max())
 
     def adjacency_matrix(self):
         """Symmetric weight matrix W as CSR (zero diagonal)."""
@@ -106,10 +98,6 @@ class WeightedGraph:
             return False
         ncomp, _ = csgraph.connected_components(self.adjacency_matrix(), directed=False)
         return ncomp == 1
-
-    def diameter(self):
-        """Maximum hop distance over all node pairs (unweighted); ValueError if disconnected."""
-        return int(_connected_hops(self).max())
 
 
 class StandardSplitting:
@@ -182,7 +170,7 @@ def ground(s, ref_node):
         Laplacian of a connected graph.
     ref_node : int
         Node whose row/column is removed; remaining nodes keep their
-        relative order.
+        relative order. An integral float such as 2.0 is accepted.
 
     Returns
     -------
@@ -194,19 +182,11 @@ def ground(s, ref_node):
     n = s.n
     if n < 2:
         raise ValueError("cannot ground a 1x1 system")
-    if not (0 <= ref_node < n):
-        raise ValueError("ref_node out of range")
+    if not (float(ref_node).is_integer() and 0 <= ref_node < n):
+        raise ValueError("ref_node must be an integer in [0, %d), got %r" % (n, ref_node))
     keep = np.array([i for i in range(n) if i != ref_node])
     A = s.A[keep][:, keep]
     return StandardSplitting(s.D[keep], A)
-
-
-def hop_distances(g, k):
-    """Unweighted BFS distances from node k. dist[k] = 0; ValueError if disconnected."""
-    d = csgraph.shortest_path(g.adjacency_matrix(), method="D", unweighted=True, indices=k)
-    if np.isinf(d).any():
-        raise ValueError("graph is disconnected, so some node is unreachable from %d" % k)
-    return d.astype(int)
 
 
 def hop_matrix(g):
@@ -214,16 +194,11 @@ def hop_matrix(g):
     return csgraph.shortest_path(g.adjacency_matrix(), method="D", unweighted=True)
 
 
-def _connected_hops(g):
+def diameter_endpoints(g):
+    """Lexicographically smallest pair (u, v) at the diameter; ValueError if disconnected."""
     hops = hop_matrix(g)
     if np.isinf(hops).any():
         raise ValueError("graph is disconnected, so its diameter is infinite")
-    return hops
-
-
-def diameter_endpoints(g):
-    """Lexicographically smallest pair (u, v) at the diameter; ValueError if disconnected."""
-    hops = _connected_hops(g)
     top = np.triu(hops == hops.max(), 1)
     if not top.any():
         raise ValueError("graph has no pair at positive distance")

@@ -33,6 +33,7 @@ the result differs. ``stride_length`` picks s from the caller's largest
 batch, with no setting to tune.
 """
 
+import copy
 import math
 import operator
 
@@ -227,6 +228,12 @@ class Simulator:
         self.transcript = SimTranscript()
         self._radius_cache = {}
 
+    def fresh(self):
+        """This simulator with an empty transcript, sharing its hop data and radius totals."""
+        sim = copy.copy(self)
+        sim.transcript = SimTranscript()
+        return sim
+
     def _radius_stats(self, r):
         # per-node inbound relay cost c_r[v] = sum_{k != v, hop <= r} hop(k, v),
         # the largest hop actually inside any radius-r ball, and the message
@@ -276,8 +283,8 @@ class Simulator:
         if outside.any():
             i, j = np.argwhere(outside)[0]
             raise ViolationError(
-                "matrix entry (%d,%d) reaches hop %d beyond radius %d"
-                % (i, j, int(self.hops[i, j]), radius)
+                "matrix entry (%d,%d) reaches hop %g beyond radius %d"
+                % (i, j, self.hops[i, j], radius)
             )
 
     def stride(self, op, batch):

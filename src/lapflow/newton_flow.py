@@ -23,13 +23,14 @@ from .graph_core import (
     WeightedGraph,
     diameter_endpoints,
     ground,
+    laplacian,
     open_target,
     save_edge_list,
 )
 from .reference_solver import direct_solve, richardson_iterations
 from .spectral import estimated_chain
-from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius
-from .netsim import check_radius, csr_apply
+from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius, support_graph
+from .netsim import Simulator, check_radius, csr_apply
 
 __all__ = [
     "EdgeCost",
@@ -185,6 +186,7 @@ class FlowProblem:
         )
         self.incidence_t = self.incidence.T.tocsr()
         self._lap = None
+        self._networks = {}
 
     def cost_value(self, x):
         """Primal objective sum_e Phi(x_e)."""
@@ -195,6 +197,16 @@ class FlowProblem:
         if self._lap is None:
             self._lap = (self.incidence @ self.incidence_t).toarray()
         return self._lap
+
+    def network(self, ref_node, R):
+        """Cached Simulator with radius R on G minus ref_node (maybe split); run engines on fresh() copies.
+
+        It is the support graph of every grounded dual Hessian, which weighs each arc positively.
+        """
+        key = (ref_node, R)
+        if key not in self._networks:
+            self._networks[key] = Simulator(support_graph(ground(laplacian(self.graph), ref_node)), R)
+        return self._networks[key]
 
     def lnorm(self, v):
         """Laplacian seminorm sqrt(v' L v) with L = A A'."""
@@ -433,13 +445,11 @@ def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
     messages and rounds.
     """
     g = state.g
-    n = problem.n
     if abs(g.sum()) > 1e-8 * max(1.0, float(np.abs(g).max())):
         raise ValueError("dual gradient must sum to zero")
     H = dual_hessian(state, problem)
     Hg = ground(H, ref_node)
-    keep = np.array([i for i in range(n) if i != ref_node])
-    rhs = -g[keep]
+    rhs = -np.delete(g, int(ref_node))
     messages = 0
     rounds = 0
     if eps == 0:
@@ -447,14 +457,14 @@ def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
         eps_prime = 0.0
     else:
         spec = estimated_chain(Hg)
-        eng = FullCommEngine(Hg, spec) if R is None else RHopEngine(Hg, spec, R)
+        sim = problem.network(ref_node, R).fresh()
+        eng = FullCommEngine(Hg, spec, sim) if R is None else RHopEngine(Hg, spec, sim)
         y = eng.esolve(rhs, eps)
         messages = eng.transcript.messages_total
         rounds = eng.transcript.rounds
         q = richardson_iterations(eps)
         eps_prime = (2.0 ** (1.0 / 3.0) - 1.0) ** (q + 1)
-    d = np.zeros(n)
-    d[keep] = y
+    d = np.insert(y, int(ref_node), 0.0)
     d -= d.mean()
     if report is not None:
         report.update(eps_prime=eps_prime, messages=messages, rounds=rounds)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .spectral import validate_sddm
+from .spectral import check_chain_length, validate_sddm
 
 __all__ = [
     "InverseChainView",
@@ -45,9 +45,7 @@ class InverseChainView:
     """
 
     def __init__(self, splitting, d):
-        d = int(getattr(d, "d", d))
-        if d < 0:
-            raise ValueError("chain length must be nonnegative")
+        d = check_chain_length(d)
         self.splitting = splitting
         self.d = d
         self.D = splitting.D

@@ -17,6 +17,7 @@ __all__ = [
     "condition_bound",
     "estimate_condition",
     "chain_length",
+    "check_chain_length",
     "estimated_chain",
     "approx_order_check",
 ]
@@ -53,8 +54,15 @@ class ChainSpec:
             raise ValueError("kappa must be >= 1")
         if self.kappa_source not in ("analytic_bound", "estimated"):
             raise ValueError("unknown kappa_source %r" % self.kappa_source)
-        if self.d < 0 or int(self.d) != self.d:
-            raise ValueError("d must be a nonnegative integer")
+        check_chain_length(self.d)
+
+
+def check_chain_length(d):
+    """d, or a ChainSpec's d, as an int >= 0; ValueError if fractional (never truncated) or negative."""
+    d = getattr(d, "d", d)
+    if not float(d).is_integer() or d < 0:
+        raise ValueError("chain length must be a nonnegative integer, got %r" % (d,))
+    return int(d)
 
 
 @dataclass
@@ -222,7 +230,7 @@ def chain_length(kappa, kappa_source="analytic_bound"):
     Parameters
     ----------
     kappa : float
-        Condition number, at least 1.
+        Condition number, finite and at least 1.
     kappa_source : str
         Recorded provenance, ``"analytic_bound"`` (default) or ``"estimated"``.
 
@@ -230,8 +238,8 @@ def chain_length(kappa, kappa_source="analytic_bound"):
     -------
     ChainSpec
     """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
+    if not 1 <= kappa < math.inf:  # also rejects nan
+        raise ValueError("kappa must be finite and >= 1, got %r" % (kappa,))
     d = max(0, math.ceil(math.log2(CHAIN_C * float(kappa))))
     spec = ChainSpec(kappa=float(kappa), kappa_source=kappa_source, d=d, eps_d=EPS_D)
     assert spec.eps_d < math.log(2.0) / 3.0

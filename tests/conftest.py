@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from lapflow.distributed_solver import FullCommEngine, RHopEngine, support_graph
 from lapflow.graph_core import generate, laplacian, ground
+from lapflow.netsim import Simulator
 
 
 def mnorm(splitting, v):
@@ -16,6 +18,16 @@ def mnorm_rel_error(splitting, x, xstar):
 def grounded_random(n, m, seed, w_min=1.0, w_max=1.0, ref=0):
     g = generate("random", {"n": n, "m": m, "w_min": w_min, "w_max": w_max}, seed=seed)
     return ground(laplacian(g), ref)
+
+
+def rhop_engine(s, d, R):
+    """RHopEngine on a simulator of its own over the support graph of s."""
+    return RHopEngine(s, d, Simulator(support_graph(s), R))
+
+
+def full_engine(s, d):
+    """FullCommEngine on a simulator of its own over the support graph of s."""
+    return FullCommEngine(s, d, Simulator(support_graph(s)))
 
 
 @pytest.fixture

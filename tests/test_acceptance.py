@@ -20,7 +20,7 @@ from lapflow.reference_solver import (
     parallel_rsolve,
     richardson_iterates,
 )
-from lapflow.distributed_solver import FullCommEngine, RHopEngine, edist_rsolve
+from lapflow.distributed_solver import edist_rsolve
 from lapflow.netsim import Simulator, ViolationError
 from lapflow.newton_flow import (
     FlowProblem,
@@ -35,7 +35,7 @@ from lapflow.newton_flow import (
     optimize,
     strict_decrement_bound,
 )
-from conftest import mnorm
+from conftest import full_engine, mnorm, rhop_engine
 from oracles import fd_gradient, fd_hessian, pinv_quadform
 
 
@@ -113,10 +113,10 @@ def test_criterion_03_implementation_equivalence():
         b = rng.standard_normal(s.n)
         x_par = parallel_rsolve(InverseChainView(s, spec), b)
         scale = np.linalg.norm(x_par)
-        x_dist = FullCommEngine(s, spec).rsolve(b)
+        x_dist = full_engine(s, spec).rsolve(b)
         worst = max(worst, np.linalg.norm(x_dist - x_par) / scale)
         for R in (1, 2, 4):
-            x_r = RHopEngine(s, spec, R).rsolve(b)
+            x_r = rhop_engine(s, spec, R).rsolve(b)
             worst = max(worst, np.linalg.norm(x_r - x_par) / scale)
     assert worst <= 1e-9
     print("criterion 3 PASS: three implementations agree on 50 instances, "
@@ -162,7 +162,7 @@ def test_criterion_05_richardson_iteration_law():
     qs, lninv, worst_ratio = [], [], 0.0
     for k in range(1, 15):
         eps = 2.0 ** -k
-        eng = RHopEngine(s, spec, 1)
+        eng = rhop_engine(s, spec, 1)
         x0, *iterates = richardson_iterates(eng.rsolve, eng.apply_M, b, eps)
         qs.append(len(iterates))
         lninv.append(k * math.log(2.0))
@@ -324,7 +324,7 @@ def test_criterion_11_message_count_shape():
     rs = np.array([1, 2, 4, 8])
     per_iter = []
     for R in rs:
-        eng = RHopEngine(s, spec, int(R))
+        eng = rhop_engine(s, spec, int(R))
         deltas = np.diff([eng.transcript.messages_total
                           for _ in richardson_iterates(eng.rsolve, eng.apply_M, b, 0.5)])
         per_iter.append(float(np.mean(deltas)))

@@ -6,7 +6,7 @@ from scipy import sparse
 
 from lapflow.graph_core import StandardSplitting, WeightedGraph, generate, ground, laplacian
 from lapflow import netsim
-from lapflow.netsim import ViolationError
+from lapflow.netsim import Simulator, ViolationError
 from lapflow.reference_solver import (
     InverseChainView,
     direct_solve,
@@ -28,7 +28,7 @@ from lapflow.distributed_solver import (
     edist_rsolve,
     support_graph,
 )
-from conftest import grounded_random, mnorm_rel_error
+from conftest import full_engine, grounded_random, mnorm_rel_error, rhop_engine
 from oracles import floyd_warshall_hops, pernode_full_rsolve, pernode_rhop_rsolve
 
 
@@ -66,25 +66,53 @@ class TestEngineConstruction:
     def test_accepts_chainspec(self):
         s = grounded_path(5)
         spec = chain_length(20.0)
-        eng = FullCommEngine(s, spec)
+        eng = full_engine(s, spec)
         assert eng.d == spec.d
 
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):
-            FullCommEngine(grounded_path(5), -1)
+            full_engine(grounded_path(5), -1)
+
+    @pytest.mark.parametrize("d", [2.5, 2.7, math.nan, math.inf])
+    def test_rejects_non_integral_d(self, d):
+        # one rule for engines and the reference view: never truncated to 2
+        s = grounded_path(5)
+        for build in (lambda: rhop_engine(s, d, 1), lambda: full_engine(s, d),
+                      lambda: InverseChainView(s, d)):
+            with pytest.raises(ValueError, match="chain length must be a nonnegative integer"):
+                build()
+        assert rhop_engine(s, 2.0, 1).d == full_engine(s, 2.0).d == InverseChainView(s, 2.0).d == 2
+
+    def test_runs_on_the_simulator_it_is_given(self):
+        s = grounded_path(6)
+        sim = Simulator(support_graph(s), 2)
+        eng = RHopEngine(s, 2, sim)
+        assert eng.sim is sim and eng.transcript is sim.transcript and eng.R == 2
+        assert FullCommEngine(s, 2, sim.fresh()).transcript.runs[0] == sim.transcript.runs[0]
+
+    def test_rejects_a_network_that_is_not_the_support(self):
+        s = grounded_path(6)
+        edges = support_graph(s).edges
+        # an extra edge would be charged in every round without a check
+        wider = Simulator(WeightedGraph(s.n, edges + [(0, 2, 1.0)]), 2)
+        with pytest.raises(ValueError, match="edges that the splitting does not"):
+            RHopEngine(s, 2, wider)
+        # a missing one is an entry between nodes no path joins
+        with pytest.raises(ViolationError, match="reaches hop inf beyond radius 1"):
+            FullCommEngine(s, 2, Simulator(WeightedGraph(s.n, edges[1:])))
 
     def test_rhop_requires_power_of_two(self):
         s = grounded_path(5)
         # a fractional R is rejected, not truncated to a power of two
         for bad in (3, 6, 12, 1.5, 2.9, math.nan, math.inf):
             with pytest.raises(ValueError):
-                RHopEngine(s, 2, bad)
+                rhop_engine(s, 2, bad)
         for ok in (1, 2, 4, 8, 2.0):
-            assert RHopEngine(s, 2, ok).R == ok
+            assert rhop_engine(s, 2, ok).R == ok
 
     def test_large_system_stays_sparse(self):
         s = grounded_random(250, 500, seed=0)
-        eng = FullCommEngine(s, 3)
+        eng = full_engine(s, 3)
         assert sparse.issparse(eng._op_P1.matrix)
         rng = np.random.default_rng(3)
         b = rng.standard_normal(s.n)
@@ -108,7 +136,7 @@ class TestEngineConstruction:
 class TestEquivalence:
     def test_diagonal_system(self):
         s = StandardSplitting([2.0, 4.0, 8.0], np.zeros((3, 3)))
-        x = FullCommEngine(s, 2).rsolve([2.0, 4.0, 8.0])
+        x = full_engine(s, 2).rsolve([2.0, 4.0, 8.0])
         assert np.allclose(x, [1.0, 1.0, 1.0])
 
     def test_three_implementations_agree(self, rng):
@@ -117,11 +145,11 @@ class TestEquivalence:
             d = chain_d(s)
             b = rng.standard_normal(s.n)
             x_ref = parallel_rsolve(InverseChainView(s, d), b)
-            x_full = FullCommEngine(s, d).rsolve(b)
+            x_full = full_engine(s, d).rsolve(b)
             scale = np.linalg.norm(x_ref)
             assert np.linalg.norm(x_full - x_ref) <= 1e-9 * scale
             for R in (1, 2, 4):
-                eng = RHopEngine(s, d, R)
+                eng = rhop_engine(s, d, R)
                 x_r = eng.rsolve(b)
                 assert np.linalg.norm(x_r - x_ref) <= 1e-9 * scale
                 assert eng.transcript.max_hop_used <= R
@@ -132,7 +160,7 @@ class TestEquivalence:
         b = rng.standard_normal(s.n)
         for eps in (0.5, 1e-2):
             want = parallel_esolve(InverseChainView(s, d), b, eps)
-            got = FullCommEngine(s, d).esolve(b, eps)
+            got = full_engine(s, d).esolve(b, eps)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             got_r, eng = edist_rsolve(s, b, d, 2, eps)
             assert np.linalg.norm(got_r - want) <= 1e-8 * np.linalg.norm(want)
@@ -151,8 +179,8 @@ class TestEquivalence:
         s = grounded_random(12, 24, seed=11)
         d = 3
         b = rng.standard_normal(s.n)
-        x_full = FullCommEngine(s, d).rsolve(b)
-        x_r = RHopEngine(s, d, 8).rsolve(b)  # R >= 2^{d-1}
+        x_full = full_engine(s, d).rsolve(b)
+        x_r = rhop_engine(s, d, 8).rsolve(b)  # R >= 2^{d-1}
         assert np.linalg.norm(x_r - x_full) <= 1e-12 * np.linalg.norm(x_full)
 
 
@@ -174,7 +202,7 @@ class TestWeightRatio:
     def test_crude_operators_sandwich_and_agree(self, k):
         s = wide_ratio_system(k)
         d = chain_d(s)
-        chain, eng = InverseChainView(s, d), FullCommEngine(s, d)
+        chain, eng = InverseChainView(s, d), full_engine(s, d)
         z_ref = np.column_stack([parallel_rsolve(chain, e) for e in np.eye(s.n)])
         z_full = np.column_stack([eng.rsolve(e) for e in np.eye(s.n)])
         minv = np.linalg.inv(s.dense())
@@ -188,7 +216,7 @@ class TestWeightRatio:
         b = np.random.default_rng(k).standard_normal(s.n)
         xstar = direct_solve(s, b)
         x_ref = parallel_esolve(InverseChainView(s, d), b, 1e-4)
-        x_full = FullCommEngine(s, d).esolve(b, 1e-4)
+        x_full = full_engine(s, d).esolve(b, 1e-4)
         assert mnorm_rel_error(s, x_ref, xstar) <= 1e-4
         assert mnorm_rel_error(s, x_full, xstar) <= 1e-4
 
@@ -199,7 +227,7 @@ class TestPerNodeExecution:
             s = grounded_random(n, m, seed=seed, w_min=0.5, w_max=2.0)
             d = 4
             b = rng.standard_normal(s.n)
-            eng = FullCommEngine(s, d)
+            eng = full_engine(s, d)
             setup = eng.transcript.messages_total
             x_eng = eng.rsolve(b)
             delta = eng.transcript.messages_total - setup
@@ -212,7 +240,7 @@ class TestPerNodeExecution:
         d = 4
         b = rng.standard_normal(s.n)
         for R in (1, 2, 4):
-            eng = RHopEngine(s, d, R)
+            eng = rhop_engine(s, d, R)
             setup = eng.transcript.messages_total
             x_eng = eng.rsolve(b)
             delta = eng.transcript.messages_total - setup
@@ -234,7 +262,7 @@ class TestRowRoutines:
         s = grounded_random(9, 16, seed=4, w_min=0.5, w_max=3.0)
         P = s.A.toarray() / s.D[None, :]
         Q = s.A.toarray() / s.D[:, None]
-        eng = RHopEngine(s, 0, 1)
+        eng = rhop_engine(s, 0, 1)
         rows0 = as_dense(eng._op_C0.matrix)
         assert np.allclose(rows0, P, atol=1e-15)
         assert np.allclose(rows0 * s.D[None, :] / s.D[:, None], Q, atol=1e-15)
@@ -243,7 +271,7 @@ class TestRowRoutines:
         s = ground(laplacian(generate("path", {"n": 5})), 4)  # path on 4 nodes
         P = s.A.toarray() / s.D[None, :]
         Q = s.A.toarray() / s.D[:, None]
-        eng = RHopEngine(s, 0, 2)
+        eng = rhop_engine(s, 0, 2)
         rows0 = as_dense(eng._op_C0.matrix)
         assert np.abs(rows0 - P @ P).max() <= 1e-12
         assert np.abs(rows0 * s.D[None, :] / s.D[:, None] - Q @ Q).max() <= 1e-12
@@ -257,7 +285,7 @@ class TestRowRoutines:
         # D^{-1} C0 D against Q^R from dense algebra, at weight ratio 1e6
         s = wide_ratio_system(2)
         Q = s.A.toarray() / s.D[:, None]
-        eng = RHopEngine(s, 0, R)
+        eng = rhop_engine(s, 0, R)
         c0 = as_dense(eng._op_C0.matrix)
         want = np.linalg.matrix_power(Q, R)
         got = c0 * s.D[None, :] / s.D[:, None]
@@ -279,7 +307,7 @@ class TestRowRoutines:
             for k in range(1, R):
                 nnz = np.count_nonzero(np.linalg.matrix_power(walk, k), axis=1)
                 want.append((int(deg @ nnz), 1, 1))
-        eng = RHopEngine(s, 3, R)
+        eng = rhop_engine(s, 3, R)
         assert eng.transcript.runs == want
 
 
@@ -290,11 +318,11 @@ class TestOperatorStorage:
         path = grounded_path(20)
         clique = ground(laplacian(WeightedGraph(10, [(i, j, 1.0) for i in range(10)
                                                    for j in range(i + 1, 10)])), 0)
-        for eng in (RHopEngine(path, 2, 1), FullCommEngine(path, 2)):
+        for eng in (rhop_engine(path, 2, 1), full_engine(path, 2)):
             for op in (eng._op_P1, eng._op_M):
                 assert sparse.issparse(op.matrix) and op.matrix.format == "csr"
-        rhop = RHopEngine(clique, 2, 2)
-        for op in (rhop._op_P1, rhop._op_M, rhop._op_C0, *FullCommEngine(clique, 2)._ops):
+        rhop = rhop_engine(clique, 2, 2)
+        for op in (rhop._op_P1, rhop._op_M, rhop._op_C0, *full_engine(clique, 2)._ops):
             assert isinstance(op.matrix, np.ndarray)
 
 
@@ -316,7 +344,7 @@ class TestMessageAccounting:
     def test_marks_snapshot_each_iteration(self, rng):
         s = grounded_random(10, 20, seed=7)
         b = rng.standard_normal(s.n)
-        eng = RHopEngine(s, 3, 1)
+        eng = rhop_engine(s, 3, 1)
         msgs = [eng.transcript.messages_total
                 for _ in richardson_iterates(eng.rsolve, eng.apply_M, b, 1e-2)]
         q = richardson_iterations(1e-2)
@@ -339,7 +367,7 @@ class TestMessageAccounting:
         for R in (1, 2, 4):
             _, eng = edist_rsolve(s, b, d, R, eps)
             assert eng.transcript.rounds == closed_form_rounds(d, q, R)
-        eng = FullCommEngine(s, d)
+        eng = full_engine(s, d)
         eng.esolve(b, eps)
         assert eng.transcript.rounds == d + (q + 1) * 2 * d + q
 
@@ -354,7 +382,7 @@ class TestMessageAccounting:
         s = ground(laplacian(generate("grid", {"rows": 4, "cols": 4})), 0)
         b = np.random.default_rng(0).standard_normal(s.n)
         if R is None:
-            eng = FullCommEngine(s, 5)
+            eng = full_engine(s, 5)
             eng.esolve(b, 1e-2)
         else:
             _, eng = edist_rsolve(s, b, 5, R, 1e-2)
@@ -377,7 +405,7 @@ class TestMessageAccounting:
 
     def test_strict_violation_surfaces(self):
         s = grounded_path(6)
-        eng = RHopEngine(s, 2, 1)
+        eng = rhop_engine(s, 2, 1)
         P = eng._op_P1.matrix
         with pytest.raises(ViolationError):
             eng.sim.account_round(2)
@@ -394,7 +422,7 @@ class TestStridedChain:
 
     def test_grid_r1_builds_a_stride(self):
         s, d = self.grid()
-        eng = RHopEngine(s, d, 1)
+        eng = rhop_engine(s, d, 1)
         assert eng._op_C0.stride is not None
         stride, power = eng._op_C0.stride
         assert stride == netsim.stride_length(s.n, eng._op_C0.matrix.nnz, 2 ** (d - 1))
@@ -423,4 +451,4 @@ class TestStridedChain:
         # d = 1 has one chain level, a batch of 2^0 / R rounds at most
         s, _ = self.grid()
         for R in (1, 2):
-            assert RHopEngine(s, d, R)._op_C0.stride is None
+            assert rhop_engine(s, d, R)._op_C0.stride is None

@@ -9,7 +9,6 @@ from lapflow.graph_core import (
     laplacian,
     ground,
     generate,
-    hop_distances,
     hop_matrix,
     diameter_endpoints,
     load_edge_list,
@@ -92,6 +91,14 @@ class TestGround:
         with pytest.raises(ValueError):
             ground(laplacian(path_graph(3)), 3)
 
+    def test_fractional_ref_node_named(self):
+        # 2.5 names no node: grounding it used to remove nothing and return
+        # the singular n x n Laplacian
+        s = laplacian(path_graph(4))
+        with pytest.raises(ValueError, match="ref_node must be an integer in \\[0, 4\\), got 2.5"):
+            ground(s, 2.5)
+        assert np.array_equal(ground(s, 2.0).dense(), ground(s, 2).dense())
+
 
 class TestTopologies:
     def test_barbell_counts(self):
@@ -100,15 +107,15 @@ class TestTopologies:
         assert g.m == 401
 
     def test_path_diameter(self):
-        assert path_graph(5).diameter() == 4
+        assert hop_matrix(path_graph(5)).max() == 4
 
     def test_grid_corner_distance(self):
         g = generate("grid", {"rows": 3, "cols": 3})
-        assert hop_distances(g, 0).max() == 4
+        assert hop_matrix(g)[0].max() == 4
 
     def test_clique_hops(self):
         g = generate("random", {"n": 4, "m": 6})
-        assert np.array_equal(hop_distances(g, 0), [0, 1, 1, 1])
+        assert np.array_equal(hop_matrix(g)[0], [0, 1, 1, 1])
 
     def test_random_counts_and_connected(self):
         g = generate("random", {"n": 20, "m": 60}, seed=7)
@@ -147,18 +154,14 @@ class TestTopologies:
 class TestHops:
     def test_matches_floyd_warshall(self):
         g = generate("random", {"n": 14, "m": 25}, seed=3)
-        ref = floyd_warshall_hops(g)
-        for k in range(g.n):
-            assert np.array_equal(hop_distances(g, k), ref[k].astype(int))
+        assert np.array_equal(hop_matrix(g), floyd_warshall_hops(g))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 10 ** 6))
     def test_random_graph_hops_property(self, n, seed):
         m = min(2 * n, n * (n - 1) // 2)
         g = generate("random", {"n": n, "m": m}, seed=seed)
-        ref = floyd_warshall_hops(g)
-        for k in range(g.n):
-            assert np.array_equal(hop_distances(g, k), ref[k].astype(int))
+        assert np.array_equal(hop_matrix(g), floyd_warshall_hops(g))
 
     def test_diameter_endpoints_path(self):
         assert diameter_endpoints(path_graph(5)) == (0, 4)
@@ -180,11 +183,7 @@ class TestHops:
         hops = hop_matrix(g)
         assert hops[0, 1] == 1.0 and np.isinf(hops[0, 2])
         with pytest.raises(ValueError, match="disconnected"):
-            g.diameter()
-        with pytest.raises(ValueError, match="disconnected"):
             diameter_endpoints(g)
-        with pytest.raises(ValueError, match="disconnected"):
-            hop_distances(g, 0)
 
 
 class TestEdgeListIO:

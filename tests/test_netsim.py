@@ -7,9 +7,9 @@ import pytest
 from scipy import sparse
 
 from lapflow import netsim
-from lapflow.distributed_solver import RHopEngine
 from lapflow.graph_core import generate, ground, laplacian
 from lapflow.netsim import LocalOperator, SimTranscript, Simulator, ViolationError
+from conftest import rhop_engine
 from oracles import OracleViolation, PerNodeNetwork
 
 
@@ -59,6 +59,25 @@ class TestSimConfig:
         # every ordered pair of the path, each value charged its hop distance
         assert sim.transcript.messages_per_round == [2 * (4 * 1 + 3 * 2 + 2 * 3 + 1 * 4)]
         assert sim.transcript.max_hop_per_round == [4]
+
+
+class TestFresh:
+    def test_fresh_shares_hop_data_with_an_empty_transcript(self, monkeypatch):
+        sim = Simulator(generate("grid", {"rows": 3, "cols": 4}), R=2)
+        sim.account_round(2, count=3)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("fresh must not rebuild the hop data")
+
+        monkeypatch.setattr(Simulator, "__init__", rebuild)
+        twin = sim.fresh()
+        assert type(twin) is Simulator and twin.R == 2 and twin.n == sim.n
+        assert twin.hops is sim.hops and twin._radius_cache is sim._radius_cache
+        assert twin.transcript is not sim.transcript and twin.transcript.runs == []
+        twin.account_round(1)
+        twin.account_round(2)
+        assert twin.transcript.runs[1] == sim.transcript.runs[0][:2] + (1,)
+        assert sim.transcript.rounds == 3
 
 
 class TestGather:
@@ -312,7 +331,7 @@ def grid_operator(rows=20, cols=20):
     more bytes than its CSR arrays.
     """
     s = ground(laplacian(generate("grid", {"rows": rows, "cols": cols})), 0)
-    eng = RHopEngine(s, 1, 1)
+    eng = rhop_engine(s, 1, 1)
     return eng.sim, eng._op_P1
 
 

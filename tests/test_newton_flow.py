@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lapflow import netsim
-from lapflow.graph_core import WeightedGraph, generate, laplacian, load_edge_list
+from lapflow.graph_core import WeightedGraph, generate, ground, laplacian, load_edge_list
 from lapflow.newton_flow import (
     ConvergenceConstants,
     DivergenceError,
@@ -31,6 +31,8 @@ from lapflow.newton_flow import (
     save_flow_problem,
     strict_decrement_bound,
 )
+from lapflow.spectral import estimated_chain
+from conftest import full_engine, rhop_engine
 from oracles import fd_gradient, fd_hessian, pinv_quadform, matrix_lnorm
 
 
@@ -380,6 +382,16 @@ class TestNewtonDirection:
         approx = newton_direction(st0, p, eps=1e-4, R=None)
         assert np.linalg.norm(approx - exact) <= 1e-3 * np.linalg.norm(exact)
 
+    def test_fractional_ref_node_named(self):
+        # 2.5 used to ground nothing, and direct_solve then blamed the grounding
+        p = random_flow(10, 18, seed=15)
+        st0 = dual_state(np.zeros(p.n), p)
+        for eps in (0.0, 1e-4):
+            with pytest.raises(ValueError, match="ref_node must be an integer in \\[0, 10\\), got 2.5"):
+                newton_direction(st0, p, eps=eps, ref_node=2.5)
+        as_float = newton_direction(st0, p, eps=1e-4, R=2, ref_node=2.0)
+        assert np.array_equal(as_float, newton_direction(st0, p, eps=1e-4, R=2, ref_node=2))
+
     def test_rank_one_shift_matches_pseudoinverse_quadform(self):
         p = random_flow(8, 14, seed=11)
         H = dual_hessian(dual_state(np.zeros(p.n), p), p).dense()
@@ -389,6 +401,64 @@ class TestNewtonDirection:
             v = rng.standard_normal(p.n)
             v -= v.mean()
             assert pinv_quadform(H, v) == pytest.approx(float(v @ pinv @ v), rel=1e-9)
+
+
+class TestOneNetworkPerProblem:
+    """Newton steps share one network per problem, ground node and R."""
+
+    @pytest.mark.parametrize("R", [4, None])
+    def test_optimize_builds_one_simulator(self, monkeypatch, R):
+        built = []
+        real = netsim.Simulator.__init__
+
+        def counted(self, graph, R=None):
+            built.append((graph.n, R))
+            real(self, graph, R)
+
+        monkeypatch.setattr(netsim.Simulator, "__init__", counted)
+        p = random_flow(30, 70, seed=4)
+        trace = optimize(p, "sddm_newton", OptimizeConfig(R=R))
+        assert trace.converged and trace.iterations >= 3
+        assert built == [(p.n - 1, R)]
+        again = optimize(p, "sddm_newton", OptimizeConfig(R=R))
+        assert len(built) == 1 and again.rows == trace.rows
+
+    @pytest.mark.parametrize("kind, params, R, ground_node", [
+        ("random", {"n": 30, "m": 70}, 4, 0),
+        ("random", {"n": 30, "m": 70}, None, 5),
+        # path node 7 is a cut node: G minus it falls apart into two parts
+        ("barbell", {"clique": 6, "path_len": 4}, 2, 7),
+    ])
+    def test_each_step_counts_as_on_its_own_network(self, monkeypatch, kind, params, R,
+                                                     ground_node):
+        import lapflow.newton_flow as nf
+
+        steps = []
+        real = nf.newton_direction
+
+        def recording(state, problem, **kw):
+            out = real(state, problem, **kw)
+            steps.append((state, dict(kw["report"])))
+            return out
+
+        engines = []
+        for name in ("RHopEngine", "FullCommEngine"):
+            cls = getattr(nf, name)
+            monkeypatch.setattr(nf, name, lambda *a, cls=cls: engines.append(cls(*a)) or engines[-1])
+        monkeypatch.setattr(nf, "newton_direction", recording)
+        p = flow_on(kind, params, seed=4)
+        trace = optimize(p, "sddm_newton", OptimizeConfig(R=R, ground_node=ground_node))
+        assert trace.converged and trace.iterations >= 3
+        assert len(steps) == len(engines) == trace.iterations
+        for (state, report), eng in zip(steps, engines):
+            Hg = ground(dual_hessian(state, p), ground_node)
+            spec = estimated_chain(Hg)
+            own = full_engine(Hg, spec) if R is None else rhop_engine(Hg, spec, R)
+            own.esolve(-np.delete(state.g, ground_node), 1e-4)
+            assert (report["rounds"], report["messages"]) == (own.transcript.rounds,
+                                                              own.transcript.messages_total)
+            assert eng.transcript.runs == own.transcript.runs
+            assert eng.sim.hops is engines[0].sim.hops
 
 
 def richardson_q(eps):

@@ -130,6 +130,12 @@ class TestChainLength:
         lo, hi = min(k1, k2), max(k1, k2)
         assert chain_length(lo).d <= chain_length(hi).d
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa_named(self, kappa):
+        # nan used to fail in int() and inf with an OverflowError
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1, got %r" % kappa):
+            chain_length(kappa)
+
     def test_chainspec_validation(self):
         with pytest.raises(ValueError):
             ChainSpec(kappa=0.9, kappa_source="estimated", d=1, eps_d=EPS_D)

@@ -54,6 +54,9 @@ RUNS = [
     ("bench_barbell_6_4", ["bench"] + BARBELL_6_4),
     ("flow_barbell_6_4_exact", ["flow"] + BARBELL_6_4 + ["--method", "exact-newton"]),
     ("scale_grid_2_4", ["scale", "--family", "grid", "--sizes", "2,4"]),
+    # grounding path node 7 splits the barbell in two: the network of each
+    # Newton step is G minus that node, with two components
+    ("flow_barbell_6_4_r2_ground_cut", ["flow"] + BARBELL_6_4 + ["--rhop", "2", "--ground", "7"]),
 ]
 
 
