@@ -186,6 +186,7 @@ class FlowProblem:
         )
         self.incidence_t = self.incidence.T.tocsr()
         self._lap = None
+        self._spectrum = None
         self._networks = {}
 
     def cost_value(self, x):
@@ -197,6 +198,13 @@ class FlowProblem:
         if self._lap is None:
             self._lap = (self.incidence @ self.incidence_t).toarray()
         return self._lap
+
+    def spectrum(self):
+        """(mu2, mun): second-smallest and largest eigenvalue of the unweighted Laplacian (cached)."""
+        if self._spectrum is None:
+            evals = np.linalg.eigvalsh(self.unweighted_laplacian())
+            self._spectrum = (float(evals[1]), float(evals[-1]))
+        return self._spectrum
 
     def network(self, ref_node, R):
         """Cached Simulator with radius R on G minus ref_node (maybe split); run engines on fresh() copies.
@@ -407,10 +415,7 @@ def convergence_constants(problem, eps=0.0):
     if not 0.0 < gamma <= Gamma < math.inf:
         raise ValueError("cost %r needs 0 < gamma <= Gamma < inf, got gamma=%g Gamma=%g"
                          % (cost.name, gamma, Gamma))
-    L = problem.unweighted_laplacian()
-    evals = np.linalg.eigvalsh(L)
-    mu2 = float(evals[1])
-    mun = float(evals[-1])
+    mu2, mun = problem.spectrum()
     B = mun * delta / (gamma * math.sqrt(mu2))
     a = alpha_star(gamma, Gamma, mu2, mun, eps)
     xi = math.sqrt(max(0.0, 1.0 - a + a * eps * (mun / mu2) * math.sqrt(Gamma / gamma)))

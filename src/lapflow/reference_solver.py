@@ -3,9 +3,8 @@
 import math
 
 import numpy as np
-import scipy.linalg
 
-from .spectral import check_chain_length, validate_sddm
+from .spectral import check_chain_length, sparse_lu, validate_sddm
 
 __all__ = [
     "InverseChainView",
@@ -61,7 +60,11 @@ class InverseChainView:
 
 
 def direct_solve(s, b):
-    """Ground-truth solve of M x = b by dense factorization.
+    """Ground-truth solve of M x = b by one sparse LU factorization.
+
+    M is factored once by spectral.sparse_lu (minimum-degree ordering of
+    M' + M), solved, and refined by one step on the same factors; no n x n
+    array is formed.
 
     Parameters
     ----------
@@ -82,10 +85,10 @@ def direct_solve(s, b):
         raise ValueError("b has a non-finite entry")
     if not validate_sddm(s).positive_definite:
         raise ValueError("direct_solve needs positive definite SDDM; ground a Laplacian first")
-    M = s.dense()
-    lu = scipy.linalg.lu_factor(M)
-    x = scipy.linalg.lu_solve(lu, b)
-    x += scipy.linalg.lu_solve(lu, b - M @ x)  # one refinement step on the same factors
+    M = s.matrix()
+    lu = sparse_lu(M)
+    x = lu.solve(b)
+    x += lu.solve(b - M @ x)  # one refinement step on the same factors
     resid = np.linalg.norm(M @ x - b)
     if resid > 1e-10 * max(np.linalg.norm(b), 1e-300):
         raise RuntimeError("direct solve residual %.3e exceeds tolerance" % resid)

@@ -140,6 +140,12 @@ def splitting_from_matrix(M):
     return StandardSplitting(D, A)
 
 
+def dense_solve(splitting, b):
+    """x = M^{-1} b by a dense LAPACK solve of M = diag(D) - A, built here from D and A."""
+    M = np.diag(np.asarray(splitting.D, dtype=float)) - splitting.A.toarray()
+    return np.linalg.solve(M, np.asarray(b, dtype=float)), M
+
+
 def dense_chain_z(splitting, d):
     """Crude-inverse operator of the power chain, built by the matrix
     recursion Z_i = (1/2)[D^-1 + (I + D^-1 A_i) Z_{i+1} (I + A_i D^-1)]

@@ -28,7 +28,7 @@ from lapflow.distributed_solver import (
     edist_rsolve,
     support_graph,
 )
-from conftest import full_engine, grounded_random, mnorm_rel_error, rhop_engine
+from conftest import full_engine, grounded_random, mnorm_rel_error, rhop_engine, wide_ratio_system
 from oracles import floyd_warshall_hops, pernode_full_rsolve, pernode_rhop_rsolve
 
 
@@ -182,17 +182,6 @@ class TestEquivalence:
         x_full = full_engine(s, d).rsolve(b)
         x_r = rhop_engine(s, d, 8).rsolve(b)  # R >= 2^{d-1}
         assert np.linalg.norm(x_r - x_full) <= 1e-12 * np.linalg.norm(x_full)
-
-
-def wide_ratio_system(k, ratio=1e6):
-    """Grounded random graph, n = 8 + 3k and m = 2n, whose weights span exactly 1 to ratio."""
-    n = 8 + 3 * k
-    g = generate("random", {"n": n, "m": 2 * n}, seed=k)
-    w = 10.0 ** np.random.default_rng(k).uniform(0.0, math.log10(ratio), g.m)
-    w[w.argmin()], w[w.argmax()] = 1.0, ratio
-    g = WeightedGraph(n, [(i, j, wt) for (i, j, _), wt in zip(g.edges, w)])
-    assert g.w_max / g.w_min == ratio
-    return ground(laplacian(g), 0)
 
 
 # The R-hop engine is left out: kappa reaches 6.2e5 here (k = 3), so d = 22

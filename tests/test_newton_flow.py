@@ -335,6 +335,37 @@ class TestConstants:
             )
 
 
+class TestSpectrumOncePerProblem:
+    """The unweighted Laplacian's (mu2, mun) is computed once per problem."""
+
+    def test_one_eigvalsh_across_methods_and_fallback(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a, *args, **kw):
+            calls.append(np.shape(a))
+            return real(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        p = flow_on("barbell", {"clique": 6, "path_len": 4})
+        traces = [optimize(p, "exact_newton"), optimize(p, "sddm_newton"),
+                  # eps 1e-3 is beyond this problem's bound: constants fall back to eps = 0
+                  optimize(p, "sddm_newton", OptimizeConfig(eps=1e-3))]
+        assert all(t.converged for t in traces)
+        assert traces[2].header_items()["consts_eps"] == 0.0
+        assert calls == [(p.n, p.n)]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_constants_equal_an_uncached_evaluation(self, eps):
+        p = random_flow(30, 70, seed=4)
+        first = convergence_constants(p, eps)
+        assert convergence_constants(p, eps) == first
+        evals = np.linalg.eigvalsh((p.incidence @ p.incidence.T).toarray())
+        assert p.spectrum() == (float(evals[1]), float(evals[-1]))
+        fresh = FlowProblem(p.graph, p.b, p.cost)
+        assert convergence_constants(fresh, eps) == first
+
+
 class TestNewtonDirection:
     def test_zero_gradient_gives_zero_direction(self):
         p = FlowProblem(generate("path", {"n": 3}), np.zeros(3), exp_cost())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
 from lapflow.reference_solver import (
@@ -13,8 +14,8 @@ from lapflow.reference_solver import (
     richardson_iterations,
 )
 from lapflow.spectral import EPS_D, approx_order_check, chain_length, estimate_condition, validate_sddm
-from conftest import grounded_random, mnorm, mnorm_rel_error
-from oracles import dense_chain_z, splitting_from_matrix
+from conftest import grounded_random, mnorm, mnorm_rel_error, wide_ratio_system
+from oracles import dense_chain_z, dense_solve, splitting_from_matrix
 
 
 def path_graph(n):
@@ -59,6 +60,35 @@ class TestDirectSolve:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 direct_solve(s, [1.0, bad])
+
+
+SPARSE_SYSTEMS = {
+    "random_300_900": lambda: grounded_random(300, 900, seed=0),
+    "random_900_2700": lambda: grounded_random(900, 2700, seed=1),
+    **{"weight_ratio_1e6_k%d" % k: lambda k=k: wide_ratio_system(k) for k in range(6)},
+}
+
+
+class TestSparseDirectSolve:
+    """direct_solve factors the sparse M once; no n x n array on the way."""
+
+    @pytest.mark.parametrize("name", SPARSE_SYSTEMS)
+    def test_no_dense_matrix_and_agrees_with_dense_oracle(self, monkeypatch, name):
+        s = SPARSE_SYSTEMS[name]()
+        b = np.random.default_rng(7).standard_normal(s.n)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("direct_solve formed a dense n x n matrix")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(StandardSplitting, "dense", forbidden)
+            mp.setattr(scipy.linalg, "lu_factor", forbidden)
+            x = direct_solve(s, b)
+        assert np.linalg.norm(s.matrix() @ x - b) <= 1e-10 * np.linalg.norm(b)
+        xo, M = dense_solve(s, b)
+        # forward error of a backward-stable solve: a small multiple of cond(M) * unit roundoff
+        bound = 100 * np.finfo(float).eps * np.linalg.cond(M)
+        assert np.linalg.norm(x - xo) <= bound * np.linalg.norm(xo)
 
 
 class TestRichardsonIterations:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lapflow import spectral
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
+from lapflow.reference_solver import direct_solve
 from lapflow.spectral import (
     CHAIN_C,
     EPS_D,
@@ -135,12 +137,31 @@ class TestChainLength:
         # nan used to fail in int() and inf with an OverflowError
         with pytest.raises(ValueError, match="kappa must be finite and >= 1, got %r" % kappa):
             chain_length(kappa)
+        # ChainSpec's own check was kappa < 1, which nan and inf both passed
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1, got %r" % kappa):
+            ChainSpec(kappa=kappa, kappa_source="estimated", d=1, eps_d=EPS_D)
 
     def test_chainspec_validation(self):
         with pytest.raises(ValueError):
             ChainSpec(kappa=0.9, kappa_source="estimated", d=1, eps_d=EPS_D)
         with pytest.raises(ValueError):
             ChainSpec(kappa=2.0, kappa_source="estimated", d=-1, eps_d=EPS_D)
+
+
+class TestOneFactorization:
+    def test_both_exact_factorizations_use_one_ordering(self, monkeypatch):
+        specs = []
+        real = spectral.splu
+
+        def recording(A, **kw):
+            specs.append(kw.get("permc_spec"))
+            return real(A, **kw)
+
+        monkeypatch.setattr(spectral, "splu", recording)
+        s = grounded_random(40, 100, seed=1)
+        estimate_condition(s)
+        direct_solve(s, np.ones(s.n))
+        assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
 
 
 class TestSpectralInvariants:

@@ -40,6 +40,9 @@ RUNS = [
     ("flow_random_30_70_r4", ["flow", "--graph", "random", "--n", "30", "--edges", "70", "--rhop", "4"]),
     ("flow_random_40_100_exact", ["flow", "--graph", "random", "--n", "40", "--edges", "100",
                                   "--method", "exact-newton"]),
+    # large enough for the fill of the exact factorization to matter
+    ("flow_random_300_900_exact", ["flow", "--graph", "random", "--n", "300", "--edges", "900",
+                                   "--method", "exact-newton"]),
     ("flow_barbell_8_6_add", ["flow"] + BARBELL_8_6 + ["--method", "add"]),
     ("flow_barbell_8_6_add_quadratic", ["flow"] + BARBELL_8_6 + ["--method", "add",
                                                                  "--cost", "quadratic"]),
