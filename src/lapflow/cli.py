@@ -110,19 +110,18 @@ def cmd_solve(cfg, parser=None):
         messages=eng.transcript.messages_total,
         max_hop_used=eng.transcript.max_hop_used,
     )
-    if s.n <= 500:
-        xstar = direct_solve(s, b)
-        M = s.matrix()
-        err = x - xstar
-        rel = math.sqrt(float(err @ (M @ err)) / float(xstar @ (M @ xstar)))
-        items["mnorm_rel_error"] = repr(rel)
+    xstar = direct_solve(s, b)
+    M = s.matrix()
+    err = x - xstar
+    rel = math.sqrt(float(err @ (M @ err)) / float(xstar @ (M @ xstar)))
+    items["mnorm_rel_error"] = repr(rel)
     with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, items)
         fh.write("node,x\n")
         for k in range(x.shape[0]):
             fh.write("%d,%r\n" % (k, float(x[k])))
     print("solve: n=%d residual=%.3e messages=%d" % (s.n, residual, eng.transcript.messages_total))
-    if s.n <= 500 and not rel <= cfg.eps * (1 + 1e-9):
+    if not rel <= cfg.eps * (1 + 1e-9):
         print("numerical failure: mnorm_rel_error %r exceeds eps %r" % (rel, cfg.eps), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -138,9 +138,6 @@ class StandardSplitting:
         """M = diag(D) - A as CSR."""
         return (sparse.diags(self.D) - self.A).tocsr()
 
-    def dense(self):
-        return np.diag(self.D) - self.A.toarray()
-
 
 def laplacian(g):
     """Standard splitting of the weighted Laplacian of g.
@@ -195,14 +192,42 @@ def hop_matrix(g):
 
 
 def diameter_endpoints(g):
-    """Lexicographically smallest pair (u, v) at the diameter; ValueError if disconnected."""
-    hops = hop_matrix(g)
-    if np.isinf(hops).any():
-        raise ValueError("graph is disconnected, so its diameter is infinite")
-    top = np.triu(hops == hops.max(), 1)
-    if not top.any():
+    """Lexicographically smallest pair (u, v), u < v, at the diameter; ValueError if disconnected.
+
+    Runs a BFS from every node at once on bitsets over the sources (Akiba,
+    Iwata & Yoshida, SIGMOD 2013). Node i keeps ``seen[i]``, the sources
+    within the current level of i, and ``front[i]``, the sources exactly at
+    it; one level ORs the fronts of each node's neighbours. The last
+    nonempty front holds the pairs at the diameter and is symmetric, so its
+    first nonempty row and that row's lowest bit are the pair a row-major
+    scan of the hop matrix finds first. Memory is O(n^2/64 + nnz n/64)
+    bytes, not the 8 n^2 of the hop matrix; time is O(diameter nnz n/64).
+    """
+    n = g.n
+    if n == 1:
         raise ValueError("graph has no pair at positive distance")
-    return divmod(int(top.argmax()), g.n)  # first row-major hit
+    adj = g.adjacency_matrix()
+    if (np.diff(adj.indptr) == 0).any():
+        # an isolated node; reduceat would also fill its empty segment with the next row
+        raise ValueError("graph is disconnected, so its diameter is infinite")
+    nodes = np.arange(n)
+    front = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    front[nodes, nodes >> 6] = np.left_shift(np.uint64(1), (nodes & 63).astype(np.uint64))
+    everyone = np.bitwise_or.reduce(front, axis=0)
+    seen = front.copy()
+    while True:
+        nxt = np.bitwise_or.reduceat(front[adj.indices], adj.indptr[:-1], axis=0)
+        nxt &= ~seen
+        if not nxt.any():
+            break
+        seen |= nxt
+        front = nxt
+    if not (seen == everyone).all():
+        raise ValueError("graph is disconnected, so its diameter is infinite")
+    u = int(front.any(axis=1).argmax())
+    word = int(np.flatnonzero(front[u])[0])
+    bits = int(front[u, word])
+    return u, 64 * word + (bits & -bits).bit_length() - 1
 
 
 def _weights(rng, m, w_min, w_max):
@@ -211,6 +236,24 @@ def _weights(rng, m, w_min, w_max):
     if w_max == w_min:
         return [float(w_min)] * m
     return list(rng.uniform(w_min, w_max, size=m))
+
+
+def _triu_pair(n, k):
+    """(i, j) of entry k of np.triu_indices(n, 1), without building the O(n^2) table.
+
+    Row i starts at offset i (2n - 1 - i) / 2. The float root of that
+    quadratic, whose discriminant is formed exactly in int64, picks the row
+    to within one, and one step against the exact integer offsets corrects
+    it. Exact for n up to 1.5e9, where int64 holds (2n - 1)^2.
+    """
+    def start(i):
+        return i * (2 * n - 1 - i) // 2
+
+    k = np.asarray(k, dtype=np.int64)
+    i = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * k)) // 2).astype(np.int64)
+    i -= k < start(i)
+    i += k >= start(i + 1)
+    return i, k - start(i) + i + 1
 
 
 def _path_edges(nodes):
@@ -235,6 +278,15 @@ def generate(kind, params=None, seed=None):
     -------
     WeightedGraph
         Always connected.
+
+    Notes
+    -----
+    ``random`` draws m distinct indices into the n(n-1)/2 upper-triangle
+    pairs, in ``np.triu_indices(n, 1)`` order, and redraws until the graph
+    is connected. Indices map to pairs arithmetically, giving the pairs a
+    lookup in that table gives in O(m) memory, not O(n^2). A draw that
+    leaves a node isolated is rejected before the connectivity test, as
+    that test would reject it; neither shortcut changes the random stream.
     """
     params = dict(params or {})
     w_min = float(params.pop("w_min", 1.0))
@@ -281,15 +333,16 @@ def generate(kind, params=None, seed=None):
             raise ValueError("random graph needs m >= n-1 to be connectable")
         if m > n * (n - 1) // 2:
             raise ValueError("m exceeds the number of distinct pairs")
-        iu, ju = np.triu_indices(n, 1)
         for _ in range(1000):
-            pick = rng.choice(iu.shape[0], size=m, replace=False)
-            adj = sparse.coo_matrix((np.ones(m), (iu[pick], ju[pick])), shape=(n, n))
+            iu, ju = _triu_pair(n, rng.choice(n * (n - 1) // 2, size=m, replace=False))
+            if n > 1 and not np.bincount(np.concatenate([iu, ju]), minlength=n).all():
+                continue  # an isolated node: disconnected, no need to ask csgraph
+            adj = sparse.coo_matrix((np.ones(m), (iu, ju)), shape=(n, n))
             if csgraph.connected_components(adj, directed=False)[0] == 1:
                 break
         else:
             raise ValueError("failed to draw a connected graph in 1000 tries")
-        pairs = list(zip(iu[pick].tolist(), ju[pick].tolist()))
+        pairs = list(zip(iu.tolist(), ju.tolist()))
     elif kind == "scale_free":
         n = int(params.pop("n"))
         if n < 2:

@@ -12,17 +12,18 @@ from lapflow.distributed_solver import support_graph
 
 
 def floyd_warshall_hops(g):
-    """All-pairs unweighted hop distances by the classic triple loop."""
+    """All-pairs unweighted hop distances by the Floyd-Warshall recurrence.
+
+    Step k relaxes every pair through node k at once; row and column k do
+    not change during step k, so this is the classic triple loop.
+    """
     n = g.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     for (i, j, _) in g.edges:
         dist[i, j] = dist[j, i] = 1.0
     for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if dist[i, k] + dist[k, j] < dist[i, j]:
-                    dist[i, j] = dist[i, k] + dist[k, j]
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     return dist
 
 
@@ -140,9 +141,14 @@ def splitting_from_matrix(M):
     return StandardSplitting(D, A)
 
 
+def dense(splitting):
+    """M = diag(D) - A of a splitting as a dense n x n array, built here from D and A."""
+    return np.diag(np.asarray(splitting.D, dtype=float)) - splitting.A.toarray()
+
+
 def dense_solve(splitting, b):
-    """x = M^{-1} b by a dense LAPACK solve of M = diag(D) - A, built here from D and A."""
-    M = np.diag(np.asarray(splitting.D, dtype=float)) - splitting.A.toarray()
+    """x = M^{-1} b by a dense LAPACK solve of M = diag(D) - A."""
+    M = dense(splitting)
     return np.linalg.solve(M, np.asarray(b, dtype=float)), M
 
 

@@ -36,7 +36,7 @@ from lapflow.newton_flow import (
     strict_decrement_bound,
 )
 from conftest import full_engine, mnorm, rhop_engine
-from oracles import fd_gradient, fd_hessian, pinv_quadform
+from oracles import dense, fd_gradient, fd_hessian, pinv_quadform
 
 
 def spec_for(s, tol=1e-6, safety=1.05):
@@ -84,7 +84,7 @@ def test_criterion_02_crude_operator_sandwich():
     for idx, s in enumerate(instances):
         chain = InverseChainView(s, spec_for(s, tol=1e-8)[0])
         z0 = np.column_stack([parallel_rsolve(chain, e) for e in np.eye(s.n)])
-        minv = np.linalg.inv(s.dense())
+        minv = np.linalg.inv(dense(s))
         assert approx_order_check(minv, z0, EPS_D, probes=100, seed=idx)
     print("criterion 2 PASS: assembled crude operator met the e^{+-eps_d} sandwich "
           "on %d instances, 100 probes each" % len(instances))
@@ -193,7 +193,7 @@ def test_criterion_06_dual_calculus():
             lam = 0.3 * (lam - lam.mean())
             state = dual_state(lam, p)
             worst_g = max(worst_g, float(np.abs(fd_gradient(p, lam) - state.g).max()))
-            H = dual_hessian(state, p).dense()
+            H = dense(dual_hessian(state, p))
             worst_h = max(worst_h, float(np.abs(fd_hessian(p, lam) - H).max()))
             worst_ones = max(worst_ones, float(np.abs(H @ np.ones(p.n)).max()))
     assert worst_g <= 1e-5
@@ -298,7 +298,7 @@ def test_criterion_10_realized_solve_sandwich():
             x = np.zeros(p.n)
             x[keep] = y
             x -= x.mean()
-            ref = pinv_quadform(H.dense(), v)
+            ref = pinv_quadform(dense(H), v)
             assert ref > 0
             qf = float(v @ x)
             assert qf <= band * ref * (1 + 1e-12)

@@ -49,18 +49,27 @@ class TestSolve:
         assert len(rows) == 9
         assert "solve: n=9" in capsys.readouterr().out
 
-    def test_missed_eps_exits_3_after_writing_solution(self, tmp_path, monkeypatch, capsys):
+    def test_large_grid_is_checked_against_oracle(self, tmp_path):
+        # n = 624: the oracle check runs at every n, not only on small systems
+        out = str(tmp_path / "sol.csv")
+        rc = main(["solve", "--graph", "grid", "--rows", "25", "--cols", "25",
+                   "--rhop", "2", "--out", out])
+        assert rc == 0
+        assert float(read_header(out)["mnorm_rel_error"]) <= 1e-4
+
+    @pytest.mark.parametrize("side", [6, 25])
+    def test_missed_eps_exits_3_after_writing_solution(self, tmp_path, monkeypatch, capsys, side):
         import lapflow.cli as cli_mod
 
         # a chain sized for kappa 1 is far too short for this grid
         monkeypatch.setattr(cli_mod, "estimated_chain", lambda s: chain_length(1.0, "estimated"))
         out = str(tmp_path / "sol.csv")
-        rc = main(["solve", "--graph", "grid", "--rows", "6", "--cols", "6",
+        rc = main(["solve", "--graph", "grid", "--rows", str(side), "--cols", str(side),
                    "--eps", "1e-4", "--out", out])
         assert rc == 3
         assert float(read_header(out)["mnorm_rel_error"]) > 1e-4
         header, rows = read_rows(out)
-        assert header == ["node", "x"] and len(rows) == 35
+        assert header == ["node", "x"] and len(rows) == side * side - 1
         assert "mnorm_rel_error" in capsys.readouterr().err
 
     def test_eps_out_of_range_is_usage_error(self):

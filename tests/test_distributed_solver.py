@@ -29,7 +29,7 @@ from lapflow.distributed_solver import (
     support_graph,
 )
 from conftest import full_engine, grounded_random, mnorm_rel_error, rhop_engine, wide_ratio_system
-from oracles import floyd_warshall_hops, pernode_full_rsolve, pernode_rhop_rsolve
+from oracles import dense, floyd_warshall_hops, pernode_full_rsolve, pernode_rhop_rsolve
 
 
 def grounded_path(n, ref=0):
@@ -194,7 +194,7 @@ class TestWeightRatio:
         chain, eng = InverseChainView(s, d), full_engine(s, d)
         z_ref = np.column_stack([parallel_rsolve(chain, e) for e in np.eye(s.n)])
         z_full = np.column_stack([eng.rsolve(e) for e in np.eye(s.n)])
-        minv = np.linalg.inv(s.dense())
+        minv = np.linalg.inv(dense(s))
         assert approx_order_check(minv, z_ref, EPS_D, probes=100, seed=k)
         assert approx_order_check(minv, z_full, EPS_D, probes=100, seed=k)
         assert np.linalg.norm(z_full - z_ref) <= 1e-9 * np.linalg.norm(z_ref)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +15,17 @@ from lapflow.graph_core import (
     diameter_endpoints,
     load_edge_list,
     save_edge_list,
+    _triu_pair,
 )
-from oracles import floyd_warshall_hops, random_graph_draws
+from oracles import dense, floyd_warshall_hops, random_graph_draws
 
 
 def path_graph(n):
     return generate("path", {"n": n})
+
+
+def cycle(n):
+    return WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
 class TestWeightedGraph:
@@ -61,7 +68,7 @@ class TestLaplacian:
 
     def test_row_sums_zero(self):
         g = generate("random", {"n": 12, "m": 20, "w_min": 0.5, "w_max": 3.0}, seed=4)
-        M = laplacian(g).dense()
+        M = dense(laplacian(g))
         assert np.allclose(M.sum(axis=1), 0.0, atol=1e-12)
         assert np.allclose(M, M.T)
 
@@ -80,12 +87,12 @@ class TestGround:
         s = ground(laplacian(path_graph(3)), 2)
         assert np.array_equal(s.D, [1.0, 2.0])
         assert s.A[0, 1] == 1.0
-        assert np.array_equal(s.dense(), [[1.0, -1.0], [-1.0, 2.0]])
+        assert np.array_equal(dense(s), [[1.0, -1.0], [-1.0, 2.0]])
 
     def test_grounded_laplacian_positive_definite(self):
         g = generate("random", {"n": 10, "m": 18}, seed=1)
         s = ground(laplacian(g), 3)
-        assert np.linalg.eigvalsh(s.dense()).min() > 0
+        assert np.linalg.eigvalsh(dense(s)).min() > 0
 
     def test_ref_node_out_of_range(self):
         with pytest.raises(ValueError):
@@ -97,7 +104,7 @@ class TestGround:
         s = laplacian(path_graph(4))
         with pytest.raises(ValueError, match="ref_node must be an integer in \\[0, 4\\), got 2.5"):
             ground(s, 2.5)
-        assert np.array_equal(ground(s, 2.0).dense(), ground(s, 2).dense())
+        assert np.array_equal(dense(ground(s, 2.0)), dense(ground(s, 2)))
 
 
 class TestTopologies:
@@ -132,15 +139,52 @@ class TestTopologies:
         b = generate("random", {"n": 15, "m": 30, "w_min": 0.1, "w_max": 9.0}, seed=11)
         assert a.edges == b.edges
 
+    @pytest.mark.parametrize("n, m", [(30, 45), (200, 400)])
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_matches_redraw_loop(self, seed):
-        want, draws = random_graph_draws(30, 45, seed)
-        assert generate("random", {"n": 30, "m": 45}, seed=seed).edges == want
-        if seed == 1:
+    def test_random_matches_redraw_loop(self, n, m, seed):
+        want, draws = random_graph_draws(n, m, seed)
+        assert generate("random", {"n": n, "m": m}, seed=seed).edges == want
+        if (n, seed) == (30, 1):
             assert draws == 14  # rejected draws leave the stream unchanged
-        weighted = {"n": 30, "m": 45, "w_min": 0.5, "w_max": 2.0}
-        want, _ = random_graph_draws(30, 45, seed, 0.5, 2.0)
+        if n == 200:
+            # sparse: most draws leave a node isolated
+            assert draws >= 10
+        weighted = {"n": n, "m": m, "w_min": 0.5, "w_max": 2.0}
+        want, _ = random_graph_draws(n, m, seed, 0.5, 2.0)
         assert generate("random", weighted, seed=seed).edges == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 300])
+    def test_triu_pair_matches_triu_indices(self, n):
+        iu, ju = np.triu_indices(n, 1)
+        i, j = _triu_pair(n, np.arange(iu.shape[0]))
+        assert np.array_equal(i, iu) and np.array_equal(j, ju)
+
+    def test_triu_pair_rows_at_large_n(self):
+        # first and last entries of rows at n = 10^9, where the float root
+        # often lands one row too far and the integer fix-up must correct it
+        n = 10 ** 9
+        rows = np.concatenate([np.arange(1000), n - 1001 + np.arange(1000),
+                               np.random.default_rng(0).integers(0, n - 1, 10 ** 4)])
+        start = rows * (2 * n - 1 - rows) // 2
+        k = np.concatenate([start, start + (n - 2 - rows)])
+        i, j = _triu_pair(n, k)
+        assert np.array_equal(i, np.concatenate([rows, rows]))
+        assert np.array_equal(j, np.concatenate([rows + 1, np.full(rows.shape[0], n - 1)]))
+
+    @pytest.mark.parametrize(
+        "n, m, digest, ends",
+        [
+            (2000, 6000, "4d3cab003f7ad394551beb3c3b0a1442e93f2a971a8c6d105f78a74673fa0cb9", (19, 216)),
+            (300, 900, "b0378e5523fd5424f98bf3f5a7579a3eafd0c95e68aa51eb9f310b4ce83073af", (7, 173)),
+        ],
+        ids=["n2000", "n300"],
+    )
+    def test_benchmark_graphs_pinned(self, n, m, digest, ends):
+        # the random graphs of the exact_newton_large and newton_random_r4
+        # workloads: same edge list and same source and sink
+        g = generate("random", {"n": n, "m": m}, seed=0)
+        assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest
+        assert diameter_endpoints(g) == ends
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -167,12 +211,18 @@ class TestHops:
         assert diameter_endpoints(path_graph(5)) == (0, 4)
 
     @pytest.mark.parametrize(
-        "kind, params, seed",
-        [("random", {"n": 30, "m": 45}, seed) for seed in range(8)]
-        + [("barbell", {"clique": 5, "path_len": 3}, None)],
+        "g",
+        [generate("random", {"n": 30, "m": 45}, seed=seed) for seed in range(8)]
+        + [generate("barbell", {"clique": 5, "path_len": 3})]
+        # grids: many pairs tie at the diameter
+        + [generate("grid", {"rows": r, "cols": c}) for r, c in [(4, 5), (6, 6), (7, 9), (1, 2)]]
+        # paths and cycles at the 64-bit word boundaries of the bitsets
+        + [generate("path", {"n": n}) for n in (2, 63, 64, 65, 128)]
+        + [cycle(n) for n in (63, 64, 65, 128)]
+        + [generate("scale_free", {"n": 200}, seed=5), generate("random", {"n": 300, "m": 900}, seed=2)],
+        ids=lambda g: "n%d_m%d" % (g.n, g.m),
     )
-    def test_diameter_endpoints_match_pair_scan(self, kind, params, seed):
-        g = generate(kind, params, seed=seed)
+    def test_diameter_endpoints_match_pair_scan(self, g):
         ref = floyd_warshall_hops(g)
         best = ref.max()
         first = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if ref[u, v] == best)
@@ -184,6 +234,50 @@ class TestHops:
         assert hops[0, 1] == 1.0 and np.isinf(hops[0, 2])
         with pytest.raises(ValueError, match="disconnected"):
             diameter_endpoints(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            WeightedGraph(3, [(0, 1, 1.0)]),  # an isolated node
+            WeightedGraph(2, []),
+            # two components, each of two or more nodes, across a word boundary
+            WeightedGraph(70, [(i, i + 1, 1.0) for i in range(69) if i != 39]),
+            WeightedGraph(5, [(0, 2, 1.0), (2, 4, 1.0), (1, 3, 1.0)]),
+        ],
+        ids=["isolated", "edgeless", "paths_40_30", "interleaved"],
+    )
+    def test_disconnected_graphs_raise(self, g):
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter_endpoints(g)
+
+    def test_single_node_has_no_pair(self):
+        with pytest.raises(ValueError, match="no pair at positive distance"):
+            diameter_endpoints(WeightedGraph(1, []))
+
+
+def traced_peak(fn, *args):
+    """Largest traced allocation total while fn(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    """Building a flow problem allocates far less than one n x n float64 array."""
+
+    N, M = 3000, 9000
+    SEED = 1701  # connects on its first draw; at m = 3n most seeds take hundreds
+    LIMIT = N * N * 8 // 4
+
+    def test_generate_random_has_no_pair_table(self):
+        assert traced_peak(generate, "random", {"n": self.N, "m": self.M}, self.SEED) < self.LIMIT
+
+    def test_diameter_endpoints_has_no_hop_matrix(self):
+        g = generate("random", {"n": self.N, "m": self.M}, seed=self.SEED)
+        assert traced_peak(diameter_endpoints, g) < self.LIMIT
 
 
 class TestEdgeListIO:

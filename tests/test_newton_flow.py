@@ -33,7 +33,7 @@ from lapflow.newton_flow import (
 )
 from lapflow.spectral import estimated_chain
 from conftest import full_engine, rhop_engine
-from oracles import fd_gradient, fd_hessian, pinv_quadform, matrix_lnorm
+from oracles import dense, fd_gradient, fd_hessian, pinv_quadform, matrix_lnorm
 
 
 def flow_on(kind, params, seed=None, cost="exp", magnitude=1.0, x_box=5.0):
@@ -112,7 +112,7 @@ class TestFlowProblem:
         p = FlowProblem(g, np.zeros(g.n), exp_cost())
         L = (p.incidence @ p.incidence.T).toarray()
         unit = WeightedGraph(g.n, [(i, j, 1.0) for (i, j, _) in g.edges])
-        assert np.allclose(L, laplacian(unit).dense())
+        assert np.allclose(L, dense(laplacian(unit)))
 
     def test_default_endpoints_are_diameter_pair(self):
         p = flow_on("path", {"n": 5})
@@ -227,23 +227,23 @@ class TestDualCalculus:
         p = random_flow(8, 13, seed=4, magnitude=0.5)
         rng = np.random.default_rng(1)
         lam = rng.standard_normal(p.n) * 0.2
-        H = dual_hessian(dual_state(lam, p), p).dense()
+        H = dense(dual_hessian(dual_state(lam, p), p))
         assert np.abs(H - fd_hessian(p, lam)).max() <= 1e-4
 
     def test_hessian_annihilates_ones(self):
         p = random_flow(11, 20, seed=5)
-        H = dual_hessian(dual_state(np.linspace(-0.2, 0.2, p.n), p), p).dense()
+        H = dense(dual_hessian(dual_state(np.linspace(-0.2, 0.2, p.n), p), p))
         assert np.abs(H @ np.ones(p.n)).max() <= 1e-12
         assert np.allclose(H, H.T)
 
     def test_quadratic_hessian_is_unweighted_laplacian(self):
         p = flow_on("grid", {"rows": 2, "cols": 3}, cost="quadratic")
-        H = dual_hessian(dual_state(np.zeros(p.n), p), p).dense()
+        H = dense(dual_hessian(dual_state(np.zeros(p.n), p), p))
         assert np.allclose(H, p.unweighted_laplacian())
 
     def test_exp_hessian_at_zero_is_half_laplacian(self):
         p = flow_on("path", {"n": 4})
-        H = dual_hessian(dual_state(np.zeros(4), p), p).dense()
+        H = dense(dual_hessian(dual_state(np.zeros(4), p), p))
         assert np.allclose(H, 0.5 * p.unweighted_laplacian())
 
     def test_invalid_curvature_reported(self):
@@ -278,8 +278,8 @@ class TestDualCalculus:
         for _ in range(6):
             u = rng.standard_normal(p.n) * 0.3
             v = u + rng.standard_normal(p.n) * 0.2
-            Hu = dual_hessian(dual_state(u, p), p).dense()
-            Hv = dual_hessian(dual_state(v, p), p).dense()
+            Hu = dense(dual_hessian(dual_state(u, p), p))
+            Hv = dense(dual_hessian(dual_state(v, p), p))
             lhs = matrix_lnorm(Hu - Hv, L)
             assert lhs <= consts.B * p.lnorm(u - v) * (1 + 1e-9)
 
@@ -292,7 +292,7 @@ class TestDualCalculus:
             step = rng.standard_normal(p.n) * 0.2
             s0 = dual_state(lam, p)
             s1 = dual_state(lam + step, p)
-            H = dual_hessian(s0, p).dense()
+            H = dense(dual_hessian(s0, p))
             rem = s1.g - s0.g - H @ step
             assert p.lnorm(rem) <= 0.5 * consts.B * p.lnorm(step) ** 2 * (1 + 1e-9)
 
@@ -383,7 +383,7 @@ class TestNewtonDirection:
         p = random_flow(12, 24, seed=9, magnitude=1.2)
         rng = np.random.default_rng(4)
         st0 = dual_state(rng.standard_normal(p.n) * 0.2, p)
-        H = dual_hessian(st0, p).dense()
+        H = dense(dual_hessian(st0, p))
         want = -np.linalg.pinv(H) @ st0.g
         got = newton_direction(st0, p, eps=0.0)
         assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
@@ -393,7 +393,7 @@ class TestNewtonDirection:
         p = random_flow(12, 24, seed=9, magnitude=1.2)
         rng = np.random.default_rng(4)
         st0 = dual_state(rng.standard_normal(p.n) * 0.2, p)
-        H = dual_hessian(st0, p).dense()
+        H = dense(dual_hessian(st0, p))
         exact = newton_direction(st0, p, eps=0.0)
         report = {}
         approx = newton_direction(st0, p, eps=1e-4, R=1, report=report)
@@ -425,7 +425,7 @@ class TestNewtonDirection:
 
     def test_rank_one_shift_matches_pseudoinverse_quadform(self):
         p = random_flow(8, 14, seed=11)
-        H = dual_hessian(dual_state(np.zeros(p.n), p), p).dense()
+        H = dense(dual_hessian(dual_state(np.zeros(p.n), p), p))
         pinv = np.linalg.pinv(H)
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -19,6 +19,7 @@ from lapflow.spectral import (
     validate_sddm,
 )
 from conftest import grounded_random
+from oracles import dense
 
 
 def path_graph(n):
@@ -81,7 +82,7 @@ class TestEstimateCondition:
 
     def test_grounded_path5_matches_dense(self):
         s = ground(laplacian(path_graph(5)), 0)
-        eig = np.linalg.eigvalsh(s.dense())
+        eig = np.linalg.eigvalsh(dense(s))
         exact = eig.max() / eig.min()
         est = estimate_condition(s, tol=1e-12)
         assert abs(est - exact) <= 1e-6 * exact
@@ -168,7 +169,7 @@ class TestSpectralInvariants:
     def test_walk_matrix_eigenvalues_inside_kappa_band(self):
         for seed in range(4):
             s = grounded_random(12, 30, seed=seed, w_min=0.5, w_max=4.0)
-            M = s.dense()
+            M = dense(s)
             eig = np.linalg.eigvalsh(M)
             kappa = eig.max() / eig.min()
             sym = s.A.toarray() / np.sqrt(np.outer(s.D, s.D))
@@ -177,7 +178,7 @@ class TestSpectralInvariants:
 
     def test_m_between_diagonal_multiples(self, rng):
         s = grounded_random(15, 40, seed=2, w_min=0.2, w_max=3.0)
-        M = s.dense()
+        M = dense(s)
         for _ in range(50):
             v = rng.standard_normal(s.n)
             qm = v @ M @ v
