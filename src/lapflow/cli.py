@@ -90,16 +90,32 @@ def _write_comments(fh, items):
         fh.write("# %s=%s\n" % (key, items[key]))
 
 
+def _checked_solve(g, ground_node, seed, R, eps):
+    """Ground g's Laplacian, eps-solve it for a seeded b with the R-hop engine, check x.
+
+    Returns (s, b, spec, x, eng, rel), where rel is x's M-norm error
+    relative to the sparse-LU solution.
+    """
+    s = ground(laplacian(g), ground_node)
+    b = np.random.default_rng(seed).standard_normal(s.n)
+    spec = estimated_chain(s)
+    x, eng = edist_rsolve(s, b, spec, R, eps)
+    xstar = direct_solve(s, b)
+    M = s.matrix()
+    err = x - xstar
+    rel = math.sqrt(float(err @ (M @ err)) / float(xstar @ (M @ xstar)))
+    return s, b, spec, x, eng, rel
+
+
+def _misses_eps(rel, eps):
+    return not rel <= eps * (1 + 1e-9)
+
+
 def cmd_solve(cfg, parser=None):
     """Solve one grounded system with the R-hop solver and emit the solution."""
     g = _build_graph(parser, cfg)
-    L = laplacian(g)
-    s = ground(L, cfg.ground_node)
-    rng = np.random.default_rng(cfg.seed)
-    b = rng.standard_normal(s.n)
-    spec = estimated_chain(s)
+    s, b, spec, x, eng, rel = _checked_solve(g, cfg.ground_node, cfg.seed, cfg.rhop, cfg.eps)
     log.info("solve: n=%d kappa~%.3g d=%d", s.n, spec.kappa, spec.d)
-    x, eng = edist_rsolve(s, b, spec, cfg.rhop, cfg.eps)
     residual = float(np.linalg.norm(s.matrix() @ x - b))
     items = header_items(cfg)
     items.update(
@@ -109,19 +125,15 @@ def cmd_solve(cfg, parser=None):
         rounds=eng.transcript.rounds,
         messages=eng.transcript.messages_total,
         max_hop_used=eng.transcript.max_hop_used,
+        mnorm_rel_error=repr(rel),
     )
-    xstar = direct_solve(s, b)
-    M = s.matrix()
-    err = x - xstar
-    rel = math.sqrt(float(err @ (M @ err)) / float(xstar @ (M @ xstar)))
-    items["mnorm_rel_error"] = repr(rel)
     with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, items)
         fh.write("node,x\n")
         for k in range(x.shape[0]):
             fh.write("%d,%r\n" % (k, float(x[k])))
     print("solve: n=%d residual=%.3e messages=%d" % (s.n, residual, eng.transcript.messages_total))
-    if not rel <= cfg.eps * (1 + 1e-9):
+    if _misses_eps(rel, cfg.eps):
         print("numerical failure: mnorm_rel_error %r exceeds eps %r" % (rel, cfg.eps), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -220,7 +232,7 @@ def _scale_instance(family, size, seed):
 
 
 def cmd_scale(cfg, parser=None):
-    """Sweep a family of sizes and fit the message-count growth exponent."""
+    """Sweep a family of sizes, fit the message-count growth exponent, check each solve."""
     if not cfg.sizes:
         parser.error("--sizes must list at least one size")
     try:
@@ -229,17 +241,16 @@ def cmd_scale(cfg, parser=None):
         parser.error("--sizes must be a comma-separated list of integers")
     if not sizes:
         parser.error("--sizes must list at least one size")
-    rows = []
+    rows, misses = [], []
     for size in sizes:
         g, n_actual = _scale_instance(cfg.family, size, cfg.seed)
-        s = ground(laplacian(g), 0)
-        rng = np.random.default_rng(cfg.seed)
-        b = rng.standard_normal(s.n)
-        _, eng = edist_rsolve(s, b, estimated_chain(s), cfg.rhop, cfg.eps)
+        *_, eng, rel = _checked_solve(g, 0, cfg.seed, cfg.rhop, cfg.eps)
         rows.append(
             (n_actual, eng.transcript.rounds, eng.transcript.messages_total,
              richardson_iterations(cfg.eps))
         )
+        if _misses_eps(rel, cfg.eps):
+            misses.append((n_actual, rel))
         log.info("scale: n=%d messages=%d", n_actual, rows[-1][2])
     slope = float("nan")
     if len({r[0] for r in rows}) >= 2:
@@ -247,6 +258,7 @@ def cmd_scale(cfg, parser=None):
         ys = np.log([max(1, r[2]) for r in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
     items = header_items(cfg)
+    del items["graph"]  # scale builds its graphs from --family
     items.update(family=cfg.family, eps=cfg.eps, R=cfg.rhop, loglog_slope=repr(slope))
     with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, items)
@@ -254,7 +266,10 @@ def cmd_scale(cfg, parser=None):
         for row in rows:
             fh.write("%d,%d,%d,%d\n" % row)
     print("scale: family=%s slope=%.3f" % (cfg.family, slope))
-    return EXIT_OK
+    for n_actual, rel in misses:
+        print("numerical failure: n=%d mnorm_rel_error %r exceeds eps %r" % (n_actual, rel, cfg.eps),
+              file=sys.stderr)
+    return EXIT_NUMERICAL if misses else EXIT_OK
 
 
 def _parser():

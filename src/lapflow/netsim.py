@@ -40,7 +40,7 @@ import operator
 import numpy as np
 from scipy import sparse
 
-from .graph_core import hop_matrix, open_target
+from .graph_core import hop_matrix
 
 try:  # scipy's compiled y += A x; private, so guarded
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -126,14 +126,6 @@ class SimTranscript:
         self.messages_total = 0
         self.max_hop_used = 0
 
-    @property
-    def messages_per_round(self):
-        return [msg for msg, _, count in self.runs for _ in range(count)]
-
-    @property
-    def max_hop_per_round(self):
-        return [hop for _, hop, count in self.runs for _ in range(count)]
-
     def append(self, messages, max_hop, count=1):
         """Record `count` rounds of `messages` messages each, reaching `max_hop`.
 
@@ -147,13 +139,6 @@ class SimTranscript:
         self.rounds += count
         self.messages_total += messages * count
         self.max_hop_used = max(self.max_hop_used, max_hop)
-
-    def to_csv(self, target):
-        """Write `round,messages,max_hop` rows; target is a path or file object."""
-        with open_target(target) as fh:
-            fh.write("round,messages,max_hop\n")
-            for t, (msg, hop) in enumerate(zip(self.messages_per_round, self.max_hop_per_round), start=1):
-                fh.write("%d,%d,%d\n" % (t, msg, hop))
 
 
 # What one multiply-add of a round costs, counted in multiply-adds of a dense
@@ -221,7 +206,6 @@ class Simulator:
     """
 
     def __init__(self, graph, R=None):
-        self.graph = graph
         self.R = check_radius(R)
         self.n = graph.n
         self.hops = hop_matrix(graph)

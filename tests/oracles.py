@@ -27,6 +27,16 @@ def floyd_warshall_hops(g):
     return dist
 
 
+def per_round(runs):
+    """SimTranscript.runs expanded to (messages, max_hop) lists, one entry per round.
+
+    The same form as PerNodeNetwork's messages_per_round and max_hop_per_round.
+    """
+    messages = [msg for msg, _, count in runs for _ in range(count)]
+    hops = [hop for _, hop, count in runs for _ in range(count)]
+    return messages, hops
+
+
 class OracleViolation(RuntimeError):
     """A node program broke the round discipline or the radius limit."""
 

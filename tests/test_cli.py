@@ -57,20 +57,31 @@ class TestSolve:
         assert rc == 0
         assert float(read_header(out)["mnorm_rel_error"]) <= 1e-4
 
-    @pytest.mark.parametrize("side", [6, 25])
-    def test_missed_eps_exits_3_after_writing_solution(self, tmp_path, monkeypatch, capsys, side):
+    @pytest.mark.parametrize("command, n", [
+        pytest.param(["solve", "--graph", "grid", "--rows", "6", "--cols", "6"], 35, id="6"),
+        pytest.param(["solve", "--graph", "grid", "--rows", "25", "--cols", "25"], 624, id="25"),
+        pytest.param(["scale", "--family", "grid", "--sizes", "36,64"], 64, id="scale"),
+    ])
+    def test_missed_eps_exits_3_after_writing_solution(self, tmp_path, monkeypatch, capsys,
+                                                       command, n):
         import lapflow.cli as cli_mod
 
-        # a chain sized for kappa 1 is far too short for this grid
+        # a chain sized for kappa 1 is far too short for these grids
         monkeypatch.setattr(cli_mod, "estimated_chain", lambda s: chain_length(1.0, "estimated"))
-        out = str(tmp_path / "sol.csv")
-        rc = main(["solve", "--graph", "grid", "--rows", str(side), "--cols", str(side),
-                   "--eps", "1e-4", "--out", out])
+        out = str(tmp_path / "out.csv")
+        rc = main(command + ["--eps", "1e-4", "--out", out])
         assert rc == 3
-        assert float(read_header(out)["mnorm_rel_error"]) > 1e-4
+        err = capsys.readouterr().err
         header, rows = read_rows(out)
-        assert header == ["node", "x"] and len(rows) == side * side - 1
-        assert "mnorm_rel_error" in capsys.readouterr().err
+        if command[0] == "solve":
+            assert float(read_header(out)["mnorm_rel_error"]) > 1e-4
+            assert header == ["node", "x"] and len(rows) == n
+            assert "mnorm_rel_error" in err
+        else:
+            # the CSV is written in full; stderr names each size that missed eps
+            assert header == ["n", "rounds", "messages", "iterations"]
+            assert [int(r[0]) for r in rows] == [36, 64]
+            assert "numerical failure: n=%d mnorm_rel_error" % n in err
 
     def test_eps_out_of_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -256,6 +267,8 @@ class TestScale:
                    "--eps", "1e-2", "--out", out])
         assert rc == 0
         items = read_header(out)
+        # the graphs come from --family; the unused --graph default is not named
+        assert "graph" not in items and items["family"] == "path"
         slope = float(items["loglog_slope"])
         assert slope > 0
         assert "slope=" in capsys.readouterr().out

@@ -378,6 +378,33 @@ class TestMessageAccounting:
         tr = eng.transcript
         assert (tr.rounds, tr.messages_total, tr.max_hop_used) == (rounds, messages, max_hop)
 
+    @pytest.mark.parametrize("R", [1, 2, 4, None], ids=["R1", "R2", "R4", "full"])
+    def test_solve_runs_one_per_chain_level(self, R):
+        # the solve phase of an eps-solve on the 4x4 grid, run for run: each
+        # chain level is one batch of identical rounds, never split up
+        s = ground(laplacian(generate("grid", {"rows": 4, "cols": 4})), 0)
+        b = np.random.default_rng(0).standard_normal(s.n)
+        d, eps = 5, 1e-2
+        hops = floyd_warshall_hops(support_graph(s))
+
+        def run(radius, count):
+            # every node gathers from radius hops, a value h hops away costs h
+            within = (hops > 0) & (hops <= radius)
+            return (int(hops[within].sum()), int(hops[within].max()), count)
+
+        if R is None:
+            eng, setup = full_engine(s, d), 1 + (d - 1)
+            eng.esolve(b, eps)
+            levels = [run(2 ** i, 1) for i in range(d)]
+        else:
+            _, eng = edist_rsolve(s, b, d, R, eps)
+            setup = 1 + 2 * (R - 1)
+            levels = [run(1, 2 ** i) if 2 ** i < R else run(R, 2 ** i // R) for i in range(d)]
+        crude = levels + levels[::-1]  # forward pass, then backward
+        # chi = crude solve, then q times an M round and a crude solve
+        want = crude + ([run(1, 1)] + crude) * richardson_iterations(eps)
+        assert eng.transcript.runs[setup:] == want
+
     @pytest.mark.parametrize("R", [1, 2])
     def test_batched_kernel_solve_bit_identical(self, R, monkeypatch):
         # certify keeps the grid's operators CSR, so the crude solve's batches

@@ -1,7 +1,5 @@
 """The library's collective simulator, and the per-node oracle executor it is checked against."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,7 +8,7 @@ from lapflow import netsim
 from lapflow.graph_core import generate, ground, laplacian
 from lapflow.netsim import LocalOperator, SimTranscript, Simulator, ViolationError
 from conftest import rhop_engine
-from oracles import OracleViolation, PerNodeNetwork
+from oracles import OracleViolation, PerNodeNetwork, per_round
 
 
 def path_graph(n):
@@ -57,8 +55,7 @@ class TestSimConfig:
         assert sim.R is None
         sim.account_round(4)
         # every ordered pair of the path, each value charged its hop distance
-        assert sim.transcript.messages_per_round == [2 * (4 * 1 + 3 * 2 + 2 * 3 + 1 * 4)]
-        assert sim.transcript.max_hop_per_round == [4]
+        assert sim.transcript.runs == [(2 * (4 * 1 + 3 * 2 + 2 * 3 + 1 * 4), 4, 1)]
 
 
 class TestFresh:
@@ -231,20 +228,10 @@ class TestRounds:
                 sim.account_round(2)
                 sim.account_round(1, payload=[1, 2, 3, 3, 2, 1])
                 x = sim.apply_round(op, x)
-            buf = io.StringIO()
-            sim.transcript.to_csv(buf)
-            outs.append(buf.getvalue())
+            tr = sim.transcript
+            outs.append((tr.runs, tr.rounds, tr.messages_total, tr.max_hop_used))
         assert outs[0] == outs[1]
-        assert len(outs[0].splitlines()) == 1 + 9
-
-    def test_transcript_csv_format(self, tmp_path):
-        sim = Simulator(k3(), R=1)
-        sim.account_round(1)
-        target = tmp_path / "t.csv"
-        sim.transcript.to_csv(str(target))
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "round,messages,max_hop"
-        assert lines[1] == "1,6,1"
+        assert len(outs[0][0]) == outs[0][1] == 9
 
 
 class TestPayloads:
@@ -302,8 +289,8 @@ class TestCollective:
                 pernode.gather(k, r, "v")
 
             pernode.run_round(step)
-            assert collective.transcript.messages_per_round == pernode.messages_per_round
-            assert collective.transcript.max_hop_per_round == pernode.max_hop_per_round
+            assert per_round(collective.transcript.runs) == (
+                pernode.messages_per_round, pernode.max_hop_per_round)
 
     def test_account_round_payload_vector(self):
         g = path_graph(3)
@@ -311,7 +298,7 @@ class TestCollective:
         # node 1 publishes 5 scalars, delivered to 0 and 2; ends publish 1
         sim.account_round(1, payload=[1, 5, 1])
         # inbound: node0 gets 5, node1 gets 1+1, node2 gets 5
-        assert sim.transcript.messages_per_round == [12]
+        assert sim.transcript.runs == [(12, 1, 1)]
 
     def test_apply_round_equals_matvec(self):
         g = path_graph(4)
@@ -321,7 +308,7 @@ class TestCollective:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         out = sim.apply_round(op, x)
         assert np.allclose(out, W @ x)
-        assert sim.transcript.messages_per_round == [2 * g.m]
+        assert sim.transcript.runs == [(2 * g.m, 1, 1)]
 
 
 def grid_operator(rows=20, cols=20):
@@ -336,10 +323,9 @@ def grid_operator(rows=20, cols=20):
 
 
 def transcript_view(sim):
-    buf = io.StringIO()
-    sim.transcript.to_csv(buf)
+    """A transcript's per-round charges and totals, which batching must not change."""
     tr = sim.transcript
-    return buf.getvalue(), tr.rounds, tr.messages_total, tr.max_hop_used
+    return per_round(tr.runs), tr.rounds, tr.messages_total, tr.max_hop_used
 
 
 class TestBatchedRounds:
@@ -371,7 +357,7 @@ class TestBatchedRounds:
                 sim.account_round(1, payload=[1, 2, 3, 3, 2, 1], count=count)
         assert transcript_view(batched) == transcript_view(single)
         assert batched.transcript.runs == [(10, 1, 1), (26, 2, 4), (22, 1, 4)]
-        assert single.transcript.messages_per_round == [10] + [26] * 4 + [22] * 4
+        assert single.transcript.runs == [(10, 1, 1)] + [(26, 2, 1)] * 4 + [(22, 1, 1)] * 4
 
     def test_zero_count_is_a_no_op(self):
         sim, op = grid_operator(4, 4)

@@ -57,6 +57,8 @@ RUNS = [
     ("bench_barbell_6_4", ["bench"] + BARBELL_6_4),
     ("flow_barbell_6_4_exact", ["flow"] + BARBELL_6_4 + ["--method", "exact-newton"]),
     ("scale_grid_2_4", ["scale", "--family", "grid", "--sizes", "2,4"]),
+    ("scale_path_8_16_32_r2", ["scale", "--family", "path", "--sizes", "8,16,32", "--rhop", "2"]),
+    ("scale_scale_free_20_40", ["scale", "--family", "scale-free", "--sizes", "20,40"]),
     # grounding path node 7 splits the barbell in two: the network of each
     # Newton step is G minus that node, with two components
     ("flow_barbell_6_4_r2_ground_cut", ["flow"] + BARBELL_6_4 + ["--rhop", "2", "--ground", "7"]),
