@@ -18,7 +18,7 @@ import numpy as np
 from .graph_core import generate, ground, laplacian, load_edge_list, open_target
 from .spectral import ConvergenceError, estimated_chain
 from .reference_solver import direct_solve, richardson_iterations
-from .distributed_solver import edist_rsolve
+from .distributed_solver import check_rhop_radius, edist_rsolve
 from .newton_flow import (
     DivergenceError,
     OptimizeConfig,
@@ -44,44 +44,45 @@ _METHODS = {
 }
 
 
+# each --graph kind -> {generate param: the option it is read from};
+# "file" reads only the path of its edge list
+_GRAPH_KINDS = {
+    "path": {"n": "n"},
+    "grid": {"rows": "rows", "cols": "cols"},
+    "barbell": {"clique": "clique", "path_len": "path_len"},
+    "random": {"n": "n", "m": "edges"},
+    "scale-free": {"n": "n"},
+    "file": {"path": "file"},
+}
+_GRAPH_OPTIONS = dict.fromkeys(dest for params in _GRAPH_KINDS.values() for dest in params.values())
+
+
 def header_items(cfg):
-    """The graph-describing `# key=value` items every CSV starts with."""
+    """The graph-describing `# key=value` items a solve, flow or bench CSV starts with."""
     items = dict(command=cfg.command, graph=cfg.graph, seed=cfg.seed)
-    for key in ("n", "rows", "cols", "clique", "path_len", "edges", "file"):
-        val = getattr(cfg, key)
-        if val is not None:
-            items[key] = val
+    items.update((dest, getattr(cfg, dest)) for dest in _GRAPH_KINDS[cfg.graph].values())
     return items
 
 
-def _require(parser, cfg, names):
-    for name in names:
-        if getattr(cfg, name) is None:
-            parser.error("--%s is required for --graph %s" % (name.replace("_", "-"), cfg.graph))
+def _graph_params(parser, cfg):
+    """cfg.graph's params, read from exactly the options that kind uses.
+
+    A usage error names an option the kind needs and was not given, or one
+    it was given and does not read.
+    """
+    reads = _GRAPH_KINDS[cfg.graph]
+    for dest in _GRAPH_OPTIONS:
+        used = dest in reads.values()
+        if used != (getattr(cfg, dest) is not None):
+            parser.error("--%s is %s --graph %s" % (dest.replace("_", "-"),
+                         "required for" if used else "not used by", cfg.graph))
+    return {param: getattr(cfg, dest) for param, dest in reads.items()}
 
 
 def _build_graph(parser, cfg):
-    params = {}
-    if cfg.graph == "path":
-        _require(parser, cfg, ["n"])
-        params["n"] = cfg.n
-    elif cfg.graph == "grid":
-        _require(parser, cfg, ["rows", "cols"])
-        params.update(rows=cfg.rows, cols=cfg.cols)
-    elif cfg.graph == "barbell":
-        _require(parser, cfg, ["clique", "path_len"])
-        params.update(clique=cfg.clique, path_len=cfg.path_len)
-    elif cfg.graph == "random":
-        _require(parser, cfg, ["n", "edges"])
-        params.update(n=cfg.n, m=cfg.edges)
-    elif cfg.graph == "scale-free":
-        _require(parser, cfg, ["n"])
-        params["n"] = cfg.n
-    elif cfg.graph == "file":
-        _require(parser, cfg, ["file"])
-        return load_edge_list(cfg.file)
-    else:
-        parser.error("unknown graph kind %r" % cfg.graph)
+    params = _graph_params(parser, cfg)
+    if cfg.graph == "file":
+        return load_edge_list(**params)
     return generate(cfg.graph, params, seed=cfg.seed)
 
 
@@ -140,19 +141,24 @@ def cmd_solve(cfg, parser=None):
 
 
 def _build_problem(parser, cfg):
-    if cfg.graph == "file":
-        _require(parser, cfg, ["file"])
+    """The flow problem of --graph; a problem file brings its own b and cost."""
+    given = {key: getattr(cfg, key) for key in ("cost", "magnitude") if getattr(cfg, key) is not None}
+    if cfg.graph != "file":
+        return make_flow_problem(_build_graph(parser, cfg), **given)
+    path = _graph_params(parser, cfg)["path"]
+    try:
+        problem = load_flow_problem(path)
+    except ValueError as exc:
+        # a bare edge list is accepted too; any other file keeps its own error
         try:
-            return load_flow_problem(cfg.file)
-        except ValueError as exc:
-            # a bare edge list is accepted too; any other file keeps its own error
-            try:
-                g = load_edge_list(cfg.file)
-            except ValueError:
-                raise exc from None
-            return make_flow_problem(g, cost=cfg.cost, magnitude=cfg.magnitude)
-    g = _build_graph(parser, cfg)
-    return make_flow_problem(g, cost=cfg.cost, magnitude=cfg.magnitude)
+            g = load_edge_list(path)
+        except ValueError:
+            raise exc from None
+        return make_flow_problem(g, **given)
+    if given:
+        parser.error("%s not used with a problem file, which sets its own b and cost"
+                     % " and ".join("--" + key for key in given))
+    return problem
 
 
 def _flow_config(cfg):
@@ -172,7 +178,6 @@ def cmd_flow(cfg, parser=None):
     method = _METHODS[cfg.method]
     extra = header_items(cfg)
     extra.update(cost=problem.cost.name, nodes=problem.n, arcs=problem.E)
-    trace = None
     try:
         trace = optimize(problem, method, _flow_config(cfg))
     except DivergenceError as exc:
@@ -233,10 +238,8 @@ def _scale_instance(family, size, seed):
 
 def cmd_scale(cfg, parser=None):
     """Sweep a family of sizes, fit the message-count growth exponent, check each solve."""
-    if not cfg.sizes:
-        parser.error("--sizes must list at least one size")
     try:
-        sizes = [int(tok) for tok in cfg.sizes.split(",") if tok.strip()]
+        sizes = [int(tok) for tok in (cfg.sizes or "").split(",") if tok.strip()]
     except ValueError:
         parser.error("--sizes must be a comma-separated list of integers")
     if not sizes:
@@ -257,9 +260,8 @@ def cmd_scale(cfg, parser=None):
         xs = np.log([r[0] for r in rows])
         ys = np.log([max(1, r[2]) for r in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    items = header_items(cfg)
-    del items["graph"]  # scale builds its graphs from --family
-    items.update(family=cfg.family, eps=cfg.eps, R=cfg.rhop, loglog_slope=repr(slope))
+    items = dict(command=cfg.command, seed=cfg.seed, family=cfg.family, eps=cfg.eps, R=cfg.rhop,
+                 loglog_slope=repr(slope))
     with open_target(cfg.out or sys.stdout) as fh:
         _write_comments(fh, items)
         fh.write("n,rounds,messages,iterations\n")
@@ -273,56 +275,53 @@ def cmd_scale(cfg, parser=None):
 
 
 def _parser():
+    """Each subcommand accepts exactly the options it reads."""
     parser = argparse.ArgumentParser(
         prog="lapflow",
         description="Distributed SDDM solving and dual Newton flow optimization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", default="path",
-                        choices=["path", "grid", "barbell", "random", "scale-free", "file"])
-    common.add_argument("--n", type=int)
-    common.add_argument("--rows", type=int)
-    common.add_argument("--cols", type=int)
-    common.add_argument("--clique", type=int)
-    common.add_argument("--path-len", type=int, dest="path_len")
-    common.add_argument("--edges", type=int)
-    common.add_argument("--file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--eps", type=float, default=1e-4)
-    common.add_argument("--rhop", type=int, default=1)
-    common.add_argument("--max-iters", type=int, default=500, dest="max_iters")
-    common.add_argument("--feas-threshold", type=float, default=1e-5, dest="feas_threshold")
-    common.add_argument("--step", default="backtracking",
-                        choices=["fixed", "alpha-star", "backtracking"])
-    common.add_argument("--out")
-    common.add_argument("--ground", type=int, default=0, dest="ground_node")
-    common.add_argument("--method", default="sddm-newton", choices=sorted(_METHODS))
-    common.add_argument("--cost", default="exp", choices=["exp", "quadratic"])
-    common.add_argument("--magnitude", type=float, default=1.0)
-    sub.add_parser("solve", parents=[common], help="solve one grounded SDDM system")
-    sub.add_parser("flow", parents=[common], help="optimize one flow problem")
-    sub.add_parser("bench", parents=[common], help="compare all methods on one problem")
-    scale = sub.add_parser("scale", parents=[common], help="sweep sizes of one family")
+    # every subcommand runs R-hop or Newton solves to --eps
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--seed", type=int, default=0)
+    base.add_argument("--eps", type=float, default=1e-4)
+    base.add_argument("--rhop", type=int, default=1)
+    base.add_argument("--out")
+    # solve, flow and bench: one graph from --graph, grounded at --ground
+    graph = argparse.ArgumentParser(add_help=False, parents=[base])
+    graph.add_argument("--graph", default="path", choices=list(_GRAPH_KINDS))
+    for dest in _GRAPH_OPTIONS:  # --n --rows --cols --clique --path-len --edges --file
+        graph.add_argument("--" + dest.replace("_", "-"), dest=dest, type=str if dest == "file" else int)
+    graph.add_argument("--ground", type=int, default=0, dest="ground_node")
+    # flow and bench: a flow problem on that graph and the optimizer's settings
+    problem = argparse.ArgumentParser(add_help=False, parents=[graph])
+    problem.add_argument("--max-iters", type=int, default=500, dest="max_iters")
+    problem.add_argument("--feas-threshold", type=float, default=1e-5, dest="feas_threshold")
+    problem.add_argument("--step", default="backtracking",
+                         choices=["fixed", "alpha-star", "backtracking"])
+    # None: make_flow_problem's exp cost and magnitude 1.0; a problem file sets its own
+    problem.add_argument("--cost", choices=["exp", "quadratic"])
+    problem.add_argument("--magnitude", type=float)
+    sub.add_parser("solve", parents=[graph], help="solve one grounded SDDM system")
+    flow = sub.add_parser("flow", parents=[problem], help="optimize one flow problem")
+    flow.add_argument("--method", default="sddm-newton", choices=sorted(_METHODS))
+    sub.add_parser("bench", parents=[problem], help="compare all methods on one problem")
+    scale = sub.add_parser("scale", parents=[base], help="sweep sizes of one family")
     scale.add_argument("--family", default="path", choices=["path", "grid", "scale-free"])
     scale.add_argument("--sizes", help="comma-separated node counts")
     return parser
 
 
-def _resolve(parser, ns):
-    """Validate --eps and --feas-threshold and round --rhop down to a power of two, in place."""
+def _validate(parser, ns):
+    """Check --eps, --rhop and (flow, bench) --feas-threshold; usage error otherwise."""
     if not (0.0 < ns.eps <= 0.5):
         parser.error("--eps must lie in (0, 0.5]")
-    if not ns.feas_threshold >= 0.0:
+    if not getattr(ns, "feas_threshold", 0.0) >= 0.0:
         parser.error("--feas-threshold must be >= 0")
-    if ns.rhop < 1:
-        parser.error("--rhop must be >= 1")
-    if ns.rhop & (ns.rhop - 1):
-        down = 2 ** int(math.floor(math.log2(ns.rhop)))
-        print("warning: --rhop %d is not a power of two; using %d" % (ns.rhop, down),
-              file=sys.stderr)
-        ns.rhop = down
-    return ns
+    try:
+        check_rhop_radius(ns.rhop)
+    except ValueError as exc:
+        parser.error("--rhop: %s" % exc)
 
 
 def main(argv=None):
@@ -330,8 +329,8 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(name)s %(levelname)s %(message)s")
     parser = _parser()
-    ns = parser.parse_args(argv)
-    cfg = _resolve(parser, ns)
+    cfg = parser.parse_args(argv)
+    _validate(parser, cfg)
     handlers = {"solve": cmd_solve, "flow": cmd_flow, "bench": cmd_bench, "scale": cmd_scale}
     try:
         return handlers[cfg.command](cfg, parser)

@@ -10,7 +10,13 @@ import pytest
 import lapflow
 from lapflow.cli import main
 from lapflow.graph_core import generate, save_edge_list
-from lapflow.newton_flow import DivergenceError, OptimizeConfig, optimize
+from lapflow.newton_flow import (
+    DivergenceError,
+    OptimizeConfig,
+    make_flow_problem,
+    optimize,
+    save_flow_problem,
+)
 from lapflow.spectral import chain_length
 
 
@@ -93,13 +99,21 @@ class TestSolve:
             main(["solve", "--graph", "random", "--n", "10", "--eps", "0.5"])
         assert exc.value.code == 2
 
-    def test_rhop_rounds_down_to_power_of_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rhop, rule", [("3", "power of two"), ("0", ">= 1")], ids=["3", "0"])
+    def test_rhop_must_be_power_of_two(self, capsys, rhop, rule):
+        # the library's one R rule, check_rhop_radius; no rounding
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--graph", "path", "--n", "8", "--eps", "0.5", "--rhop", rhop])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rhop" in err and rule in err
+
+    def test_header_names_only_the_options_used(self, tmp_path):
         out = str(tmp_path / "sol.csv")
-        rc = main(["solve", "--graph", "path", "--n", "8", "--eps", "0.5",
-                   "--rhop", "3", "--out", out])
+        rc = main(["solve", "--graph", "grid", "--rows", "4", "--cols", "4", "--out", out])
         assert rc == 0
-        assert "using 2" in capsys.readouterr().err
-        assert read_header(out)["R"] == "2"
+        keys = list(read_header(out))
+        assert keys[:keys.index("eps")] == ["command", "graph", "seed", "rows", "cols"]
 
     def test_file_graph_kind(self, tmp_path):
         gpath = str(tmp_path / "g.txt")
@@ -115,6 +129,54 @@ class TestSolve:
                    "--file", str(tmp_path / "missing.txt"), "--eps", "0.5"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+# every option one subcommand no longer accepts, with a value argparse would take
+OPTION_VALUES = {
+    "--graph": "path", "--n": "6", "--rows": "2", "--cols": "3", "--clique": "3",
+    "--path-len": "1", "--edges": "5", "--file": "g.txt", "--ground": "1",
+    "--max-iters": "5", "--feas-threshold": "1e-3", "--step": "fixed",
+    "--method": "add", "--cost": "quadratic", "--magnitude": "2.0",
+}
+PROBLEM_OPTIONS = ["--max-iters", "--feas-threshold", "--step", "--cost", "--magnitude"]
+UNREAD_OPTIONS = {
+    "solve": PROBLEM_OPTIONS + ["--method"],
+    "bench": ["--method"],
+    "scale": ["--graph", "--n", "--rows", "--cols", "--clique", "--path-len", "--edges",
+              "--file", "--ground", "--method"] + PROBLEM_OPTIONS,
+}
+VALID_RUNS = {
+    "solve": ["solve", "--graph", "path", "--n", "6", "--eps", "0.5"],
+    "bench": ["bench", "--graph", "path", "--n", "6", "--eps", "0.5"],
+    "scale": ["scale", "--family", "path", "--sizes", "8", "--eps", "0.5"],
+}
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, options in UNREAD_OPTIONS.items() for option in options
+    ], ids=lambda v: v)
+    def test_unread_option_is_rejected(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main(VALID_RUNS[command] + [option, OPTION_VALUES[option]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s" % option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--graph", "path", "--n", "6", "--rows", "3"],
+        ["solve", "--graph", "grid", "--rows", "2", "--cols", "3", "--n", "6"],
+        ["solve", "--graph", "barbell", "--clique", "3", "--path-len", "1", "--edges", "5"],
+        ["solve", "--graph", "random", "--n", "6", "--edges", "8", "--clique", "3"],
+        ["solve", "--graph", "scale-free", "--n", "6", "--path-len", "2"],
+        ["solve", "--graph", "file", "--file", "g.txt", "--n", "6"],
+        ["flow", "--graph", "file", "--file", "g.txt", "--cols", "3"],
+    ], ids=["path", "grid", "barbell", "random", "scale-free", "file", "flow-file"])
+    def test_option_foreign_to_graph_kind_is_rejected(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--eps", "0.5"])
+        assert exc.value.code == 2
+        option, kind = args[-2], args[2]
+        assert "%s is not used by --graph %s" % (option, kind) in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -193,6 +255,23 @@ class TestFlow:
         rc = main(["flow", "--graph", "file", "--file", str(path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("option, value", [("--cost", "quadratic"), ("--magnitude", "5")])
+    def test_problem_file_rejects_cost_and_magnitude(self, tmp_path, capsys, option, value):
+        g = generate("path", {"n": 4})
+        problem_path, edges_path = str(tmp_path / "p.txt"), str(tmp_path / "g.txt")
+        save_flow_problem(make_flow_problem(g), problem_path)
+        save_edge_list(g, edges_path)
+        # a problem file sets its own b and cost, so the option would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--graph", "file", "--file", problem_path, option, value])
+        assert exc.value.code == 2
+        assert "%s not used with a problem file" % option in capsys.readouterr().err
+        # a bare edge list has neither, so it takes the option
+        out = str(tmp_path / "trace.csv")
+        rc = main(["flow", "--graph", "file", "--file", edges_path, option, value, "--out", out])
+        assert rc == 0
+        assert read_header(out)["cost"] == ("quadratic" if option == "--cost" else "exp")
 
     def test_no_convergence_exits_3_after_writing_trace(self, tmp_path, capsys):
         out = str(tmp_path / "trace.csv")
