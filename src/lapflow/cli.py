@@ -161,6 +161,16 @@ def _build_problem(parser, cfg):
     return problem
 
 
+def _problem_items(cfg, problem):
+    """header_items, then the problem's cost, --magnitude when given, and its size."""
+    items = header_items(cfg)
+    items["cost"] = problem.cost.name
+    if cfg.magnitude is not None:
+        items["magnitude"] = cfg.magnitude
+    items.update(nodes=problem.n, arcs=problem.E)
+    return items
+
+
 def _flow_config(cfg):
     return OptimizeConfig(
         step=cfg.step.replace("-", "_"),
@@ -176,8 +186,7 @@ def cmd_flow(cfg, parser=None):
     """Optimize one flow problem and emit its trace."""
     problem = _build_problem(parser, cfg)
     method = _METHODS[cfg.method]
-    extra = header_items(cfg)
-    extra.update(cost=problem.cost.name, nodes=problem.n, arcs=problem.E)
+    extra = _problem_items(cfg, problem)
     try:
         trace = optimize(problem, method, _flow_config(cfg))
     except DivergenceError as exc:
@@ -200,8 +209,7 @@ def cmd_bench(cfg, parser=None):
     `# <method>.<key>=<value>` comments.
     """
     problem = _build_problem(parser, cfg)
-    extra = header_items(cfg)
-    extra.update(cost=problem.cost.name, nodes=problem.n, arcs=problem.E)
+    extra = _problem_items(cfg, problem)
     traces = {}
     for method in ("sddm_newton", "exact_newton", "add_neumann", "subgradient"):
         try:
@@ -313,7 +321,9 @@ def _parser():
 
 
 def _validate(parser, ns):
-    """Check --eps, --rhop and (flow, bench) --feas-threshold; usage error otherwise."""
+    """Check --seed, --eps, --rhop and (flow, bench) --feas-threshold; usage error otherwise."""
+    if ns.seed < 0:
+        parser.error("--seed must be >= 0, got %d" % ns.seed)
     if not (0.0 < ns.eps <= 0.5):
         parser.error("--eps must lie in (0, 0.5]")
     if not getattr(ns, "feas_threshold", 0.0) >= 0.0:

@@ -18,10 +18,11 @@ its 1-hop neighborhood and each engine keeps one stack of certified powers:
   exponent/R strided R-hop products, each power one batch of identical
   rounds, on a simulator that rejects any round wider than R. Level i >=
   log2 R of a crude solve is 2^i/R rounds, so nearly all rounds sit in the
-  top levels; the engine asks netsim once for a stride power of the
-  radius-R operator, passing its largest batch 2^(d-1)/R (Simulator.stride).
-  Batches of at least s rounds are then computed with a few products by
-  the certified power, while every one of their rounds is still charged at
+  top levels; the engine asks netsim once for a stride ladder of the
+  radius-R operator, passing its largest batch 2^(d-1)/R (Simulator.stride):
+  a stride power op^s and one intermediate squaring op^t below it. Batches
+  of at least t rounds are then computed with a few products by the
+  certified powers, while every one of their rounds is still charged at
   radius R, so the transcript is the one of the round-by-round computation.
 
 Each engine runs on the Simulator it is given; FlowProblem.network builds one per topology.
@@ -168,7 +169,7 @@ class RHopEngine(_EngineBase):
 
     def _apply_p(self, i, v):
         # apply P^{2^i} as one batch: straight 1-hop products below R,
-        # strides of the cached radius-R power otherwise
+        # the cached radius-R power and its stride ladder otherwise
         exponent = 2 ** i
         if exponent < self.R:
             return self.sim.apply_round(self._op_P1, v, count=exponent)

@@ -23,14 +23,17 @@ The tests check both against an independent per-node executor
 (``tests/oracles.py``) that runs each node's program on its own.
 
 A batch of many identical rounds need not be computed one product at a
-time. ``stride`` gives a certified operator one stride power op^s, built by
-log2(s) dense squarings, support-checked within s * radius hops and kept as
-a dense array; ``apply_round`` then computes a batch of count >= s
-rounds as op^(count mod s) followed by (op^s)^(count div s). The charge does
-not change: the batch is still `count` rounds at op's radius, so transcripts
-are the same with or without a stride; only the floating-point rounding of
-the result differs. ``stride_length`` picks s from the caller's largest
-batch, with no setting to tune.
+time. ``stride`` gives a certified operator a ladder of at most two dense
+powers: the stride power op^s, built by log2(s) dense squarings, and one of
+the intermediate squarings, op^t, kept as a second rung for the batches
+below s (``rung_length``). Each is support-checked within its length times
+op's radius. ``apply_round`` splits a batch of `count` rounds greedily:
+op^(count mod t) first, then (count mod s) div t products with op^t, then
+count div s products with op^s. The charge does not change: the batch is
+still `count` rounds at op's radius, so transcripts are the same with or
+without a ladder; only the floating-point rounding of a batch of at least t
+rounds differs. ``stride_length`` picks s from the caller's largest batch
+and ``rung_length`` picks t from s, with no setting to tune.
 """
 
 import copy
@@ -51,6 +54,7 @@ __all__ = [
     "check_radius",
     "csr_apply",
     "stride_length",
+    "rung_length",
     "SimTranscript",
     "Simulator",
     "LocalOperator",
@@ -151,6 +155,12 @@ _DENSE_ROUND_WEIGHT = 4
 _CSR_ROUND_WEIGHT = 32
 
 
+def _power_below(n, nnz, batch):
+    # the largest power of two at or below sqrt(2 C n^2 / nnz), or 0 below 2
+    limit = math.isqrt(2 * batch * n * n // nnz)
+    return 1 << (limit.bit_length() - 1) if limit >= 2 else 0
+
+
 def stride_length(n, nnz, batch, dense=False):
     """Stride s for batches of up to C = `batch` rounds of an n x n operator with nnz stored entries.
 
@@ -168,10 +178,9 @@ def stride_length(n, nnz, batch, dense=False):
     """
     if batch < 2 or nnz < 1:
         return 0
-    limit = math.isqrt(2 * batch * n * n // nnz)
-    if limit < 2:
+    s = _power_below(n, nnz, batch)
+    if not s:
         return 0
-    s = 1 << (limit.bit_length() - 1)
     weight = _DENSE_ROUND_WEIGHT if dense else _CSR_ROUND_WEIGHT
     saved = (batch - batch % s) * nnz * weight - (batch // s) * n * n * _DENSE_ROUND_WEIGHT
     if (s.bit_length() - 1) * n ** 3 > saved:
@@ -179,11 +188,31 @@ def stride_length(n, nnz, batch, dense=False):
     return s
 
 
+def rung_length(n, nnz, s, dense=False):
+    """Second rung t below a stride s of an n x n operator with nnz stored entries.
+
+    The batches below s are at most s/2 rounds. stride_length's formula for
+    that batch, capped at s/2, gives t: the largest power of two at or below
+    min(sqrt(2 (s/2) n^2 / nnz), s/2). op^t is one of the squarings that
+    build op^s, so it costs no squaring of its own. It is kept only when
+    t >= 2 and one product with it, n^2 multiply-adds at
+    _DENSE_ROUND_WEIGHT, costs less than the t rounds it replaces, t * nnz
+    at the operator's weight (as in stride_length). Returns 0 for no rung.
+    """
+    t = min(_power_below(n, nnz, s // 2), s // 2)
+    weight = _DENSE_ROUND_WEIGHT if dense else _CSR_ROUND_WEIGHT
+    if t < 2 or n * n * _DENSE_ROUND_WEIGHT >= t * nnz * weight:
+        return 0
+    return t
+
+
 class LocalOperator:
     """A matrix certified to combine only values from within `radius` hops.
 
-    `stride` is None or (s, op^s), a certified power, a dense array, that
-    apply_round uses for batches of at least s rounds (Simulator.stride).
+    `stride` is None or the ladder ((t, op^t), (s, op^s)), or ((s, op^s),)
+    without a second rung: certified powers, each a dense array, in
+    ascending length, that apply_round uses for batches of at least t
+    rounds (Simulator.stride).
     """
 
     def __init__(self, matrix, radius):
@@ -272,27 +301,35 @@ class Simulator:
             )
 
     def stride(self, op, batch):
-        """Give op a stride power op^s for batches of up to `batch` rounds; return s.
+        """Give op a ladder of powers for batches of up to `batch` rounds; return s.
 
-        s comes from stride_length (0: no stride, op is left as it is).
-        op^s is built by log2(s) dense squarings, checked to lie within
-        s * op.radius hops (ViolationError naming the first entry beyond,
-        as certify does) and kept as the dense array the squarings produce:
-        it is in memory in full while it is squared anyway, and its products
-        run as BLAS matvecs. It is not a round and charges nothing;
+        s comes from stride_length (0: no stride, op is left as it is) and
+        the second rung t from rung_length. op^s is built by log2(s) dense
+        squarings and op^t is the one among them of length t. Each is
+        checked to lie within its length times op.radius hops, op^s first
+        (ViolationError naming the first entry beyond, as certify does),
+        and kept as the dense array the squarings produce: it is in memory
+        in full while it is squared anyway, and its products run as BLAS
+        matvecs. The ladder is not a round and charges nothing;
         apply_round still charges every round.
         """
         mat = op.matrix
-        if sparse.issparse(mat):
-            s = stride_length(self.n, mat.nnz, batch)
-        else:
-            s = stride_length(self.n, mat.size, batch, dense=True)
+        dense = not sparse.issparse(mat)
+        nnz = mat.size if dense else mat.nnz
+        s = stride_length(self.n, nnz, batch, dense=dense)
         if s:
-            power = mat.toarray() if sparse.issparse(mat) else mat
-            for _ in range(s.bit_length() - 1):
+            t = rung_length(self.n, nnz, s, dense=dense)
+            power = mat if dense else mat.toarray()
+            for k in range(1, s.bit_length()):
                 power = power @ power
+                if 1 << k == t:
+                    rung = power
             self._check_support(power, s * op.radius)
-            op.stride = (s, power)
+            ladder = ((s, power),)
+            if t:
+                self._check_support(rung, t * op.radius)
+                ladder = ((t, rung),) + ladder
+            op.stride = ladder
         return s
 
     def account_round(self, radius, payload=None, count=1):
@@ -313,12 +350,18 @@ class Simulator:
         """`count` rounds in which every node combines gathered values via its row of op.
 
         Returns op.matrix^count x; x itself is never written to. With a
-        stride (s, op^s) and count >= s the result is computed as
-        op^(count mod s) x, then count div s products with op^s; the charge
-        is `count` rounds at op's radius either way.
+        ladder ((t, op^t), (s, op^s)) the batch is computed greedily as
+        op^(count mod t) x, then (count mod s) div t products with op^t,
+        then count div s products with op^s (a ladder of op^s alone takes
+        t = s); the charge is `count` rounds at op's radius either way.
+        Below the lowest rung the result is the plain products' bits.
         """
         self.account_round(op.radius, count=count)
-        if op.stride is not None and count >= op.stride[0]:
-            s, power = op.stride
-            return csr_apply(power, csr_apply(op.matrix, x, count % s), count // s)
-        return csr_apply(op.matrix, x, count)
+        left, products = count, []
+        for length, power in reversed(op.stride or ()):
+            products.append((power, left // length))
+            left %= length
+        x = csr_apply(op.matrix, x, left)
+        for power, k in reversed(products):
+            x = csr_apply(power, x, k)
+        return x

@@ -8,6 +8,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
+from .netsim import csr_apply
+
 __all__ = [
     "ChainSpec",
     "SDDMReport",
@@ -223,7 +225,8 @@ def estimate_condition(s, tol=1e-8, max_iters=20000, seed=0):
         raise ConvergenceError("no convergence for %s after %d iterations" % (label, max_iters), dict(state))
 
     state = {}
-    lam_max = iterate(lambda v: M @ v, "lambda_max", state)
+    # csr_apply: the bits of M @ v without scipy's per-call dispatch
+    lam_max = iterate(lambda v: csr_apply(M, v), "lambda_max", state)
     mu_max = iterate(inv, "inv_lambda_min", state)
     lam_min = 1.0 / mu_max
     kappa = lam_max / lam_min

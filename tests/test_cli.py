@@ -94,6 +94,14 @@ class TestSolve:
             main(["solve", "--graph", "path", "--n", "6", "--eps", "0.6"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "scale"])
+    def test_negative_seed_is_named_usage_error(self, capsys, command):
+        args = VALID_RUNS[command] + ["--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_missing_generator_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--graph", "random", "--n", "10", "--eps", "0.5"])
@@ -281,6 +289,21 @@ class TestFlow:
         assert "converged=False" in capsys.readouterr().out
         header, rows = read_rows(out)
         assert header[0] == "iter" and len(rows) >= 3
+
+    @pytest.mark.parametrize("command", ["flow", "bench"])
+    def test_magnitude_named_in_header_when_given(self, tmp_path, command):
+        args = [command, "--graph", "path", "--n", "6", "--eps", "1e-2",
+                "--feas-threshold", "1e-2"]
+        outs = []
+        for extra in ([], ["--magnitude", "1.0"], ["--magnitude", "5"]):
+            out = str(tmp_path / ("trace%d.csv" % len(outs)))
+            assert main(args + extra + ["--out", out]) in (0, 3)
+            outs.append(open(out).read())
+        assert "magnitude" not in read_header(str(tmp_path / "trace0.csv"))
+        assert read_header(str(tmp_path / "trace1.csv"))["magnitude"] == "1.0"
+        assert read_header(str(tmp_path / "trace2.csv"))["magnitude"] == "5.0"
+        # magnitude 1.0 is the default b: only the header line differs
+        assert outs[1].replace("# magnitude=1.0\n", "") == outs[0]
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_invalid_feas_threshold_is_usage_error(self, value):

@@ -430,7 +430,7 @@ class TestMessageAccounting:
 
 
 class TestStridedChain:
-    """The top chain levels run as products with one certified stride power."""
+    """Chain levels of at least the lowest rung run as products with certified powers."""
 
     def grid(self):
         s = ground(laplacian(generate("grid", {"rows": 20, "cols": 20})), 0)
@@ -439,11 +439,32 @@ class TestStridedChain:
     def test_grid_r1_builds_a_stride(self):
         s, d = self.grid()
         eng = rhop_engine(s, d, 1)
-        assert eng._op_C0.stride is not None
-        stride, power = eng._op_C0.stride
-        assert stride == netsim.stride_length(s.n, eng._op_C0.matrix.nnz, 2 ** (d - 1))
-        assert 2 <= stride <= 2 ** (d - 1)
-        assert isinstance(power, np.ndarray) and power.shape == (s.n, s.n)
+        op = eng._op_C0
+        stride = netsim.stride_length(s.n, op.matrix.nnz, 2 ** (d - 1))
+        rung = netsim.rung_length(s.n, op.matrix.nnz, stride)
+        assert [length for length, _ in op.stride] == [rung, stride] == [256, 1024]
+        for _, power in op.stride:
+            assert isinstance(power, np.ndarray) and power.shape == (s.n, s.n)
+
+    def test_dense_random_r4_gets_its_rung_by_the_rule(self, monkeypatch):
+        s = grounded_random(300, 900, seed=0)
+        d = chain_length(estimate_condition(s) * 1.05, "estimated").d
+        eng = rhop_engine(s, d, 4)
+        op = eng._op_C0
+        assert isinstance(op.matrix, np.ndarray)
+        stride = netsim.stride_length(s.n, op.matrix.size, 2 ** (d - 1) // 4, dense=True)
+        rung = netsim.rung_length(s.n, op.matrix.size, stride, dense=True)
+        assert rung >= 2
+        assert [length for length, _ in op.stride] == [rung, stride]
+        b = np.random.default_rng(6).standard_normal(s.n)
+        x = eng.esolve(b, 1e-4)
+        assert mnorm_rel_error(s, x, direct_solve(s, b)) <= 1e-4
+        monkeypatch.setattr(netsim, "stride_length", lambda n, nnz, batch, dense=False: 0)
+        plain = rhop_engine(s, d, 4)
+        y = plain.esolve(b, 1e-4)
+        assert plain._op_C0.stride is None
+        assert eng.transcript.runs == plain.transcript.runs
+        assert np.linalg.norm(x - y) <= 1e-9 * np.linalg.norm(y)
 
     def test_grid_r1_eps_solve_meets_target_with_closed_form_rounds(self, monkeypatch):
         s, d = self.grid()

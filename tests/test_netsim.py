@@ -591,27 +591,70 @@ class TestStride:
         assert netsim.stride_length(2000, 10000, 2 ** 17) == 0
         assert netsim.stride_length(2000, 10000, 2 ** 19) == 16384
 
+    def test_rung_length_rule(self):
+        # the grid's stride 1024: the batches below it are at most 512
+        # rounds, and sqrt(2 * 512 * 399^2 / 1516) = 327 gives 256
+        assert netsim.rung_length(399, 1516, 1024) == 256
+        # a dense operator: the power of two at or below sqrt(s)
+        assert netsim.rung_length(299, 299 ** 2, 32, dense=True) == 4
+        assert netsim.rung_length(299, 299 ** 2, 4, dense=True) == 2
+        # capped at s/2, where the formula would give 64
+        assert netsim.rung_length(399, 1516, 64) == 32
+        # one product with a dense op^8 costs more than 8 CSR rounds
+        assert netsim.rung_length(399, 1516, 16) == 0
+        # no rung of at least 2 below s = 2
+        assert netsim.rung_length(399, 1516, 2) == 0
+        assert netsim.rung_length(299, 299 ** 2, 2, dense=True) == 0
+
     def test_strided_batch_matches_plain_products(self):
         sim, op = grid_operator()
         assert sim.stride(op, 2 ** 14) == 1024
-        s, power = op.stride
-        assert s == 1024
-        # the dense array the squarings produce, although the bipartite
+        (t, rung), (s, power) = op.stride
+        assert (t, s) == (256, 1024)
+        # the dense arrays the squarings produce, although the bipartite
         # grid's even powers are half-empty checkerboards
-        assert isinstance(power, np.ndarray)
+        assert isinstance(rung, np.ndarray) and isinstance(power, np.ndarray)
         x = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
         kept = x.copy()
-        count = 2 * 1024 + 452
-        want = plain_products(op.matrix, x, count)
-        got = sim.apply_round(op, x, count=count)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # 2 * 1024 + 3 * 256 + 17 straddles both rungs
+        for count in (2 * 1024 + 3 * 256 + 17, 2 * 1024 + 452, 3 * 256, 1023):
+            want = plain_products(op.matrix, x, count)
+            got = sim.apply_round(op, x, count=count)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert x.tobytes() == kept.tobytes()
+
+    def test_ladder_without_a_rung(self):
+        # a 5-node dense operator: s = 2 leaves no rung of at least 2 below it
+        g = path_graph(5)
+        sim = Simulator(g, R=None)
+        W = g.adjacency_matrix().toarray() * 0.5
+        op = sim.certify(W, 1)
+        assert sim.stride(op, 6) == 2
+        (s, power), = op.stride
+        assert s == 2 and isinstance(power, np.ndarray)
+        x = np.random.default_rng(3).standard_normal(5)
+        for count in (5, 6):
+            want = plain_products(W, x, count)
+            got = sim.apply_round(op, x, count=count)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert sim.apply_round(op, x, count=1).tobytes() == (W @ x).tobytes()
+
+    @pytest.mark.parametrize("batch", [2 ** k for k in range(1, 21, 3)])
+    def test_ladder_holds_at_most_two_arrays(self, batch):
+        sim, op = grid_operator()
+        s = sim.stride(op, batch)
+        if not s:
+            assert op.stride is None
+            return
+        lengths = [length for length, _ in op.stride]
+        assert 1 <= len(lengths) <= 2 and lengths[-1] == s
+        assert lengths == sorted(set(lengths)) and lengths[0] >= 2
 
     def test_strided_batch_charges_every_round(self):
         (strided, op), (plain, plain_op) = grid_operator(), grid_operator()
         strided.stride(op, 2 ** 14)
         x = np.ones(op.matrix.shape[0])
-        for count in (3, 1024, 2500, 4096):
+        for count in (3, 256, 1024, 2500, 2 * 1024 + 3 * 256 + 17, 4096):
             strided.apply_round(op, x, count=count)
             plain.apply_round(plain_op, x, count=count)
         assert strided.transcript.runs == plain.transcript.runs
@@ -636,10 +679,12 @@ class TestStride:
         assert sim.stride(op, 1) == 0 and op.stride is None
         x = np.random.default_rng(1).standard_normal(op.matrix.shape[0])
         assert sim.apply_round(op, x, count=9).tobytes() == plain_products(op.matrix, x, 9).tobytes()
-        # below the stride, a strided operator runs the plain products too
+        # below the lowest rung, a strided operator runs the plain products too
         sim.stride(op, 2 ** 14)
-        got = sim.apply_round(op, x, count=1023)
-        assert got.tobytes() == plain_products(op.matrix, x, 1023).tobytes()
+        assert op.stride[0][0] == 256
+        for count in (9, 255):
+            got = sim.apply_round(op, x, count=count)
+            assert got.tobytes() == plain_products(op.matrix, x, count).tobytes()
 
     def test_dense_operator_keeps_dense_stride(self):
         g = generate("random", {"n": 30, "m": 90}, seed=0)
@@ -648,7 +693,11 @@ class TestStride:
         op = sim.certify((W @ W @ W @ W).tocsr(), 4)
         assert isinstance(op.matrix, np.ndarray)
         assert sim.stride(op, 64) == 8
-        assert isinstance(op.stride[1], np.ndarray)
+        assert [length for length, _ in op.stride] == [2, 8]
+        assert all(isinstance(power, np.ndarray) for _, power in op.stride)
         x = np.random.default_rng(2).standard_normal(g.n)
-        want = plain_products(op.matrix, x, 64)
-        assert np.linalg.norm(sim.apply_round(op, x, count=64) - want) <= 1e-12 * np.linalg.norm(want)
+        for count in (64, 3 * 8 + 2 + 1):
+            want = plain_products(op.matrix, x, count)
+            got = sim.apply_round(op, x, count=count)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert sim.apply_round(op, x, count=1).tobytes() == (op.matrix @ x).tobytes()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lapflow import spectral
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
+from lapflow.newton_flow import dual_hessian, dual_state, make_flow_problem
 from lapflow.reference_solver import direct_solve
 from lapflow.spectral import (
     CHAIN_C,
@@ -102,6 +103,18 @@ class TestEstimateCondition:
         s = StandardSplitting([1.0, 1.0], [[0.0, 2.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             estimate_condition(s)
+
+    @pytest.mark.parametrize("system", ["grid", "newton_hessian"])
+    def test_csr_kernel_gives_the_matvec_kappa(self, monkeypatch, system):
+        if system == "grid":
+            s = ground(laplacian(generate("grid", {"rows": 20, "cols": 20})), 0)
+        else:
+            p = make_flow_problem(generate("random", {"n": 300, "m": 900}, seed=0))
+            lam = 0.1 * np.random.default_rng(1).standard_normal(p.n)
+            s = ground(dual_hessian(dual_state(lam, p), p), 0)
+        kappa = estimate_condition(s)
+        monkeypatch.setattr(spectral, "csr_apply", lambda M, v: M @ v)
+        assert estimate_condition(s) == kappa
 
 
 class TestChainLength:

@@ -35,6 +35,8 @@ BARBELL_6_4 = ["--graph", "barbell", "--clique", "6", "--path-len", "4"]
 
 RUNS = [
     ("solve_grid_8x8_r2", ["solve", "--graph", "grid", "--rows", "8", "--cols", "8", "--rhop", "2"]),
+    # the benchmark's system at R = 1: the chain's batches run on both rungs of the stride ladder
+    ("solve_grid_20x20_r1", ["solve", "--graph", "grid", "--rows", "20", "--cols", "20"]),
     ("solve_random_60_150_s3", ["solve", "--graph", "random", "--n", "60", "--edges", "150", "--seed", "3"]),
     ("solve_path_150_r4", ["solve", "--graph", "path", "--n", "150", "--rhop", "4"]),
     ("solve_scale_free_40_r2", ["solve", "--graph", "scale-free", "--n", "40", "--rhop", "2"]),
