@@ -28,7 +28,8 @@ class WeightedGraph:
     n : int
         Number of nodes, labeled ``0 .. n-1``.
     edges : sequence of (i, j, w)
-        Undirected edges with ``i != j`` and finite ``w > 0``. Each unordered pair
+        Undirected edges with integral ``i != j`` (2.0 is accepted, 2.5 is
+        not) and finite ``w > 0``. Each unordered pair
         may appear at most once; edges are stored with ``i < j`` in the
         order given.
 
@@ -45,6 +46,8 @@ class WeightedGraph:
         norm = []
         seen = set()
         for (i, j, w) in edges:
+            if not (float(i).is_integer() and float(j).is_integer()):
+                raise ValueError("edge (%r,%r) has a non-integral node id" % (i, j))
             i, j, w = int(i), int(j), float(w)
             if i == j:
                 raise ValueError("self-loop at node %d" % i)

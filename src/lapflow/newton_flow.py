@@ -234,12 +234,19 @@ def make_flow_problem(g, cost="exp", magnitude=1.0, x_box=5.0, source=None, sink
     x_box : float
         Flow box for the exp cost's Gamma.
     source, sink : int, optional
-        Default to the lexicographically smallest diameter pair.
+        Two different nodes in [0, n); an integral float such as 2.0 is
+        accepted. Default to the lexicographically smallest diameter pair.
     """
     if source is None or sink is None:
         u, v = diameter_endpoints(g)
         source = u if source is None else source
         sink = v if sink is None else sink
+    for name, node in (("source", source), ("sink", sink)):
+        if not (float(node).is_integer() and 0 <= node < g.n):
+            raise ValueError("%s must be an integer in [0, %d), got %r" % (name, g.n, node))
+    source, sink = int(source), int(sink)
+    if source == sink:
+        raise ValueError("source and sink must differ, both are %d" % source)
     b = np.zeros(g.n)
     b[source] += magnitude
     b[sink] -= magnitude

@@ -39,8 +39,8 @@ from conftest import full_engine, mnorm, rhop_engine
 from oracles import dense, fd_gradient, fd_hessian, pinv_quadform
 
 
-def spec_for(s, tol=1e-6, safety=1.05):
-    kappa = estimate_condition(s, tol=tol) * safety
+def spec_for(s, safety=1.05):
+    kappa = estimate_condition(s) * safety
     return chain_length(max(1.0, kappa), "estimated"), kappa
 
 
@@ -82,7 +82,7 @@ def test_criterion_02_crude_operator_sandwich():
         grounded("scale_free", {"n": 20}, seed=4),
     ]
     for idx, s in enumerate(instances):
-        chain = InverseChainView(s, spec_for(s, tol=1e-8)[0])
+        chain = InverseChainView(s, spec_for(s)[0])
         z0 = np.column_stack([parallel_rsolve(chain, e) for e in np.eye(s.n)])
         minv = np.linalg.inv(dense(s))
         assert approx_order_check(minv, z0, EPS_D, probes=100, seed=idx)
@@ -154,7 +154,7 @@ def test_criterion_04_locality_soundness():
 
 def test_criterion_05_richardson_iteration_law():
     s = grounded("random", {"n": 20, "m": 50, "w_min": 1.0, "w_max": 3.0}, seed=5)
-    spec, _ = spec_for(s, tol=1e-8)
+    spec, _ = spec_for(s)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(s.n)
     xstar = direct_solve(s, b)
@@ -317,7 +317,7 @@ def test_criterion_11_message_count_shape():
             edges.append((i, j, 1e-3 if 9 in (i, j) else 1.0))
     g = WeightedGraph(10, edges)
     s = ground(laplacian(g), 0)
-    spec, kappa = spec_for(s, tol=1e-8)
+    spec, kappa = spec_for(s)
     d_max = g.d_max
     rng = np.random.default_rng(3)
     b = rng.standard_normal(s.n)

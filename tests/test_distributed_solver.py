@@ -37,7 +37,7 @@ def grounded_path(n, ref=0):
 
 
 def chain_d(s, safety=1.05):
-    kappa = estimate_condition(s, tol=1e-8) * safety
+    kappa = estimate_condition(s) * safety
     return chain_length(max(kappa, 1.0), "estimated")
 
 

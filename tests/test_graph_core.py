@@ -50,6 +50,16 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(2, [(0, 2, 1.0)])
 
+    def test_fractional_node_id_named(self):
+        # int() used to truncate these to the edges (0,1) and (1,2)
+        with pytest.raises(ValueError, match=r"edge \(0\.5,1\) has a non-integral node id"):
+            WeightedGraph(3, [(0.5, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match=r"edge \(1,2\.9\) has a non-integral node id"):
+            WeightedGraph(3, [(0, 1, 1.0), (1, 2.9, 1.0)])
+        g = WeightedGraph(3, [(0.0, 1, 1.0), (1, 2.0, 1.0)])
+        assert g.edges == [(0, 1, 1.0), (1, 2, 1.0)]
+        assert all(type(i) is int and type(j) is int for (i, j, _) in g.edges)
+
     def test_edges_stored_low_high(self):
         g = WeightedGraph(3, [(2, 0, 1.5)])
         assert g.edges == [(0, 2, 1.5)]

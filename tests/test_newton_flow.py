@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ class TestFlowProblem:
         assert p.b[0] == 1.0
         assert p.b[4] == -1.0
         assert np.count_nonzero(p.b) == 2
+
+    @pytest.mark.parametrize("given, named", [
+        (dict(source=-1), "source must be an integer in [0, 4), got -1"),
+        (dict(sink=4), "sink must be an integer in [0, 4), got 4"),
+        (dict(source=1.5), "source must be an integer in [0, 4), got 1.5"),
+        (dict(source=2, sink=2), "source and sink must differ, both are 2"),
+    ])
+    def test_bad_endpoints_named(self, given, named):
+        # -1 used to wrap to node 3, source == sink built b = 0, and 4 or 1.5 died in indexing
+        with pytest.raises(ValueError, match=re.escape(named)):
+            make_flow_problem(generate("path", {"n": 4}), **given)
+
+    def test_integral_float_endpoints_accepted(self):
+        p = make_flow_problem(generate("path", {"n": 4}), source=2.0, sink=0.0)
+        assert list(p.b) == [-1.0, 0.0, 1.0, 0.0]
 
     def test_unweighted_laplacian_ignores_weights(self):
         g = generate("path", {"n": 4, "w_min": 3.0, "w_max": 3.0})

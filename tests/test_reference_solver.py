@@ -24,7 +24,7 @@ def path_graph(n):
 
 
 def chain_for(s, safety=1.02):
-    kappa = estimate_condition(s, tol=1e-10) * safety
+    kappa = estimate_condition(s) * safety
     return InverseChainView(s, chain_length(kappa, "estimated"))
 
 

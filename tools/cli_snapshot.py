@@ -39,6 +39,8 @@ RUNS = [
     ("solve_grid_20x20_r1", ["solve", "--graph", "grid", "--rows", "20", "--cols", "20"]),
     ("solve_random_60_150_s3", ["solve", "--graph", "random", "--n", "60", "--edges", "150", "--seed", "3"]),
     ("solve_path_150_r4", ["solve", "--graph", "path", "--n", "150", "--rhop", "4"]),
+    # grounded, the 1x1 system: estimate_condition returns 1.0 without Lanczos
+    ("solve_path_2", ["solve", "--graph", "path", "--n", "2"]),
     ("solve_scale_free_40_r2", ["solve", "--graph", "scale-free", "--n", "40", "--rhop", "2"]),
     ("flow_random_30_70_r4", ["flow", "--graph", "random", "--n", "30", "--edges", "70", "--rhop", "4"]),
     ("flow_random_40_100_exact", ["flow", "--graph", "random", "--n", "40", "--edges", "100",
