@@ -15,9 +15,7 @@ from .spectral import (
     EPS_D,
     ChainSpec,
     ConvergenceError,
-    OrderCheckResult,
     SDDMReport,
-    approx_order_check,
     chain_length,
     condition_bound,
     estimate_condition,
@@ -26,10 +24,7 @@ from .spectral import (
 )
 from .reference_solver import (
     RICHARDSON_RATE,
-    InverseChainView,
     direct_solve,
-    parallel_esolve,
-    parallel_rsolve,
     richardson_iterations,
 )
 from .netsim import (

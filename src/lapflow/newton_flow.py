@@ -125,12 +125,14 @@ _COST_FACTORIES = {"exp": exp_cost, "quadratic": quadratic_cost}
 
 
 def make_cost(name, param=None):
-    """Cost factory by name: 'exp' (optional box) or 'quadratic'."""
+    """Cost factory by name: 'exp' (optional box) or 'quadratic' (no parameter)."""
     if name not in _COST_FACTORIES:
         raise ValueError("unknown cost %r" % name)
-    if name == "exp" and param is not None:
-        return exp_cost(param)
-    return _COST_FACTORIES[name]()
+    if param is None:
+        return _COST_FACTORIES[name]()
+    if name != "exp":
+        raise ValueError("cost %r takes no parameter, got %r" % (name, param))
+    return exp_cost(param)
 
 
 class FlowProblem:
@@ -277,11 +279,15 @@ def load_flow_problem(path):
         lines = [ln.split() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError("problem file is empty")
+    if len(lines[0]) != 2:
+        raise ValueError("header line %r needs the form 'n m'" % " ".join(lines[0]))
     n, m = (int(t) for t in lines[0])
     if not 0 <= m < len(lines):
         raise ValueError("header promises %d edge lines" % m)
     edges = []
     for ln in lines[1 : 1 + m]:
+        if len(ln) != 3:
+            raise ValueError("edge line %r needs the form 'i j w'" % " ".join(ln))
         i, j, w = ln
         edges.append((int(i), int(j), float(w)))
     rest = {}

@@ -4,15 +4,12 @@ import math
 
 import numpy as np
 
-from .spectral import check_chain_length, sparse_lu, validate_sddm
+from .spectral import sparse_lu, validate_sddm
 
 __all__ = [
-    "InverseChainView",
     "direct_solve",
     "crude_solve",
     "richardson_iterates",
-    "parallel_rsolve",
-    "parallel_esolve",
     "richardson_iterations",
 ]
 
@@ -28,35 +25,14 @@ def richardson_iterations(eps):
     return math.ceil(math.log(1.0 / eps) / RICHARDSON_RATE)
 
 
-class InverseChainView:
-    """Dense inverse chain over one splitting; the reference the tests compare against.
-
-    The chain keeps D_k = D0 and A_k = D0 (D0^{-1} A0)^{2^k}, so every level
-    is a power of the walk matrix P = A0 D0^{-1}. The view holds the d dense
-    n x n powers P^{2^i}, i = 0..d-1, built by repeated squaring, so it is
-    meant for test-sized systems.
-
-    Parameters
-    ----------
-    splitting : StandardSplitting
-    d : int or ChainSpec
-        Chain length (number of squarings).
-    """
-
-    def __init__(self, splitting, d):
-        d = check_chain_length(d)
-        self.splitting = splitting
-        self.d = d
-        self.D = splitting.D
-        self._ppow = []
-        if d >= 1:
-            self._ppow.append(splitting.A.toarray() / self.D)  # P[i,j] = A[i,j]/D[j]
-            for _ in range(1, d):
-                self._ppow.append(self._ppow[-1] @ self._ppow[-1])
-
-    def apply_p_power(self, i, v):
-        """(A0 D0^{-1})^{2^i} v."""
-        return self._ppow[i] @ v
+def _check_rhs(b, n):
+    """b as a float vector of length n; ValueError on a wrong length or a non-finite entry."""
+    b = np.asarray(b, dtype=float).ravel()
+    if b.shape[0] != n:
+        raise ValueError("b has wrong length")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b has a non-finite entry")
+    return b
 
 
 def direct_solve(s, b):
@@ -78,11 +54,7 @@ def direct_solve(s, b):
     ndarray
         x with ||M x - b||_2 <= 1e-10 ||b||_2.
     """
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != s.n:
-        raise ValueError("b has wrong length")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b has a non-finite entry")
+    b = _check_rhs(b, s.n)
     if not validate_sddm(s).positive_definite:
         raise ValueError("direct_solve needs positive definite SDDM; ground a Laplacian first")
     M = s.matrix()
@@ -103,9 +75,10 @@ def crude_solve(b0, D, d, apply_p):
     where apply_p(i, v) = P^{2^i} v. The backward pass needs no second
     applier: Q = D^{-1} P D, so Q^{2^i} x = P^{2^i}(D x) / D, and its values
     travel D-scaled. The realized operator Z0 satisfies the e^{±eps_d}
-    sandwich against M0^{-1} when d comes from chain_length. Returns x0.
+    sandwich against M0^{-1} when d comes from chain_length. Returns x0;
+    ValueError if b0 has the wrong length or a non-finite entry.
     """
-    b = np.asarray(b0, dtype=float).ravel()
+    b = _check_rhs(b0, D.shape[0])
     levels = [b]
     for i in range(1, d + 1):
         b = b + apply_p(i - 1, b)
@@ -130,28 +103,3 @@ def richardson_iterates(rsolve, apply_M, b0, eps):
     for _ in range(q):
         y = y - rsolve(apply_M(y)) + chi
         yield y
-
-
-def parallel_rsolve(chain, b0):
-    """Crude solve x0 = Z0 b0 through an InverseChainView (see crude_solve)."""
-    return crude_solve(b0, chain.D, chain.d, chain.apply_p_power)
-
-
-def parallel_esolve(chain, b0, eps):
-    """eps-approximate solve by Richardson iteration preconditioned with the chain.
-
-    Parameters
-    ----------
-    chain : InverseChainView
-    b0 : array_like
-    eps : float
-        Target in (0, 1/2]; the returned x satisfies
-        ||x - x*||_M <= eps ||x*||_M.
-
-    Returns
-    -------
-    ndarray
-    """
-    M = chain.splitting.matrix()
-    *_, y = richardson_iterates(lambda v: parallel_rsolve(chain, v), lambda y: M @ y, b0, eps)
-    return y

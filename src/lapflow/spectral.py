@@ -1,10 +1,9 @@
-"""Condition numbers (bound and Lanczos estimate), chain length, SDDM validation, the e^{±alpha} probe."""
+"""Condition numbers (bound and Lanczos estimate), chain length, SDDM validation."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -12,7 +11,6 @@ __all__ = [
     "ChainSpec",
     "SDDMReport",
     "ConvergenceError",
-    "OrderCheckResult",
     "validate_sddm",
     "condition_bound",
     "estimate_condition",
@@ -20,7 +18,6 @@ __all__ = [
     "check_chain_length",
     "estimated_chain",
     "sparse_lu",
-    "approx_order_check",
 ]
 
 # constant in d = ceil(log2(c*kappa)); eps_d = ln(e^c/(e^c - 1))
@@ -97,19 +94,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, rayleigh):
         super().__init__(message)
         self.rayleigh = rayleigh
-
-
-@dataclass
-class OrderCheckResult:
-    """Outcome of approx_order_check; falsy when a probe violated the sandwich."""
-
-    ok: bool
-    violation: np.ndarray = None
-    side: str = None
-    ratio: float = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def validate_sddm(s):
@@ -259,57 +243,3 @@ def sparse_lu(M):
     far less than splu's default COLAMD. Returns scipy's SuperLU object.
     """
     return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-
-def _as_apply(op):
-    if callable(op):
-        return op
-    mat = op if sparse.issparse(op) else np.asarray(op, dtype=float)
-    return lambda v: mat @ v
-
-
-def approx_order_check(X_apply, Y_apply, alpha, probes=64, seed=None, n=None):
-    """Sample the two-sided sandwich e^{-alpha} X <= Y <= e^{alpha} X.
-
-    Parameters
-    ----------
-    X_apply, Y_apply : matrix or callable
-        Symmetric operators on the same space; callables get vectors.
-        Probes span the whole space, so compare positive definite SDDM
-        operators (or their inverses); ground a Laplacian first.
-    alpha : float
-    probes : int
-        Number of random quadratic-form probes.
-    seed : int, optional
-    n : int, optional
-        Vector dimension; required when both operators are callables.
-
-    Returns
-    -------
-    OrderCheckResult
-        Truthy if every probe v satisfied
-        e^{-alpha} v'Xv <= v'Yv <= e^{alpha} v'Xv (with 1e-9 relative slack
-        so exactly tight sandwiches survive rounding). A falsy result
-        carries the violating vector. Probing is a necessary-condition
-        sampler, not a positive-semidefiniteness proof.
-    """
-    if n is None:
-        for op in (X_apply, Y_apply):
-            if not callable(op):
-                n = op.shape[0]
-                break
-    if n is None:
-        raise ValueError("pass n when both operators are callables")
-    fx, fy = _as_apply(X_apply), _as_apply(Y_apply)
-    rng = np.random.default_rng(seed)
-    lo, hi = math.exp(-alpha), math.exp(alpha)
-    for _ in range(probes):
-        v = rng.standard_normal(n)
-        qx = float(v @ fx(v))
-        qy = float(v @ fy(v))
-        slack = 1e-9 * max(abs(qx), abs(qy), 1e-300)
-        if qy < lo * qx - slack:
-            return OrderCheckResult(False, violation=v, side="lower", ratio=qy / qx if qx else np.inf)
-        if qy > hi * qx + slack:
-            return OrderCheckResult(False, violation=v, side="upper", ratio=qy / qx if qx else np.inf)
-    return OrderCheckResult(True)

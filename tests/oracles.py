@@ -6,6 +6,7 @@ passing) rather than reusing the library's own computation paths.
 """
 
 import numpy as np
+import scipy.linalg
 
 from lapflow.graph_core import StandardSplitting
 from lapflow.distributed_solver import support_graph
@@ -178,6 +179,17 @@ def dense_chain_z(splitting, d):
         Ai = mats[i]
         Z = 0.5 * (Dinv + (eye + Dinv @ Ai) @ Z @ (eye + Ai @ Dinv))
     return Z
+
+
+def sandwich_exponent(Z, M):
+    """Least alpha with e^-alpha M^-1 <= Z <= e^alpha M^-1 in the Loewner order.
+
+    The quadratic form of Z is that of its symmetric part, so this is
+    max |ln lambda| over the generalized eigenvalues of sym(Z) v =
+    lambda M^-1 v, by dense LAPACK; inf when sym(Z) is not positive definite.
+    """
+    lam = scipy.linalg.eigvalsh(0.5 * (Z + Z.T), np.linalg.inv(M))
+    return float(np.abs(np.log(lam)).max()) if lam.min() > 0 else np.inf
 
 
 def pinv_quadform(L, v, delta=1.0):

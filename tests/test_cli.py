@@ -255,8 +255,9 @@ class TestFlow:
         "2 1\n0 1 1.0\nb 1.0 -1.0\nb 2.0 -2.0\ncost exp\n",
         "1 -1\nb 0.0\ncost exp\n",
         "1 0\nb 0.0\ncost exp\n",
+        "2 1\n0 1 1.0\nb 1.0 -1.0\ncost quadratic 3.0\n",
     ], ids=["empty", "bare_cost", "unknown_line", "second_b", "negative_edge_count",
-            "no_edges"])
+            "no_edges", "quadratic_parameter"])
     def test_malformed_problem_file_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -174,6 +174,21 @@ class TestFlowProblem:
             with pytest.raises(ValueError, match="box"):
                 load_flow_problem(str(path))
 
+    @pytest.mark.parametrize("text, named", [
+        ("4 3 9\n0 1 1.0\n1 2 1.0\n2 3 1.0\nb 1.0 0.0 0.0 -1.0\ncost exp\n",
+         "header line '4 3 9' needs the form 'n m'"),
+        ("2 1\n0 1 1.0 7\nb 1.0 -1.0\ncost exp\n",
+         "edge line '0 1 1.0 7' needs the form 'i j w'"),
+        # a parameter the cost does not read would be lost on save
+        ("2 1\n0 1 1.0\nb 1.0 -1.0\ncost quadratic 3.0\n",
+         "cost 'quadratic' takes no parameter, got 3.0"),
+    ], ids=["header", "edge", "quadratic_parameter"])
+    def test_load_names_malformed_line(self, tmp_path, text, named):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_flow_problem(str(path))
+
 
 # lines of tokens from the vocabulary of the two file formats, plus any float
 _TOKEN = st.one_of(

@@ -8,15 +8,14 @@ import scipy.sparse
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
 from lapflow.reference_solver import (
     RICHARDSON_RATE,
-    InverseChainView,
+    crude_solve,
     direct_solve,
-    parallel_esolve,
-    parallel_rsolve,
+    richardson_iterates,
     richardson_iterations,
 )
-from lapflow.spectral import EPS_D, approx_order_check, chain_length, estimate_condition, validate_sddm
+from lapflow.spectral import EPS_D, chain_length, estimate_condition, validate_sddm
 from conftest import grounded_random, mnorm, mnorm_rel_error, wide_ratio_system
-from oracles import dense, dense_chain_z, dense_solve, splitting_from_matrix
+from oracles import dense, dense_chain_z, dense_solve, sandwich_exponent, splitting_from_matrix
 
 
 def path_graph(n):
@@ -25,7 +24,20 @@ def path_graph(n):
 
 def chain_for(s, safety=1.02):
     kappa = estimate_condition(s) * safety
-    return InverseChainView(s, chain_length(kappa, "estimated"))
+    return chain_length(kappa, "estimated").d
+
+
+def rsolve(s, d, b):
+    """crude_solve on the dense walk powers P^{2^i}, P = A D^{-1}."""
+    P = s.A.toarray() / s.D
+    return crude_solve(b, s.D, d, lambda i, v: np.linalg.matrix_power(P, 2 ** i) @ v)
+
+
+def esolve(s, d, b, eps):
+    """The last Richardson iterate over the dense-power crude solve."""
+    M = s.matrix()
+    *_, y = richardson_iterates(lambda v: rsolve(s, d, v), lambda y: M @ y, b, eps)
+    return y
 
 
 class TestDirectSolve:
@@ -112,76 +124,51 @@ class TestRichardsonIterations:
                 richardson_iterations(bad)
 
 
-class TestInverseChainView:
-    def test_accepts_chainspec(self):
-        s = ground(laplacian(path_graph(4)), 0)
-        spec = chain_length(10.0)
-        chain = InverseChainView(s, spec)
-        assert chain.d == spec.d
-
-    def test_rejects_negative_length(self):
-        s = ground(laplacian(path_graph(4)), 0)
-        with pytest.raises(ValueError):
-            InverseChainView(s, -1)
-
-    def test_p_power_matches_matrix_power(self, rng):
-        s = grounded_random(10, 20, seed=0, w_min=0.5, w_max=2.0)
-        chain = InverseChainView(s, 4)
-        P = s.A.toarray() / s.D[None, :]
-        v = rng.standard_normal(s.n)
-        for i in range(4):
-            want = np.linalg.matrix_power(P, 2 ** i) @ v
-            assert np.allclose(chain.apply_p_power(i, v), want, atol=1e-12)
-
-
 class TestParallelRSolve:
+    """The paper's parallel RSolve: crude_solve on dense walk powers."""
+
     def test_diagonal_system_is_exact(self):
         s = StandardSplitting([2.0, 4.0], np.zeros((2, 2)))
-        chain = InverseChainView(s, 3)
-        assert np.allclose(parallel_rsolve(chain, [2.0, 4.0]), [1.0, 1.0])
+        assert np.allclose(rsolve(s, 3, [2.0, 4.0]), [1.0, 1.0])
 
     def test_zero_length_chain_is_jacobi(self):
         s = ground(laplacian(path_graph(4)), 0)
-        chain = InverseChainView(s, 0)
         b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(parallel_rsolve(chain, b), b / s.D)
+        assert np.allclose(rsolve(s, 0, b), b / s.D)
 
     def test_matches_dense_recursion(self, rng):
         for seed, (n, m) in [(0, (8, 14)), (1, (12, 25)), (2, (16, 40))]:
             s = grounded_random(n, m, seed=seed, w_min=0.5, w_max=3.0)
-            chain = chain_for(s)
-            Z = dense_chain_z(s, chain.d)
+            d = chain_for(s)
+            Z = dense_chain_z(s, d)
             b = rng.standard_normal(s.n)
             want = Z @ b
-            got = parallel_rsolve(chain, b)
+            got = rsolve(s, d, b)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_operator_identity_small(self):
         # vector recursion applied to basis vectors reproduces the dense
         # chain operator entry for entry
         s = grounded_random(10, 18, seed=4)
-        chain = chain_for(s)
-        Z = dense_chain_z(s, chain.d)
-        got = np.column_stack([parallel_rsolve(chain, e) for e in np.eye(s.n)])
+        d = chain_for(s)
+        Z = dense_chain_z(s, d)
+        got = np.column_stack([rsolve(s, d, e) for e in np.eye(s.n)])
         assert np.abs(got - Z).max() <= 1e-10
 
     def test_crude_sandwich(self):
         s = ground(laplacian(path_graph(5)), 0)
-        chain = chain_for(s)
-        Minv = np.linalg.inv(dense(s))
-        res = approx_order_check(
-            Minv, lambda v: parallel_rsolve(chain, v), EPS_D, probes=100, seed=0
-        )
-        assert res
+        d = chain_for(s)
+        z0 = np.column_stack([rsolve(s, d, e) for e in np.eye(s.n)])
+        assert sandwich_exponent(z0, dense(s)) <= EPS_D
 
     def test_crude_quality_bound(self, rng):
         s = grounded_random(14, 30, seed=6, w_min=0.5, w_max=2.0)
-        chain = chain_for(s)
+        d = chain_for(s)
         bound = 2.0 * (math.exp(EPS_D) - 1.0) * math.exp(EPS_D)
         for _ in range(25):
             b = rng.standard_normal(s.n)
             xstar = direct_solve(s, b)
-            xt = parallel_rsolve(chain, b)
+            xt = rsolve(s, d, b)
             lhs = mnorm(s, xt - xstar) ** 2
             assert lhs <= bound * mnorm(s, xstar) ** 2 * (1 + 1e-9)
 
@@ -198,41 +185,43 @@ class TestParallelRSolve:
 
 
 class TestParallelESolve:
+    """The paper's parallel ESolve: richardson_iterates over the dense-power RSolve."""
+
     def test_meets_target_on_path(self, rng):
         s = ground(laplacian(path_graph(10)), 0)
-        chain = chain_for(s)
+        d = chain_for(s)
         b = rng.standard_normal(s.n)
         xstar = direct_solve(s, b)
         for eps in (0.5, 1e-2, 1e-4):
-            xt = parallel_esolve(chain, b, eps)
+            xt = esolve(s, d, b, eps)
             assert mnorm_rel_error(s, xt, xstar) <= eps
 
     def test_matches_manual_richardson(self, rng):
         s = grounded_random(12, 25, seed=9)
-        chain = chain_for(s)
+        d = chain_for(s)
         b = rng.standard_normal(s.n)
         eps = 1e-2
         M = s.matrix()
-        chi = parallel_rsolve(chain, b)
+        chi = rsolve(s, d, b)
         y = chi.copy()
         for _ in range(richardson_iterations(eps)):
-            y = y - parallel_rsolve(chain, M @ y) + chi
-        assert np.allclose(parallel_esolve(chain, b, eps), y, atol=0, rtol=1e-14)
+            y = y - rsolve(s, d, M @ y) + chi
+        assert np.allclose(esolve(s, d, b, eps), y, atol=0, rtol=1e-14)
 
     def test_contraction_factor(self, rng):
         # every Richardson step contracts the M-norm error by at least the
         # guaranteed factor 2^{1/3} - 1 (with realized chains it is far
         # smaller); ratios are measured against the direct solution
         s = grounded_random(15, 35, seed=12, w_min=0.5, w_max=4.0)
-        chain = chain_for(s)
+        d = chain_for(s)
         b = rng.standard_normal(s.n)
         xstar = direct_solve(s, b)
         M = s.matrix()
-        chi = parallel_rsolve(chain, b)
+        chi = rsolve(s, d, b)
         y = chi.copy()
         errs = [mnorm(s, y - xstar)]
         for _ in range(8):
-            y = y - parallel_rsolve(chain, M @ y) + chi
+            y = y - rsolve(s, d, M @ y) + chi
             errs.append(mnorm(s, y - xstar))
         for before, after in zip(errs, errs[1:]):
             if before <= 1e-13 * mnorm(s, xstar):
@@ -241,6 +230,6 @@ class TestParallelESolve:
 
     def test_eps_domain(self):
         s = ground(laplacian(path_graph(4)), 0)
-        chain = chain_for(s)
+        d = chain_for(s)
         with pytest.raises(ValueError):
-            parallel_esolve(chain, np.ones(3), 0.6)
+            esolve(s, d, np.ones(3), 0.6)

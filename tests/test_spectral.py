@@ -14,7 +14,6 @@ from lapflow.spectral import (
     EPS_D,
     ChainSpec,
     ConvergenceError,
-    approx_order_check,
     chain_length,
     condition_bound,
     estimate_condition,
@@ -206,36 +205,3 @@ class TestSpectralInvariants:
             qm = v @ M @ v
             qd = v @ (s.D * v)
             assert 0.0 - 1e-12 <= qm <= 2.0 * qd + 1e-12
-
-
-class TestApproxOrderCheck:
-    def test_equal_operators_pass_tight(self):
-        X = np.diag([1.0, 2.0, 3.0])
-        assert approx_order_check(X, X, alpha=0.0, probes=32, seed=0)
-
-    def test_scaled_inside_budget(self):
-        X = np.diag([1.0, 2.0, 3.0])
-        Y = math.exp(0.05) * X
-        assert approx_order_check(X, Y, alpha=0.1, probes=64, seed=1)
-
-    def test_upper_violation_detected(self):
-        X = np.eye(4)
-        Y = math.exp(0.2) * np.eye(4)
-        res = approx_order_check(X, Y, alpha=0.1, probes=16, seed=2)
-        assert not res
-        assert res.side == "upper"
-        assert res.violation.shape == (4,)
-        assert res.ratio == pytest.approx(math.exp(0.2), rel=1e-9)
-
-    def test_lower_violation_detected(self):
-        X = np.eye(4)
-        Y = math.exp(-0.2) * np.eye(4)
-        res = approx_order_check(X, Y, alpha=0.1, probes=16, seed=3)
-        assert not res
-        assert res.side == "lower"
-
-    def test_callables_need_n(self):
-        f = lambda v: v
-        with pytest.raises(ValueError):
-            approx_order_check(f, f, alpha=0.1)
-        assert approx_order_check(f, f, alpha=0.1, n=5, seed=4)

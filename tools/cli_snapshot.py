@@ -67,6 +67,13 @@ RUNS = [
     # grounding path node 7 splits the barbell in two: the network of each
     # Newton step is G minus that node, with two components
     ("flow_barbell_6_4_r2_ground_cut", ["flow"] + BARBELL_6_4 + ["--rhop", "2", "--ground", "7"]),
+    # --graph file, with inputs checked in next to this script and passed by
+    # a path relative to the checkout, so the CSVs' `# file=` item is the same
+    # in every checkout: a problem file brings its own b and cost, a bare edge
+    # list gets the defaults
+    ("flow_file_problem_random_12_24", ["flow", "--graph", "file", "--file", "tools/snapshot_problem.txt"]),
+    ("solve_file_edges_random_25_60_r2", ["solve", "--graph", "file", "--file", "tools/snapshot_edges.txt",
+                                          "--rhop", "2"]),
 ]
 
 
