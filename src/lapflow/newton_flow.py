@@ -224,17 +224,16 @@ class FlowProblem:
         return float(math.sqrt(max(0.0, float(v @ (L @ v)))))
 
 
-def make_flow_problem(g, cost="exp", magnitude=1.0, x_box=5.0, source=None, sink=None):
+def make_flow_problem(g, cost="exp", magnitude=1.0, source=None, sink=None):
     """Flow instance on a graph with source/sink a diameter apart.
 
     Parameters
     ----------
     g : WeightedGraph
     cost : str or EdgeCost
+        A name takes the cost's default; pass exp_cost(box) for another box.
     magnitude : float
         b[source] = +magnitude, b[sink] = -magnitude.
-    x_box : float
-        Flow box for the exp cost's Gamma.
     source, sink : int, optional
         Two different nodes in [0, n); an integral float such as 2.0 is
         accepted. Default to the lexicographically smallest diameter pair.
@@ -253,7 +252,7 @@ def make_flow_problem(g, cost="exp", magnitude=1.0, x_box=5.0, source=None, sink
     b[source] += magnitude
     b[sink] -= magnitude
     if isinstance(cost, str):
-        cost = make_cost(cost, x_box if cost == "exp" else None)
+        cost = make_cost(cost)
     return FlowProblem(g, b, cost)
 
 
@@ -413,7 +412,7 @@ def alpha_star(gamma, Gamma, mu2, mun, eps):
     to contract.
     """
     bound = (mu2 / mun) * math.sqrt(gamma / Gamma)
-    if eps < 0 or eps >= bound:
+    if not 0 <= eps < bound:  # False on nan
         raise ValueError(
             "eps=%g is outside [0, %g); pick a smaller solver accuracy" % (eps, bound)
         )
@@ -457,10 +456,10 @@ def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
 
     Grounds `ref_node`, solves the SDDM subsystem to accuracy eps with the
     R-hop engine (R=None: the full-communication engine; eps=0: exactly,
-    with direct_solve), re-inserts 0 at the reference node and shifts the
-    result to mean zero. When `report` is a dict it receives eps_prime (the
-    guaranteed relative H-norm error of the direction, derived from eps),
-    messages and rounds.
+    with direct_solve, as exact_newton does), re-inserts 0 at the reference
+    node and shifts the result to mean zero. When `report` is a dict it
+    receives eps_prime (the guaranteed relative H-norm error of the
+    direction, derived from eps), messages and rounds.
     """
     g = state.g
     if abs(g.sum()) > 1e-8 * max(1.0, float(np.abs(g).max())):
@@ -498,13 +497,11 @@ class OptimizeConfig:
     """Knobs of the dual descent loop."""
 
     step: str = "backtracking"  # fixed | alpha_star | backtracking
-    alpha: float = None  # fixed-step value; None picks a method default
     feas_threshold: float = 1e-5
     max_iters: int = 500
-    eps: float = 1e-4  # solver accuracy for sddm_newton; 0 solves exactly
+    eps: float = 1e-4  # solver accuracy for sddm_newton, in (0, 1/2]
     R: int = 1  # hop radius of the sddm_newton solver; None is full communication
     ground_node: int = 0
-    lambda0: np.ndarray = None  # n finite start values; None starts at zero
 
 
 class DivergenceError(RuntimeError):
@@ -520,7 +517,7 @@ class Trace:
 
     COLUMNS = ("iter", "objective", "feasibility", "grad_lnorm", "step", "phase", "messages")
 
-    def __init__(self, method, config, consts=None):
+    def __init__(self, method, config, consts):
         self.method = method
         self.config = config
         self.consts = consts
@@ -550,13 +547,10 @@ class Trace:
             "max_iters": cfg.max_iters,
         }
         if self.method == "sddm_newton":
-            mode = ("exact_oracle" if cfg.eps == 0 else
-                    "full_distributed" if cfg.R is None else "rhop_distributed")
+            mode = "full_distributed" if cfg.R is None else "rhop_distributed"
             items.update(eps=cfg.eps, R=cfg.R, solver_mode=mode)
-            if self.consts is not None and self.consts.eps != cfg.eps:
+            if self.consts.eps != cfg.eps:
                 items.update(consts_eps=self.consts.eps)
-        if self.method == "subgradient" and cfg.alpha is not None:
-            items.update(alpha=cfg.alpha)
         if self.method == "add_neumann":
             items.update(neumann_terms=NEUMANN_TERMS)
         return items
@@ -583,8 +577,6 @@ class Trace:
 
 
 def _phase_label(gl, consts):
-    if consts is None:
-        return ""
     if gl > consts.eta1:
         return "strict"
     if gl >= consts.eta0:
@@ -606,7 +598,7 @@ def _armijo(problem, state, direction, alpha0, c1=1e-4, shrink=0.5):
 
 
 def optimize(problem, method="sddm_newton", config=None):
-    """Run dual descent until feasibility ||A x(lambda) - b|| meets the threshold.
+    """Run dual descent from lambda = 0 until ||A x(lambda) - b|| meets the threshold.
 
     Parameters
     ----------
@@ -627,26 +619,19 @@ def optimize(problem, method="sddm_newton", config=None):
     cfg = config or OptimizeConfig()
     if cfg.step not in ("fixed", "alpha_star", "backtracking"):
         raise ValueError("unknown step policy %r" % cfg.step)
-    if cfg.max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
+    if not (float(cfg.max_iters).is_integer() and cfg.max_iters >= 0):
+        raise ValueError("max_iters must be >= 0 and an integer, got %r" % (cfg.max_iters,))
+    max_iters = int(cfg.max_iters)
     if not cfg.feas_threshold >= 0:
         raise ValueError("feas_threshold must be >= 0")
     check_radius(cfg.R)
-    if method == "sddm_newton" and cfg.R is not None:
-        check_rhop_radius(cfg.R)
-    if cfg.step == "fixed" and cfg.alpha is not None and not (
-            cfg.alpha > 0 and math.isfinite(cfg.alpha)):
-        raise ValueError("alpha must be a finite step > 0, got %r" % (cfg.alpha,))
+    if method == "sddm_newton":
+        richardson_iterations(cfg.eps)  # ValueError unless 0 < eps <= 1/2
+        if cfg.R is not None:
+            check_rhop_radius(cfg.R)
     if not float(cfg.ground_node).is_integer():
         raise ValueError("ground_node must be an integer, got %r" % (cfg.ground_node,))
     ground_node = int(cfg.ground_node)
-    if cfg.lambda0 is None:
-        lam0 = np.zeros(problem.n)
-    else:
-        lam0 = np.array(cfg.lambda0, dtype=float)
-        if lam0.shape != (problem.n,) or not np.isfinite(lam0).all():
-            raise ValueError("lambda0 must hold %d finite values, got shape %r"
-                             % (problem.n, lam0.shape))
     eps = cfg.eps if method == "sddm_newton" else 0.0
     try:
         consts = convergence_constants(problem, eps)
@@ -659,26 +644,21 @@ def optimize(problem, method="sddm_newton", config=None):
     trace = Trace(method, cfg, consts)
     one_hop = 2 * problem.E
     if cfg.step == "fixed":
-        if cfg.alpha is not None:
-            alpha = cfg.alpha
-        elif method == "subgradient":
-            alpha = consts.gamma / consts.mun
-        else:
-            alpha = 1.0
+        alpha = consts.gamma / consts.mun if method == "subgradient" else 1.0
     elif cfg.step == "alpha_star":
         alpha = consts.alpha_star
     else:
         alpha = 0.5  # backtracking warm-starts at twice the last accepted step
 
-    state = dual_state(lam0, problem)
-    for k in range(cfg.max_iters + 1):
+    state = dual_state(np.zeros(problem.n), problem)
+    for k in range(max_iters + 1):
         feas = math.sqrt(state.g.dot(state.g))  # what np.linalg.norm computes
         gl = problem.lnorm(state.g)
         if not (math.isfinite(state.objective) and math.isfinite(feas)):
             raise DivergenceError("objective diverged at iteration %d" % k, trace)
         row = dict(iter=k, objective=state.objective, feasibility=feas, grad_lnorm=gl,
                    step=0.0, phase=_phase_label(gl, consts), messages=0)
-        if feas <= cfg.feas_threshold or k == cfg.max_iters:
+        if feas <= cfg.feas_threshold or k == max_iters:
             trace.add(row, state.value)
             trace.converged = feas <= cfg.feas_threshold
             break

@@ -74,13 +74,10 @@ def check_chain_length(d):
 class SDDMReport:
     """Row-by-row report of validate_sddm. Truthiness follows is_sddm."""
 
-    symmetric: bool
-    offdiag_nonpositive: bool
     row_slack: np.ndarray
     diagonally_dominant: bool
     strict_rows: np.ndarray
     support_connected: bool
-    is_sdd: bool
     is_sddm: bool
     positive_definite: bool
 
@@ -106,22 +103,17 @@ def validate_sddm(s):
     Returns
     -------
     SDDMReport
-        ``is_sdd`` requires symmetry, nonpositive off-diagonals of M and row
-        dominance D >= sum_j A[i][j]. ``is_sddm`` additionally requires at
-        least one strictly dominant row and a connected off-diagonal support.
+        ``diagonally_dominant`` is row dominance D >= sum_j A[i][j]; symmetry
+        and nonpositive off-diagonals of M hold for every StandardSplitting.
+        ``is_sddm`` additionally requires at least one strictly dominant row
+        and a connected off-diagonal support.
         ``positive_definite`` applies the strict-row requirement per support
         component (an isolated node counts as its own component), which is
         the exact criterion; block-diagonal systems can be positive definite
         without a connected support.
     """
     D, A = s.D, s.A
-    n = D.shape[0]
-    scale = max(1.0, float(D.max()))
-    tol = 1e-12 * scale
-
-    # constructor enforces these; recompute so the report stands alone
-    symmetric = abs(A - A.T).max() <= tol if A.nnz else True
-    offdiag_nonpos = (A.nnz == 0) or (A.data.min() >= -tol)
+    scale = float(D.max())  # > 0: the constructor refuses any D <= 0
 
     rowsum = np.asarray(A.sum(axis=1)).ravel()
     row_slack = D - rowsum
@@ -132,18 +124,14 @@ def validate_sddm(s):
     ncomp, labels = csgraph.connected_components(support, directed=False)
     support_connected = ncomp == 1
 
-    is_sdd = symmetric and offdiag_nonpos and dominant
-    is_sddm = is_sdd and bool(strict_rows.any()) and support_connected
-    pd = is_sdd and all(strict_rows[labels == c].any() for c in range(ncomp))
+    is_sddm = dominant and bool(strict_rows.any()) and support_connected
+    pd = dominant and all(strict_rows[labels == c].any() for c in range(ncomp))
 
     return SDDMReport(
-        symmetric=symmetric,
-        offdiag_nonpositive=offdiag_nonpos,
         row_slack=row_slack,
         diagonally_dominant=dominant,
         strict_rows=strict_rows,
         support_connected=support_connected,
-        is_sdd=is_sdd,
         is_sddm=is_sddm,
         positive_definite=pd,
     )

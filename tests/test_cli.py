@@ -306,6 +306,17 @@ class TestFlow:
         # magnitude 1.0 is the default b: only the header line differs
         assert outs[1].replace("# magnitude=1.0\n", "") == outs[0]
 
+    @pytest.mark.parametrize("method", ["sddm-newton", "exact-newton"])
+    def test_tiny_hessian_weights_still_grounded(self, tmp_path, method):
+        # at magnitude 50 the Hessian weights 1/Phi'' fall far below 1; the
+        # grounded Hessian must still pass as positive definite
+        out = str(tmp_path / "trace.csv")
+        rc = main(["flow", "--graph", "path", "--n", "3", "--magnitude", "50",
+                   "--method", method, "--out", out])
+        assert rc == 0
+        header, rows = read_rows(out)
+        assert float(rows[-1][header.index("feasibility")]) <= 1e-5
+
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_invalid_feas_threshold_is_usage_error(self, value):
         with pytest.raises(SystemExit) as exc:

@@ -37,9 +37,9 @@ from conftest import full_engine, rhop_engine
 from oracles import dense, fd_gradient, fd_hessian, pinv_quadform, matrix_lnorm
 
 
-def flow_on(kind, params, seed=None, cost="exp", magnitude=1.0, x_box=5.0):
+def flow_on(kind, params, seed=None, cost="exp", magnitude=1.0):
     g = generate(kind, params, seed=seed)
-    return make_flow_problem(g, cost=cost, magnitude=magnitude, x_box=x_box)
+    return make_flow_problem(g, cost=cost, magnitude=magnitude)
 
 
 def random_flow(n, m, seed, cost="exp", magnitude=1.0):
@@ -339,6 +339,13 @@ class TestConstants:
         with pytest.raises(ValueError):
             alpha_star(1.0, 1.0, 1.0, 4.0, 0.3)  # bound is 1/4
 
+    def test_nan_eps_rejected(self):
+        # nan fails every comparison, so it must not slip past the range check
+        with pytest.raises(ValueError, match="eps=nan is outside"):
+            alpha_star(2.0, 148.0, 0.5, 3.4, math.nan)
+        with pytest.raises(ValueError, match="eps=nan is outside"):
+            convergence_constants(random_flow(10, 20, seed=8), math.nan)
+
     def test_exp_problem_constants(self):
         p = random_flow(10, 20, seed=8)
         c = convergence_constants(p, eps=1e-4)
@@ -545,6 +552,29 @@ class TestOptimize:
         with pytest.raises(ValueError, match="max_iters must be >= 0"):
             optimize(p, "exact_newton", OptimizeConfig(max_iters=-1))
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+    def test_rejects_non_integral_max_iters(self, bad):
+        p = flow_on("path", {"n": 3})
+        with pytest.raises(ValueError, match="max_iters must be >= 0 and an integer"):
+            optimize(p, "exact_newton", OptimizeConfig(max_iters=bad))
+
+    def test_integral_float_max_iters_accepted(self):
+        p = random_flow(10, 18, seed=15)
+        as_float = optimize(p, "subgradient", OptimizeConfig(max_iters=3.0))
+        as_int = optimize(p, "subgradient", OptimizeConfig(max_iters=3))
+        assert as_float.iterations == 3
+        assert as_float.rows == as_int.rows
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 0.7, math.nan])
+    def test_sddm_newton_eps_checked_before_any_step(self, eps):
+        # exact directions are exact_newton's; with max_iters=0 no Newton
+        # step runs, so only the check at the top of optimize can refuse these
+        p = random_flow(10, 18, seed=15)
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1/2\]"):
+            optimize(p, "sddm_newton", OptimizeConfig(eps=eps, max_iters=0))
+        # the other methods do not read eps
+        assert optimize(p, "exact_newton", OptimizeConfig(eps=eps, max_iters=0)).iterations == 0
+
     def test_rejects_invalid_feas_threshold(self):
         p = flow_on("path", {"n": 3})
         for bad in (-1.0, math.nan):
@@ -561,7 +591,7 @@ class TestOptimize:
 
     def test_quadratic_cost_converges_in_one_newton_step(self):
         p = flow_on("path", {"n": 5}, cost="quadratic")
-        cfg = OptimizeConfig(step="fixed", alpha=1.0, feas_threshold=1e-10, max_iters=3)
+        cfg = OptimizeConfig(step="fixed", feas_threshold=1e-10, max_iters=3)
         trace = optimize(p, "exact_newton", cfg)
         assert trace.converged
         assert trace.iterations == 1
@@ -599,11 +629,13 @@ class TestOptimize:
         assert sub.iterations >= 10 * newton.iterations
 
     def test_divergence_error_carries_trace(self):
-        p = flow_on("path", {"n": 3}, cost="quadratic")
-        cfg = OptimizeConfig(step="fixed", alpha=10.0, max_iters=2000, feas_threshold=1e-12)
+        # the truncated-Neumann direction at the fixed step 1 overshoots
+        # ever further on this instance until the exp cost overflows
+        p = flow_on("path", {"n": 3}, magnitude=1e3)
+        cfg = OptimizeConfig(step="fixed", max_iters=2000, feas_threshold=1e-12)
         with pytest.raises(DivergenceError) as err:
             with np.errstate(over="ignore", invalid="ignore"):
-                optimize(p, "subgradient", cfg)
+                optimize(p, "add_neumann", cfg)
         assert isinstance(err.value.trace, Trace)
         assert len(err.value.trace.rows) > 1
 
@@ -639,18 +671,6 @@ class TestOptimize:
         assert trace.iterations >= 1
         assert len(seen) == len(set(seen))
 
-    def test_warm_start_from_solution(self):
-        p = random_flow(8, 14, seed=14)
-        first = optimize(p, "exact_newton", OptimizeConfig(feas_threshold=1e-9, max_iters=60))
-        assert first.converged
-        again = optimize(
-            p, "exact_newton",
-            OptimizeConfig(feas_threshold=1e-6, max_iters=60,
-                           lambda0=first.final_state.lam),
-        )
-        assert again.converged
-        assert again.iterations == 0
-
     def test_alpha_star_step_rejects_eps_beyond_bound(self):
         # eps = 1e-3 is above this problem's bound of about 4.1e-4
         p = make_flow_problem(generate("barbell", {"clique": 8, "path_len": 6}))
@@ -681,16 +701,6 @@ class TestOptimize:
         # other methods run no engine
         assert optimize(p, "exact_newton", OptimizeConfig(R=R, max_iters=0)).iterations == 0
 
-    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan, math.inf, -math.inf])
-    def test_fixed_step_alpha_must_be_finite_and_positive(self, alpha):
-        # a step of -1 or 0 would otherwise run all max_iters iterations
-        p = random_flow(10, 18, seed=15)
-        with pytest.raises(ValueError, match="alpha must be a finite step > 0"):
-            optimize(p, "subgradient", OptimizeConfig(step="fixed", alpha=alpha, max_iters=50))
-        # alpha is read by the fixed step only
-        cfg = OptimizeConfig(step="backtracking", alpha=alpha, max_iters=3)
-        assert optimize(p, "subgradient", cfg).iterations == 3
-
     def test_non_integral_ground_node_rejected(self):
         # 2.5 names no node; direct_solve's grounding message would hide that
         p = random_flow(10, 18, seed=15)
@@ -699,25 +709,6 @@ class TestOptimize:
         as_float = optimize(p, "exact_newton", OptimizeConfig(ground_node=2.0, max_iters=3))
         as_int = optimize(p, "exact_newton", OptimizeConfig(ground_node=2, max_iters=3))
         assert as_float.rows == as_int.rows
-
-    @pytest.mark.parametrize("lam0", [np.zeros(11), np.zeros(9), np.zeros((10, 2)),
-                                      np.zeros(()), np.full(10, math.nan),
-                                      np.r_[np.zeros(9), math.inf]],
-                             ids=["long", "short", "two_column", "scalar", "nan", "inf"])
-    def test_rejects_bad_lambda0(self, lam0):
-        p = random_flow(10, 18, seed=15)
-        for method in ("subgradient", "add_neumann", "exact_newton"):
-            with pytest.raises(ValueError, match="lambda0 must hold 10 finite values"):
-                optimize(p, method, OptimizeConfig(lambda0=lam0, max_iters=3))
-
-    def test_lambda0_list_accepted_and_not_aliased(self):
-        p = random_flow(10, 18, seed=15)
-        lam0 = np.linspace(-1.0, 1.0, 10)
-        kept = lam0.copy()
-        from_list = optimize(p, "subgradient", OptimizeConfig(lambda0=lam0.tolist(), max_iters=3))
-        from_array = optimize(p, "subgradient", OptimizeConfig(lambda0=lam0, max_iters=3))
-        assert from_list.rows == from_array.rows
-        assert lam0.tobytes() == kept.tobytes()
 
     def test_fixed_subgradient_default_step(self):
         p = random_flow(10, 18, seed=15)
@@ -837,6 +828,18 @@ class TestTraceCSV:
             body = [ln for ln in lines if not ln.startswith("#")][1:]
             assert len(body) == len(trace.rows)
             assert body[0].startswith("0,")
+
+    @pytest.mark.parametrize("method, extra", [
+        ("sddm_newton", {"eps", "R", "solver_mode"}),
+        ("exact_newton", set()),
+        ("subgradient", set()),
+        ("add_neumann", {"neumann_terms"}),
+    ])
+    def test_header_keys_per_method(self, method, extra):
+        p = random_flow(8, 14, seed=16)
+        trace = optimize(p, method, OptimizeConfig(step="fixed", max_iters=0))
+        assert set(trace.header_items()) == {"method", "step", "feas_threshold",
+                                             "max_iters"} | extra
 
     def test_fallback_constants_named(self):
         # eps = 1e-3 is above this problem's bound of about 4.1e-4

@@ -180,7 +180,7 @@ class TestParallelRSolve:
         M1 = np.diag(s.D) - s.A.toarray() @ np.diag(1.0 / s.D) @ s.A.toarray()
         s1 = splitting_from_matrix(M1)
         report = validate_sddm(s1)
-        assert report.is_sdd
+        assert report.diagonally_dominant
         assert report.positive_definite
 
 

@@ -30,14 +30,13 @@ def path_graph(n):
 class TestValidateSDDM:
     def test_grounded_path_is_sddm(self):
         report = validate_sddm(ground(laplacian(path_graph(3)), 2))
-        assert report.is_sdd
+        assert report.diagonally_dominant
         assert report.is_sddm
         assert report.positive_definite
         assert bool(report)
 
     def test_laplacian_is_sdd_not_sddm(self):
         report = validate_sddm(laplacian(path_graph(3)))
-        assert report.is_sdd
         assert report.diagonally_dominant
         assert not report.strict_rows.any()
         assert not report.is_sddm
@@ -55,6 +54,16 @@ class TestValidateSDDM:
         report = validate_sddm(ground(laplacian(path_graph(3)), 2))
         assert np.allclose(report.row_slack, [0.0, 1.0])
         assert list(report.strict_rows) == [False, True]
+
+    @pytest.mark.parametrize("w", [1e-9, 1e-12])
+    def test_tolerance_scales_with_small_weights(self, w):
+        # the strict-row test is relative to max D; an absolute floor of 1
+        # would call a grounded path of tiny weights singular
+        g = generate("path", {"n": 5, "w_min": w, "w_max": w})
+        report = validate_sddm(ground(laplacian(g), 0))
+        assert list(report.strict_rows) == [True, False, False, False]
+        assert report.is_sddm and report.positive_definite
+        assert not validate_sddm(laplacian(g)).positive_definite
 
 
 class TestConditionBound:

@@ -67,6 +67,9 @@ RUNS = [
     # grounding path node 7 splits the barbell in two: the network of each
     # Newton step is G minus that node, with two components
     ("flow_barbell_6_4_r2_ground_cut", ["flow"] + BARBELL_6_4 + ["--rhop", "2", "--ground", "7"]),
+    # Hessian weights 1/Phi'' far below 1: the SDDM check of the grounded
+    # Hessian scales its tolerance with max D, not with 1
+    ("flow_path_3_magnitude_50", ["flow", "--graph", "path", "--n", "3", "--magnitude", "50"]),
     # --graph file, with inputs checked in next to this script and passed by
     # a path relative to the checkout, so the CSVs' `# file=` item is the same
     # in every checkout: a problem file brings its own b and cost, a bare edge
