@@ -84,7 +84,7 @@ class _EngineBase:
         self.sim = sim
         P1 = splitting.A.multiply(1.0 / self.D[None, :]).tocsr()  # P[k,j] = A[k,j]/D[j]
         self._op_P1 = sim.certify(P1, 1)  # every entry lies on an edge of sim's graph
-        if np.count_nonzero(sim.hops == 1) != P1.count_nonzero():
+        if sim.adjacency.nnz != P1.count_nonzero():
             raise ValueError("simulator graph has edges that the splitting does not")
         # one 1-hop round: neighbors exchange diagonal entries, after which
         # every node can form its rows of P and Q

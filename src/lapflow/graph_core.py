@@ -12,7 +12,7 @@ __all__ = [
     "laplacian",
     "ground",
     "generate",
-    "hop_matrix",
+    "hop_ball",
     "diameter_endpoints",
     "load_edge_list",
     "save_edge_list",
@@ -189,9 +189,34 @@ def ground(s, ref_node):
     return StandardSplitting(s.D[keep], A)
 
 
-def hop_matrix(g):
-    """All-pairs unweighted hop distances as floats; inf marks unreachable pairs."""
-    return csgraph.shortest_path(g.adjacency_matrix(), method="D", unweighted=True)
+def hop_ball(adjacency, r):
+    """Hop distances 1..r of every pair of nodes within r hops, as canonical CSR.
+
+    `adjacency` is a graph's symmetric sparse adjacency matrix; its stored
+    entries are the edges. Entry (i, j) of the result is the hop distance
+    from i to j. The diagonal is not stored, and neither is a pair more than
+    r hops apart or in different components. One BFS runs from every node
+    at once, truncated at r: layer k + 1 is the neighbours of layer k that
+    are in neither layer k nor layer k - 1, since a neighbour of a node k
+    hops away is k - 1, k or k + 1 hops away. Time and memory grow with the
+    pairs within r hops, not with n^2.
+    """
+    n = adjacency.shape[0]
+    step = sparse.csr_matrix(adjacency, dtype=np.int32, copy=True)
+    step.data[:] = 1
+    ball = layer = step
+    before = sparse.identity(n, dtype=np.int32, format="csr")
+    for k in range(2, r + 1):
+        # a path count is below n, so only the pairs new at hop k stay positive
+        nxt = layer @ step - (layer + before) * n
+        nxt.data = (nxt.data > 0).astype(np.int32)
+        nxt.eliminate_zeros()
+        if not nxt.nnz:
+            break
+        ball = ball + nxt * k
+        before, layer = layer, nxt
+    ball.sum_duplicates()
+    return ball
 
 
 def diameter_endpoints(g):

@@ -7,8 +7,18 @@ whole graph costs exactly 2m messages. A simulator built with radius R
 rejects any round wider than R; R=None is full communication, with no
 radius limit.
 
+A simulator keeps hop data only as far as its rounds and checks reach. It
+builds the adjacency pattern, the connected components and ``reach`` when it
+is made, in O(n + m): ``reach`` is twice the eccentricity of one node per
+component, an upper bound on every component's diameter. The ball of a
+radius r below ``reach``, the hop distance of every pair within r hops, is
+built on first use by a BFS truncated at r (``graph_core.hop_ball``) and
+cached per radius. At r >= ``reach`` every pair of a component is within r;
+the per-node costs of such a round come from BFS runs over blocks of
+sources, and no n x n array is held.
+
 There is one execution path, the collective round: ``certify`` proves once
-that a matrix's support stays inside the r-hop mask, after which
+that a matrix's support stays inside the r-hop ball, after which
 ``apply_round`` performs the whole-network gather-and-combine round as one
 matrix-vector product. ``certify`` also picks the smaller storage: a sparse
 matrix whose n x n array takes no more bytes than its CSR arrays is kept
@@ -42,8 +52,9 @@ import operator
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
-from .graph_core import hop_matrix
+from .graph_core import hop_ball
 
 try:  # scipy's compiled y += A x; private, so guarded
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -74,11 +85,15 @@ def check_radius(R):
     """
     if R is None:
         return None
-    if not float(R).is_integer():
-        raise ValueError("R must be an integer, got %r" % (R,))
-    if R < 1:
-        raise ValueError("R must be >= 1, got %r" % (R,))
-    return int(R)
+    return _whole_radius(R, "R")
+
+
+def _whole_radius(r, name):
+    if not float(r).is_integer():
+        raise ValueError("%s must be an integer, got %r" % (name, r))
+    if r < 1:
+        raise ValueError("%s must be >= 1, got %r" % (name, r))
+    return int(r)
 
 
 def csr_apply(mat, x, count=1):
@@ -206,6 +221,16 @@ def rung_length(n, nnz, s, dense=False):
     return t
 
 
+def _nonzero_pattern(matrix):
+    # canonical CSR holding a 1 at each nonzero of a sparse matrix, its
+    # duplicates summed first; the caller's arrays are not touched
+    csr = sparse.csr_matrix(matrix, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.data = np.ones(csr.nnz, dtype=np.int32)
+    return csr
+
+
 class LocalOperator:
     """A matrix certified to combine only values from within `radius` hops.
 
@@ -232,13 +257,33 @@ class Simulator:
         Permitted gather radius, an integer of at least 1 (a fractional R is
         rejected, not truncated). None means full communication: rounds of
         any radius are allowed.
+
+    Attributes
+    ----------
+    adjacency : csr_matrix
+        The graph's adjacency pattern, one stored 1 per ordered edge.
+    components, labels : int, ndarray
+        The connected components and each node's component.
+    reach : int
+        Twice the eccentricity of one node per component, the largest over
+        the components: no two nodes of a component are farther apart.
+
+    The ball of a radius below reach is built on its first use and cached;
+    fresh() copies share the caches.
     """
 
     def __init__(self, graph, R=None):
         self.R = check_radius(R)
         self.n = graph.n
-        self.hops = hop_matrix(graph)
+        # the radius-1 ball: one stored 1 per ordered edge
+        self.adjacency = adjacency = hop_ball(graph.adjacency_matrix(), 1)
+        self.components, self.labels = csgraph.connected_components(adjacency, directed=False)
+        # one BFS from the first node of every component at once
+        roots = np.unique(self.labels, return_index=True)[1]
+        depth = csgraph.dijkstra(adjacency, unweighted=True, indices=roots, min_only=True)
+        self.reach = 2 * int(depth.max())
         self.transcript = SimTranscript()
+        self._balls = {1: adjacency}
         self._radius_cache = {}
 
     def fresh(self):
@@ -247,57 +292,101 @@ class Simulator:
         sim.transcript = SimTranscript()
         return sim
 
+    def _ball(self, r):
+        # hop distances 1..r of every pair within r < reach hops, as CSR
+        if r not in self._balls:
+            self._balls[r] = hop_ball(self.adjacency, r)
+        return self._balls[r]
+
     def _radius_stats(self, r):
         # per-node inbound relay cost c_r[v] = sum_{k != v, hop <= r} hop(k, v),
         # the largest hop actually inside any radius-r ball, and the message
         # total of a round in which every node sends one value
-        key = int(min(r, self.n))
+        key = min(r, self.reach)
         if key not in self._radius_cache:
-            mask = (self.hops <= key) & (self.hops > 0)
-            costs = np.where(mask, self.hops, 0.0).sum(axis=0)
-            max_hop = int(self.hops[mask].max()) if mask.any() else 0
+            if key < self.reach:
+                ball = self._ball(key)
+                costs = np.asarray(ball.sum(axis=0), dtype=float).ravel()
+                max_hop = int(ball.data.max()) if ball.nnz else 0
+            else:
+                costs, max_hop = self._component_stats()
             self._radius_cache[key] = (costs, max_hop, int(round(costs.sum())))
         return self._radius_cache[key]
 
+    def _component_stats(self):
+        # c[v] and the largest hop over every pair of a component, by BFS from
+        # blocks of sources whose hop rows hold no more entries than the adjacency
+        n = self.n
+        costs = np.zeros(n)
+        max_hop = 0
+        block = max(1, self.adjacency.nnz // n)
+        for start in range(0, n, block):
+            sources = np.arange(start, min(start + block, n))
+            hops = csgraph.shortest_path(self.adjacency, method="D", unweighted=True, indices=sources)
+            hops[np.isinf(hops)] = 0.0
+            costs[sources] = hops.sum(axis=1)
+            max_hop = max(max_hop, int(hops.max()))
+        return costs, max_hop
+
     def _check_radius(self, r):
-        if r < 1:
-            raise ValueError("gather radius must be >= 1")
+        # check_radius's rule, so a fractional radius is never truncated
+        r = _whole_radius(r, "gather radius")
         if self.R is not None and r > self.R:
             raise ViolationError(
                 "collective round requested radius %d > R=%d at round %d"
                 % (r, self.R, self.transcript.rounds + 1)
             )
+        return r
 
     def certify(self, matrix, radius):
-        """Prove supp(matrix) lies inside the radius-hop mask; return a LocalOperator.
+        """Prove supp(matrix) lies inside the radius-hop ball; return a LocalOperator.
 
-        The radius must also respect R. The proof makes later apply_round
-        calls locality-sound without per-entry checks. A sparse matrix is
-        stored dense when the n x n array takes no more bytes than its CSR
-        arrays; a dense matrix stays dense.
+        The radius must be an integer and respect R. The proof makes later
+        apply_round calls locality-sound without per-entry checks. A sparse
+        matrix is stored dense when the n x n array takes no more bytes than
+        its CSR arrays, and only then is that array built; a dense matrix
+        stays dense.
         """
         if not sparse.issparse(matrix):
             matrix = np.asarray(matrix)
         n = self.n
         if matrix.shape != (n, n):
             raise ValueError("operator shape %r is not (%d, %d)" % (matrix.shape, n, n))
-        self._check_radius(radius)
-        dense = matrix.toarray() if sparse.issparse(matrix) else matrix
-        self._check_support(dense, radius)
+        radius = self._check_radius(radius)
         if sparse.issparse(matrix):
             csr = matrix.tocsr()
-            if dense.nbytes <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes:
-                matrix = dense
+            if n * n * csr.dtype.itemsize <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes:
+                matrix = csr.toarray()
+        self._check_support(matrix, radius)
         return LocalOperator(matrix, radius)
 
-    def _check_support(self, dense, radius):
-        # ViolationError naming the row-major first nonzero beyond radius hops
-        outside = (dense != 0) & (self.hops > min(radius, self.n))
-        if outside.any():
-            i, j = np.argwhere(outside)[0]
+    def _check_support(self, matrix, radius):
+        # ViolationError naming the row-major first nonzero beyond radius hops.
+        # A sparse matrix is read on its stored entries, duplicates summed; a
+        # dense one on its nonzero positions. At radius >= reach only an entry
+        # between two components can lie beyond.
+        if radius >= self.reach:
+            if self.components == 1:
+                return
+            rows, cols = (_nonzero_pattern(matrix) if sparse.issparse(matrix) else matrix).nonzero()
+            across = self.labels[rows] != self.labels[cols]
+            rows, cols = rows[across], cols[across]
+        elif sparse.issparse(matrix):
+            # only a 1 outside the ball exceeds the ball's entry, which is at
+            # least 1; the diagonal, at hop 0, is not in the ball
+            rows, cols = (_nonzero_pattern(matrix) > self._ball(radius)).nonzero()
+            off = rows != cols
+            rows, cols = rows[off], cols[off]
+        else:
+            beyond = matrix != 0
+            beyond &= ~self._ball(radius).astype(bool).toarray()
+            np.fill_diagonal(beyond, False)
+            rows, cols = np.nonzero(beyond)
+        if rows.size:
+            i, j = rows[0], cols[0]
+            hop = csgraph.shortest_path(self.adjacency, method="D", unweighted=True, indices=i)[j]
             raise ViolationError(
-                "matrix entry (%d,%d) reaches hop %g beyond radius %d"
-                % (i, j, self.hops[i, j], radius)
+                "matrix entry (%d,%d) reaches hop %g beyond radius %d" % (i, j, hop, radius)
             )
 
     def stride(self, op, batch):
@@ -336,14 +425,22 @@ class Simulator:
         """Charge `count` identical whole-network gather rounds at `radius`.
 
         payload[v] is the number of scalars node v sends per round (default
-        1). Returns nothing; the caller performs the equivalent combine step.
+        1): n finite, non-negative values. The radius must be an integer.
+        Returns nothing; the caller performs the equivalent combine step.
         """
         if count == 0:
             return
-        self._check_radius(radius)
+        radius = self._check_radius(radius)
         costs, max_hop, messages = self._radius_stats(radius)
         if payload is not None:
-            messages = int(round(float(costs @ np.asarray(payload, dtype=float))))
+            payload = np.asarray(payload, dtype=float)
+            if payload.shape != (self.n,):
+                raise ValueError("payload has shape %r, not (%d,)" % (payload.shape, self.n))
+            if not np.isfinite(payload).all():
+                raise ValueError("payload has a non-finite entry")
+            if (payload < 0).any():
+                raise ValueError("payload has a negative entry")
+            messages = int(round(float(costs @ payload)))
         self.transcript.append(messages, max_hop, count)
 
     def apply_round(self, op, x, count=1):

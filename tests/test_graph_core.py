@@ -11,7 +11,7 @@ from lapflow.graph_core import (
     laplacian,
     ground,
     generate,
-    hop_matrix,
+    hop_ball,
     diameter_endpoints,
     load_edge_list,
     save_edge_list,
@@ -22,6 +22,14 @@ from oracles import dense, floyd_warshall_hops, random_graph_draws
 
 def path_graph(n):
     return generate("path", {"n": n})
+
+
+def ball_matches_floyd_warshall(g, r):
+    """hop_ball at radius r: the Floyd-Warshall hops 1..r, nothing else stored, canonical CSR."""
+    ball = hop_ball(g.adjacency_matrix(), r)
+    ref = floyd_warshall_hops(g)
+    assert ball.has_canonical_format and ball.nnz == np.count_nonzero((ref > 0) & (ref <= r))
+    return np.array_equal(ball.toarray(), np.where(ref <= r, ref, 0.0))
 
 
 def cycle(n):
@@ -124,15 +132,15 @@ class TestTopologies:
         assert g.m == 401
 
     def test_path_diameter(self):
-        assert hop_matrix(path_graph(5)).max() == 4
+        assert floyd_warshall_hops(path_graph(5)).max() == 4
 
     def test_grid_corner_distance(self):
         g = generate("grid", {"rows": 3, "cols": 3})
-        assert hop_matrix(g)[0].max() == 4
+        assert floyd_warshall_hops(g)[0].max() == 4
 
     def test_clique_hops(self):
         g = generate("random", {"n": 4, "m": 6})
-        assert np.array_equal(hop_matrix(g)[0], [0, 1, 1, 1])
+        assert np.array_equal(floyd_warshall_hops(g)[0], [0, 1, 1, 1])
 
     def test_random_counts_and_connected(self):
         g = generate("random", {"n": 20, "m": 60}, seed=7)
@@ -207,15 +215,24 @@ class TestTopologies:
 
 class TestHops:
     def test_matches_floyd_warshall(self):
-        g = generate("random", {"n": 14, "m": 25}, seed=3)
-        assert np.array_equal(hop_matrix(g), floyd_warshall_hops(g))
+        graphs = [
+            generate("random", {"n": 14, "m": 25}, seed=3), path_graph(7),
+            generate("grid", {"rows": 4, "cols": 5}), generate("barbell", {"clique": 4, "path_len": 3}),
+            # two components and an isolated node
+            WeightedGraph(7, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 5, 2.0)]),
+        ]
+        for g in graphs:
+            # every radius up to two past the largest finite hop
+            ref = floyd_warshall_hops(g)
+            for r in range(1, int(ref[np.isfinite(ref)].max()) + 3):
+                assert ball_matches_floyd_warshall(g, r), (g.n, r)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 9), st.integers(0, 10 ** 6))
-    def test_random_graph_hops_property(self, n, seed):
+    @given(st.integers(2, 9), st.integers(0, 10 ** 6), st.integers(1, 9))
+    def test_random_graph_hops_property(self, n, seed, r):
         m = min(2 * n, n * (n - 1) // 2)
         g = generate("random", {"n": n, "m": m}, seed=seed)
-        assert np.array_equal(hop_matrix(g), floyd_warshall_hops(g))
+        assert ball_matches_floyd_warshall(g, r)
 
     def test_diameter_endpoints_path(self):
         assert diameter_endpoints(path_graph(5)) == (0, 4)
@@ -240,8 +257,8 @@ class TestHops:
 
     def test_disconnected_diameter_raises(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        hops = hop_matrix(g)
-        assert hops[0, 1] == 1.0 and np.isinf(hops[0, 2])
+        ball = hop_ball(g.adjacency_matrix(), g.n).toarray()
+        assert ball[0, 1] == 1.0 and ball[0, 2] == 0.0 and np.isinf(floyd_warshall_hops(g)[0, 2])
         with pytest.raises(ValueError, match="disconnected"):
             diameter_endpoints(g)
 

@@ -1,14 +1,18 @@
 """The library's collective simulator, and the per-node oracle executor it is checked against."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from lapflow import netsim
-from lapflow.graph_core import generate, ground, laplacian
+from lapflow.distributed_solver import support_graph
+from lapflow.graph_core import WeightedGraph, generate, ground, laplacian
 from lapflow.netsim import LocalOperator, SimTranscript, Simulator, ViolationError
 from conftest import rhop_engine
-from oracles import OracleViolation, PerNodeNetwork, per_round
+from oracles import OracleViolation, PerNodeNetwork, floyd_warshall_hops, per_round
 
 
 def path_graph(n):
@@ -58,6 +62,118 @@ class TestSimConfig:
         assert sim.transcript.runs == [(2 * (4 * 1 + 3 * 2 + 2 * 3 + 1 * 4), 4, 1)]
 
 
+class TestRoundRadius:
+    """A round's radius follows check_radius's integer rule; a payload is n finite counts >= 0."""
+
+    @pytest.mark.parametrize("R", [1, 2, None])
+    def test_fractional_round_radius_rejected(self, R):
+        # a radius of 1.5 used to run, and be charged, as radius 1
+        sim = Simulator(path_graph(5), R=R)
+        for bad in (1.5, 0.5, float("nan")):
+            with pytest.raises(ValueError, match="gather radius must be an integer"):
+                sim.account_round(bad)
+        assert sim.transcript.runs == []
+
+    def test_fractional_certify_radius_rejected(self):
+        g = path_graph(5)
+        sim = Simulator(g, R=2)
+        with pytest.raises(ValueError, match="gather radius must be an integer, got 1.7"):
+            sim.certify(g.adjacency_matrix(), 1.7)
+        op = sim.certify(g.adjacency_matrix(), 2.0)
+        assert op.radius == 2 and type(op.radius) is int
+        sim.account_round(2.0)
+        assert sim.transcript.runs == [(2 * (4 + 3 * 2), 2, 1)]
+
+    @pytest.mark.parametrize("payload, match", [
+        ([-5, 1, 1], "negative entry"), ([1, 1], r"shape \(2,\), not \(3,\)"),
+        ([[1, 1, 1]], r"shape \(1, 3\), not \(3,\)"), ([1, float("inf"), 1], "non-finite entry"),
+        ([1, float("nan"), 1], "non-finite entry"),
+    ], ids=["negative", "short", "matrix", "inf", "nan"])
+    def test_bad_payload_rejected(self, payload, match):
+        sim = Simulator(path_graph(3), R=1)
+        with pytest.raises(ValueError, match=match):
+            sim.account_round(1, payload=payload)
+        assert sim.transcript.runs == []
+
+
+def hop_oracle_graphs():
+    """Path, grid, barbell, random, and a support that grounding splits in two."""
+    return [
+        path_graph(7), generate("grid", {"rows": 3, "cols": 4}),
+        generate("barbell", {"clique": 4, "path_len": 3}), generate("random", {"n": 14, "m": 25}, seed=3),
+        support_graph(ground(laplacian(path_graph(9)), 4)),
+    ]
+
+
+class TestHopData:
+    """Round charges from the truncated balls and the component BFS, against Floyd-Warshall."""
+
+    @pytest.mark.parametrize("g", hop_oracle_graphs(), ids=["path", "grid", "barbell", "random", "cut_path"])
+    def test_every_radius_matches_floyd_warshall(self, g):
+        fw = floyd_warshall_hops(g)
+        finite = np.isfinite(fw)
+        diameter = int(fw[finite].max())
+        payload = np.arange(1.0, g.n + 1)
+        full = Simulator(g)
+        # past the diameter and past reach, so both ways of counting run
+        top = max(diameter + 2, full.reach + 1)
+        assert diameter <= full.reach < top
+        for r in range(1, top + 1):
+            inside = finite & (fw > 0) & (fw <= r)
+            hops = np.where(inside, fw, 0.0)
+            max_hop = int(hops.max())
+            want = [(int(hops.sum()), max_hop, 1), (int(hops.sum(axis=0) @ payload), max_hop, 1)]
+            for sim in (Simulator(g, R=r), full):
+                before = len(sim.transcript.runs)
+                sim.account_round(r)
+                sim.account_round(r, payload=payload)
+                assert sim.transcript.runs[before:] == want, r
+
+    def test_cross_component_stride_power_raises(self):
+        # the grounded path 9 falls apart at node 4; an entry forged between
+        # its halves reaches every power, and a stride power above reach can
+        # only fail there
+        g = support_graph(ground(laplacian(path_graph(9)), 4))
+        sim = Simulator(g, R=1)
+        assert sim.components == 2 and sim.reach == 6
+        W = g.adjacency_matrix().tolil() * 0.5
+        W[3, 4] = W[4, 3] = 0.5
+        op = LocalOperator(W.tocsr(), 1)
+        s = netsim.stride_length(g.n, op.matrix.nnz, 2 ** 10)
+        assert s >= sim.reach
+        with pytest.raises(ViolationError) as err:
+            sim.stride(op, 2 ** 10)
+        found = re.fullmatch(r"matrix entry \((\d+),(\d+)\) reaches hop inf beyond radius %d" % s,
+                             str(err.value))
+        assert found and sim.labels[int(found[1])] != sim.labels[int(found[2])]
+        assert op.stride is None
+        # certify at a radius above reach names the forged entry itself
+        for form in (W.tocsr(), W.toarray()):
+            with pytest.raises(ViolationError) as err:
+                Simulator(g).certify(form, 64)
+            assert str(err.value) == "matrix entry (3,4) reaches hop inf beyond radius 64"
+
+    def test_r1_grid_holds_no_n_by_n_array(self):
+        # n = 3000: one n x n float64 array takes 72 MB
+        def run():
+            g = generate("grid", {"rows": 50, "cols": 60})
+            sim = Simulator(g, R=1)
+            W = g.adjacency_matrix()
+            walk = W.multiply(1.0 / g.weighted_degrees()[None, :]).tocsr()
+            op = sim.certify(walk, 1)
+            assert sparse.issparse(op.matrix)
+            sim.apply_round(op, np.ones(g.n))
+            assert sim.transcript.runs == [(2 * g.m, 1, 1)]
+
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
 class TestFresh:
     def test_fresh_shares_hop_data_with_an_empty_transcript(self, monkeypatch):
         sim = Simulator(generate("grid", {"rows": 3, "cols": 4}), R=2)
@@ -69,7 +185,8 @@ class TestFresh:
         monkeypatch.setattr(Simulator, "__init__", rebuild)
         twin = sim.fresh()
         assert type(twin) is Simulator and twin.R == 2 and twin.n == sim.n
-        assert twin.hops is sim.hops and twin._radius_cache is sim._radius_cache
+        assert twin.adjacency is sim.adjacency and twin.reach == sim.reach
+        assert twin._balls is sim._balls and twin._radius_cache is sim._radius_cache
         assert twin.transcript is not sim.transcript and twin.transcript.runs == []
         twin.account_round(1)
         twin.account_round(2)

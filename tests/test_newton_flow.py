@@ -527,7 +527,7 @@ class TestOneNetworkPerProblem:
             assert (report["rounds"], report["messages"]) == (own.transcript.rounds,
                                                               own.transcript.messages_total)
             assert eng.transcript.runs == own.transcript.runs
-            assert eng.sim.hops is engines[0].sim.hops
+            assert eng.sim._balls is engines[0].sim._balls
 
 
 def richardson_q(eps):

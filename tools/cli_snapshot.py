@@ -41,6 +41,8 @@ RUNS = [
     ("solve_path_150_r4", ["solve", "--graph", "path", "--n", "150", "--rhop", "4"]),
     # grounded, the 1x1 system: estimate_condition returns 1.0 without Lanczos
     ("solve_path_2", ["solve", "--graph", "path", "--n", "2"]),
+    # grounding node 4 splits the path's support in two: two components on one network
+    ("solve_path_9_ground_cut_r2", ["solve", "--graph", "path", "--n", "9", "--ground", "4", "--rhop", "2"]),
     ("solve_scale_free_40_r2", ["solve", "--graph", "scale-free", "--n", "40", "--rhop", "2"]),
     ("flow_random_30_70_r4", ["flow", "--graph", "random", "--n", "30", "--edges", "70", "--rhop", "4"]),
     ("flow_random_40_100_exact", ["flow", "--graph", "random", "--n", "40", "--edges", "100",
