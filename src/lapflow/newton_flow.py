@@ -9,7 +9,9 @@ direct oracle), then re-inserting zero and shifting to mean zero.
 
 The dual loop's products with A and A' run in scipy's compiled CSR kernel
 through netsim.csr_apply, on the incidence and its transpose that
-FlowProblem builds once.
+FlowProblem builds once. No n x n array is formed: the Laplacian
+seminorm gathers A'v per arc, and the spectral constants come from
+Lanczos on the sparse L = A A'.
 """
 
 import math
@@ -28,7 +30,7 @@ from .graph_core import (
     save_edge_list,
 )
 from .reference_solver import direct_solve, richardson_iterations
-from .spectral import estimated_chain
+from .spectral import estimated_chain, laplacian_spectrum
 from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius, support_graph
 from .netsim import Simulator, check_radius, csr_apply
 
@@ -196,16 +198,16 @@ class FlowProblem:
         return float(self.cost.value(x).sum())
 
     def unweighted_laplacian(self):
-        """Dense L = A A' of the incidence matrix (cached)."""
+        """L = A A' of the incidence matrix as CSR (cached)."""
         if self._lap is None:
-            self._lap = (self.incidence @ self.incidence_t).toarray()
+            self._lap = self.incidence @ self.incidence_t
         return self._lap
 
     def spectrum(self):
-        """(mu2, mun): second-smallest and largest eigenvalue of the unweighted Laplacian (cached)."""
+        """(mu2, mun): second-smallest and largest eigenvalue of the unweighted Laplacian,
+        by Lanczos (spectral.laplacian_spectrum; cached)."""
         if self._spectrum is None:
-            evals = np.linalg.eigvalsh(self.unweighted_laplacian())
-            self._spectrum = (float(evals[1]), float(evals[-1]))
+            self._spectrum = laplacian_spectrum(self.unweighted_laplacian())
         return self._spectrum
 
     def network(self, ref_node, R):
@@ -219,9 +221,10 @@ class FlowProblem:
         return self._networks[key]
 
     def lnorm(self, v):
-        """Laplacian seminorm sqrt(v' L v) with L = A A'."""
-        L = self.unweighted_laplacian()
-        return float(math.sqrt(max(0.0, float(v @ (L @ v)))))
+        """Laplacian seminorm sqrt(v' L v) = ||A'v||, with A'v gathered per arc as v_tail - v_head."""
+        y = v.take(self._tails)
+        y -= v.take(self._heads)
+        return math.sqrt(y.dot(y))
 
 
 def make_flow_problem(g, cost="exp", magnitude=1.0, source=None, sink=None):

@@ -1,9 +1,10 @@
-"""Condition numbers (bound and Lanczos estimate), chain length, SDDM validation."""
+"""Condition numbers (bound and Lanczos estimate), Laplacian spectrum, chain length, SDDM validation."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
@@ -14,6 +15,7 @@ __all__ = [
     "validate_sddm",
     "condition_bound",
     "estimate_condition",
+    "laplacian_spectrum",
     "chain_length",
     "check_chain_length",
     "estimated_chain",
@@ -180,15 +182,56 @@ def estimate_condition(s):
     M = s.matrix()
     inv = LinearOperator((n, n), matvec=sparse_lu(M).solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
+    rayleigh = _lanczos_tops((("lambda_max", "largest", M), ("inv_lambda_min", "smallest", inv)),
+                             v0, EIGSH_TOL)
+    return max(rayleigh["lambda_max"] * rayleigh["inv_lambda_min"], 1.0)
+
+
+def laplacian_spectrum(L):
+    """(mu2, mun): second-smallest and largest eigenvalue of a connected graph's Laplacian.
+
+    Two ARPACK calls from one fixed mean-zero start vector, to machine
+    precision: one on L for mun, one for 1/(mu2 + sigma) on (L + sigma I)^-1
+    restricted to mean-zero vectors (sparse_lu, projecting before and after
+    each solve). sigma = 4/n^2 lies below mu2 (Mohar: mu2 >= 4/(n diam)),
+    so a small mu2 keeps its digits. Needs a sparse L on n >= 2 nodes and
+    forms no n x n array. Raises ConvergenceError like estimate_condition
+    (for mu2, ``.rayleigh`` holds the shifted inverse's Ritz value).
+    """
+    n = L.shape[0]
+    sigma = 4.0 / n ** 2
+    lu = sparse_lu(L + sigma * sparse.identity(n, format="csr"))
+
+    def solve(v):
+        x = lu.solve(v - v.mean())
+        x -= x.mean()
+        return x
+
+    inv = LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    v0 -= v0.mean()
+    rayleigh = _lanczos_tops((("mun", "largest", L), ("inv_mu2_shifted", "second-smallest", inv)),
+                             v0, 0)
+    return 1.0 / rayleigh["inv_mu2_shifted"] - sigma, rayleigh["mun"]
+
+
+def _lanczos_tops(ops, v0, tol):
+    """Largest eigenvalue of each (label, end, operator) of ops, by one eigsh call each from v0.
+
+    Returns {label: eigenvalue}. ARPACK stops when the Ritz residual is
+    below tol relative (0: machine precision). A call that does not
+    converge raises ConvergenceError naming its end of the spectrum, with
+    the Ritz values reached so far in ``.rayleigh``.
+    """
     rayleigh = {}
-    for label, end, op in (("lambda_max", "largest", M), ("inv_lambda_min", "smallest", inv)):
+    for label, end, op in ops:
         try:
-            top = eigsh(op, k=1, which="LA", v0=v0, tol=EIGSH_TOL, return_eigenvectors=False)
+            top = eigsh(op, k=1, which="LA", v0=v0, tol=tol, return_eigenvectors=False)
         except ArpackNoConvergence as err:
             rayleigh[label] = float(err.eigenvalues[0]) if len(err.eigenvalues) else math.nan
             raise ConvergenceError("Lanczos did not converge at the %s eigenvalue" % end, rayleigh) from err
         rayleigh[label] = float(top[0])
-    return max(rayleigh["lambda_max"] * rayleigh["inv_lambda_min"], 1.0)
+    return rayleigh
 
 
 def chain_length(kappa, kappa_source="analytic_bound"):
@@ -226,8 +269,9 @@ def estimated_chain(s):
 def sparse_lu(M):
     """Sparse LU of a square sparse matrix under the minimum-degree ordering of M' + M.
 
-    The one exact factorization of the package (direct_solve and
-    estimate_condition); on grounded Laplacians of random graphs it fills
-    far less than splu's default COLAMD. Returns scipy's SuperLU object.
+    The one exact factorization of the package (direct_solve,
+    estimate_condition and laplacian_spectrum); on grounded Laplacians of
+    random graphs it fills far less than splu's default COLAMD. Returns
+    scipy's SuperLU object.
     """
     return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")

@@ -7,6 +7,7 @@ passing) rather than reusing the library's own computation paths.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from lapflow.graph_core import StandardSplitting
 from lapflow.distributed_solver import support_graph
@@ -153,7 +154,10 @@ def splitting_from_matrix(M):
 
 
 def dense(splitting):
-    """M = diag(D) - A of a splitting as a dense n x n array, built here from D and A."""
+    """M = diag(D) - A of a splitting as a dense n x n array, built here from D and A;
+    a sparse matrix (such as FlowProblem.unweighted_laplacian()) comes back as its array."""
+    if scipy.sparse.issparse(splitting):
+        return splitting.toarray()
     return np.diag(np.asarray(splitting.D, dtype=float)) - splitting.A.toarray()
 
 

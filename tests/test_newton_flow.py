@@ -1,12 +1,15 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from lapflow import netsim
+from lapflow import netsim, spectral
 from lapflow.graph_core import WeightedGraph, generate, ground, laplacian, load_edge_list
 from lapflow.newton_flow import (
     ConvergenceConstants,
@@ -139,15 +142,21 @@ class TestFlowProblem:
     def test_unweighted_laplacian_ignores_weights(self):
         g = generate("path", {"n": 4, "w_min": 3.0, "w_max": 3.0})
         p = make_flow_problem(g)
-        L = p.unweighted_laplacian()
+        assert sparse.issparse(p.unweighted_laplacian())  # no n x n array in a flow problem
+        L = dense(p.unweighted_laplacian())
         assert np.allclose(np.diag(L), [1.0, 2.0, 2.0, 1.0])
         assert np.allclose(L.sum(axis=1), 0.0)
 
     def test_lnorm(self):
         p = flow_on("path", {"n": 3})
         v = np.array([1.0, 0.0, -1.0])
-        L = p.unweighted_laplacian()
+        L = dense(p.unweighted_laplacian())
         assert p.lnorm(v) == pytest.approx(math.sqrt(v @ L @ v))
+        # ||A'v|| with A'v gathered per arc: the bits of incidence_t @ v and its 2-norm
+        q = random_flow(40, 90, seed=5)
+        w = np.random.default_rng(5).standard_normal(q.n)
+        assert q.lnorm(w) == np.linalg.norm(q.incidence_t @ w)
+        assert q.lnorm(w) == pytest.approx(math.sqrt(w @ dense(q.unweighted_laplacian()) @ w), rel=1e-12)
 
     def test_file_round_trip(self, tmp_path):
         p = random_flow(8, 14, seed=3, magnitude=2.0)
@@ -270,12 +279,12 @@ class TestDualCalculus:
     def test_quadratic_hessian_is_unweighted_laplacian(self):
         p = flow_on("grid", {"rows": 2, "cols": 3}, cost="quadratic")
         H = dense(dual_hessian(dual_state(np.zeros(p.n), p), p))
-        assert np.allclose(H, p.unweighted_laplacian())
+        assert np.allclose(H, dense(p.unweighted_laplacian()))
 
     def test_exp_hessian_at_zero_is_half_laplacian(self):
         p = flow_on("path", {"n": 4})
         H = dense(dual_hessian(dual_state(np.zeros(4), p), p))
-        assert np.allclose(H, 0.5 * p.unweighted_laplacian())
+        assert np.allclose(H, 0.5 * dense(p.unweighted_laplacian()))
 
     def test_invalid_curvature_reported(self):
         flat = EdgeCost(
@@ -304,7 +313,7 @@ class TestDualCalculus:
         # ||H(u) - H(v)||_L <= B ||u - v||_L with B = mun delta/(gamma sqrt(mu2))
         p = random_flow(10, 18, seed=6, magnitude=0.8)
         consts = convergence_constants(p)
-        L = p.unweighted_laplacian()
+        L = dense(p.unweighted_laplacian())
         rng = np.random.default_rng(2)
         for _ in range(6):
             u = rng.standard_normal(p.n) * 0.3
@@ -374,34 +383,88 @@ class TestConstants:
 
 
 class TestSpectrumOncePerProblem:
-    """The unweighted Laplacian's (mu2, mun) is computed once per problem."""
+    """The unweighted Laplacian's (mu2, mun) is computed once per problem, by Lanczos."""
 
-    def test_one_eigvalsh_across_methods_and_fallback(self, monkeypatch):
-        calls = []
-        real = np.linalg.eigvalsh
-
-        def counted(a, *args, **kw):
-            calls.append(np.shape(a))
-            return real(a, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def test_one_lanczos_pair_across_methods_and_fallback(self, monkeypatch):
         p = flow_on("barbell", {"clique": 6, "path_len": 4})
+        calls = []
+        real = spectral.eigsh
+
+        def counted(op, *args, **kw):
+            calls.append(op.shape)
+            return real(op, *args, **kw)
+
+        monkeypatch.setattr(spectral, "eigsh", counted)
         traces = [optimize(p, "exact_newton"), optimize(p, "sddm_newton"),
                   # eps 1e-3 is beyond this problem's bound: constants fall back to eps = 0
                   optimize(p, "sddm_newton", OptimizeConfig(eps=1e-3))]
         assert all(t.converged for t in traces)
         assert traces[2].header_items()["consts_eps"] == 0.0
-        assert calls == [(p.n, p.n)]
+        # mun and mu2 on the n x n Laplacian, once; the grounded Hessians'
+        # condition estimates run on n - 1 nodes
+        assert [shape for shape in calls if shape == (p.n, p.n)] == [(p.n, p.n)] * 2
+
+    @pytest.mark.parametrize("kind, params, seed", [
+        ("path", {"n": 2}, None),
+        ("path", {"n": 3}, None),
+        ("path", {"n": 150}, None),
+        ("grid", {"rows": 20, "cols": 20}, None),
+        ("barbell", {"clique": 20, "path_len": 20}, None),
+        ("random", {"n": 300, "m": 900}, 0),
+    ])
+    def test_spectrum_matches_dense_eigvalsh(self, kind, params, seed):
+        p = flow_on(kind, params, seed=seed)
+        evals = np.linalg.eigvalsh(dense(p.unweighted_laplacian()))
+        mu2, mun = p.spectrum()
+        assert mu2 == pytest.approx(evals[1], rel=1e-10, abs=0)
+        assert mun == pytest.approx(evals[-1], rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-4])
     def test_constants_equal_an_uncached_evaluation(self, eps):
         p = random_flow(30, 70, seed=4)
         first = convergence_constants(p, eps)
         assert convergence_constants(p, eps) == first
-        evals = np.linalg.eigvalsh((p.incidence @ p.incidence.T).toarray())
-        assert p.spectrum() == (float(evals[1]), float(evals[-1]))
         fresh = FlowProblem(p.graph, p.b, p.cost)
         assert convergence_constants(fresh, eps) == first
+
+    @pytest.mark.parametrize("failing_call, end, label", [
+        (0, "largest", "mun"),
+        (1, "second-smallest", "inv_mu2_shifted"),
+    ])
+    def test_lanczos_failure_is_loud(self, monkeypatch, failing_call, end, label):
+        p = flow_on("barbell", {"clique": 6, "path_len": 4})
+        calls = []
+        real = spectral.eigsh
+
+        def fails_once(op, *args, **kw):
+            calls.append(op.shape)
+            if len(calls) - 1 == failing_call:
+                raise ArpackNoConvergence("no convergence", np.array([0.25]), np.zeros((p.n, 1)))
+            return real(op, *args, **kw)
+
+        monkeypatch.setattr(spectral, "eigsh", fails_once)
+        with pytest.raises(spectral.ConvergenceError, match="the %s eigenvalue" % end) as err:
+            optimize(p, "exact_newton")
+        assert err.value.rayleigh[label] == 0.25
+        assert len(err.value.rayleigh) == failing_call + 1
+        assert p._spectrum is None  # nothing cached: the next run asks ARPACK again
+
+
+class TestScale:
+    def test_exact_newton_at_ten_thousand_nodes(self):
+        # a dense L alone is 763 MiB here; endpoints are given, so no diameter search runs
+        g = generate("grid", {"rows": 100, "cols": 100})
+        p = make_flow_problem(g, source=0, sink=g.n - 1)
+        tracemalloc.start()
+        try:
+            consts = convergence_constants(p)
+            trace = optimize(p, "exact_newton")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.converged
+        assert 0 < consts.mu2 < consts.mun
+        assert peak < 200 * 2 ** 20
 
 
 class TestNewtonDirection:

@@ -47,6 +47,10 @@ RUNS = [
     ("flow_random_30_70_r4", ["flow", "--graph", "random", "--n", "30", "--edges", "70", "--rhop", "4"]),
     ("flow_random_40_100_exact", ["flow", "--graph", "random", "--n", "40", "--edges", "100",
                                   "--method", "exact-newton"]),
+    # the Laplacian spectrum's smallest case: n = 2, one arc
+    ("flow_path_2_exact", ["flow", "--graph", "path", "--n", "2", "--method", "exact-newton"]),
+    # a small mu2 (4.4e-4): the shifted inverse must keep its digits
+    ("flow_path_150", ["flow", "--graph", "path", "--n", "150"]),
     # large enough for the fill of the exact factorization to matter
     ("flow_random_300_900_exact", ["flow", "--graph", "random", "--n", "300", "--edges", "900",
                                    "--method", "exact-newton"]),
