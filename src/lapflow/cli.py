@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .graph_core import generate, ground, laplacian, load_edge_list, open_target
+from .graph_core import generate, ground, laplacian, load_edge_list, open_target, read_edge_list
 from .spectral import ConvergenceError, estimated_chain
 from .reference_solver import direct_solve, richardson_iterations
 from .distributed_solver import check_rhop_radius, edist_rsolve
@@ -23,9 +23,9 @@ from .newton_flow import (
     DivergenceError,
     OptimizeConfig,
     Trace,
-    load_flow_problem,
     make_flow_problem,
     optimize,
+    problem_from_lines,
 )
 
 __all__ = ["header_items", "cmd_solve", "cmd_flow", "cmd_bench", "cmd_scale", "main"]
@@ -145,20 +145,13 @@ def _build_problem(parser, cfg):
     given = {key: getattr(cfg, key) for key in ("cost", "magnitude") if getattr(cfg, key) is not None}
     if cfg.graph != "file":
         return make_flow_problem(_build_graph(parser, cfg), **given)
-    path = _graph_params(parser, cfg)["path"]
-    try:
-        problem = load_flow_problem(path)
-    except ValueError as exc:
-        # a bare edge list is accepted too; any other file keeps its own error
-        try:
-            g = load_edge_list(path)
-        except ValueError:
-            raise exc from None
+    g, rest = read_edge_list(**_graph_params(parser, cfg))
+    if not rest:  # a bare edge list
         return make_flow_problem(g, **given)
     if given:
         parser.error("%s not used with a problem file, which sets its own b and cost"
                      % " and ".join("--" + key for key in given))
-    return problem
+    return problem_from_lines(g, rest)
 
 
 def _problem_items(cfg, problem):

@@ -14,6 +14,7 @@ __all__ = [
     "generate",
     "hop_ball",
     "diameter_endpoints",
+    "read_edge_list",
     "load_edge_list",
     "save_edge_list",
     "open_target",
@@ -75,10 +76,6 @@ class WeightedGraph:
     @property
     def w_min(self):
         return min(w for (_, _, w) in self.edges)
-
-    @property
-    def d_max(self):
-        return int(np.diff(self.adjacency_matrix().indptr).max())
 
     def adjacency_matrix(self):
         """Symmetric weight matrix W as CSR (zero diagonal)."""
@@ -325,13 +322,14 @@ def generate(kind, params=None, seed=None):
     if kind == "path":
         n = int(params.pop("n"))
         if n < 2:
-            raise ValueError("path needs n >= 2")
+            raise ValueError("path needs n >= 2, got %d" % n)
         pairs = _path_edges(list(range(n)))
     elif kind == "grid":
         rows, cols = int(params.pop("rows")), int(params.pop("cols"))
         n = rows * cols
-        if n < 2:
-            raise ValueError("grid needs at least 2 nodes")
+        if rows < 1 or cols < 1 or n < 2:
+            raise ValueError("grid needs rows >= 1, cols >= 1 and at least 2 nodes, got rows=%d, cols=%d"
+                             % (rows, cols))
         pairs = []
         for r in range(rows):
             for c in range(cols):
@@ -343,7 +341,8 @@ def generate(kind, params=None, seed=None):
     elif kind == "barbell":
         c, p = int(params.pop("clique")), int(params.pop("path_len"))
         if c < 2 or p < 0:
-            raise ValueError("barbell needs clique >= 2 and path_len >= 0")
+            raise ValueError("barbell needs clique >= 2 and path_len >= 0, got clique=%d, path_len=%d"
+                             % (c, p))
         n = 2 * c + p
         pairs = []
         for i in range(c):
@@ -357,10 +356,11 @@ def generate(kind, params=None, seed=None):
         pairs.extend(_path_edges(chain))
     elif kind == "random":
         n, m = int(params.pop("n")), int(params.pop("m"))
-        if m < n - 1:
-            raise ValueError("random graph needs m >= n-1 to be connectable")
-        if m > n * (n - 1) // 2:
-            raise ValueError("m exceeds the number of distinct pairs")
+        if n < 1:
+            raise ValueError("random graph needs n >= 1, got %d" % n)
+        if not n - 1 <= m <= n * (n - 1) // 2:
+            raise ValueError("random graph on n=%d nodes needs m in [%d, %d] to be connected and "
+                             "simple, got m=%d" % (n, n - 1, n * (n - 1) // 2, m))
         for _ in range(1000):
             iu, ju = _triu_pair(n, rng.choice(n * (n - 1) // 2, size=m, replace=False))
             if n > 1 and not np.bincount(np.concatenate([iu, ju]), minlength=n).all():
@@ -374,7 +374,7 @@ def generate(kind, params=None, seed=None):
     elif kind == "scale_free":
         n = int(params.pop("n"))
         if n < 2:
-            raise ValueError("scale_free needs n >= 2")
+            raise ValueError("scale_free needs n >= 2, got %d" % n)
         # urn holds one entry per edge endpoint, so draws are degree-biased
         pairs = [(0, 1)]
         urn = [0, 1]
@@ -395,21 +395,38 @@ def generate(kind, params=None, seed=None):
     return g
 
 
-def load_edge_list(path):
-    """Read a graph from the plain-text format: 'n m' header, then 'i j w' lines."""
+def read_edge_list(path):
+    """(graph, rest) of a file that starts in the plain-text edge-list format.
+
+    The format is an 'n m' header line, then m 'i j w' lines; blank lines
+    are skipped. rest holds the token lists of the lines after the edges.
+    Raises ValueError naming a malformed header or edge line.
+    """
     with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError("edge-list file too short")
-    n, m = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != 3 * m:
-        raise ValueError("expected %d edge lines of 'i j w'" % m)
+        lines = [ln.split() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError("edge-list file is empty")
+    if len(lines[0]) != 2:
+        raise ValueError("header line %r needs the form 'n m'" % " ".join(lines[0]))
+    n, m = (int(t) for t in lines[0])
+    if not 0 <= m < len(lines):
+        raise ValueError("header promises %d edge lines, the file has %d lines after it"
+                         % (m, len(lines) - 1))
     edges = []
-    for t in range(m):
-        i, j, w = body[3 * t], body[3 * t + 1], body[3 * t + 2]
+    for ln in lines[1 : 1 + m]:
+        if len(ln) != 3:
+            raise ValueError("edge line %r needs the form 'i j w'" % " ".join(ln))
+        i, j, w = ln
         edges.append((int(i), int(j), float(w)))
-    return WeightedGraph(n, edges)
+    return WeightedGraph(n, edges), lines[1 + m :]
+
+
+def load_edge_list(path):
+    """Read a graph from the plain-text format: 'n m' header, then 'i j w' lines and nothing else."""
+    g, rest = read_edge_list(path)
+    if rest:
+        raise ValueError("edge list has a line %r after its %d edges" % (" ".join(rest[0]), g.m))
+    return g
 
 
 def save_edge_list(g, target):

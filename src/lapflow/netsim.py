@@ -8,14 +8,14 @@ rejects any round wider than R; R=None is full communication, with no
 radius limit.
 
 A simulator keeps hop data only as far as its rounds and checks reach. It
-builds the adjacency pattern, the connected components and ``reach`` when it
-is made, in O(n + m): ``reach`` is twice the eccentricity of one node per
-component, an upper bound on every component's diameter. The ball of a
-radius r below ``reach``, the hop distance of every pair within r hops, is
-built on first use by a BFS truncated at r (``graph_core.hop_ball``) and
-cached per radius. At r >= ``reach`` every pair of a component is within r;
-the per-node costs of such a round come from BFS runs over blocks of
-sources, and no n x n array is held.
+builds the adjacency pattern, the component count and ``reach`` when it is
+made, in O(n + m): ``reach`` is twice the eccentricity of one node per
+component, an upper bound on every component's diameter. Its one hop datum
+is the ball of radius min(r, ``reach``), the hop distance of every pair
+within r hops, built on first use by a BFS truncated there
+(``graph_core.hop_ball``) and cached with its round charges; round charges
+and support checks both read it. At r >= ``reach`` it holds every pair of a
+component as CSR, 8 bytes a pair, as much as one dense n x n operator.
 
 There is one execution path, the collective round: ``certify`` proves once
 that a matrix's support stays inside the r-hop ball, after which
@@ -231,6 +231,13 @@ def _nonzero_pattern(matrix):
     return csr
 
 
+def _ball_entry(ball):
+    # (ball, c, its largest hop, the message total of a round in which every
+    # node sends one value), with v's inbound relay cost c[v] = sum_k hop(k, v)
+    costs = np.asarray(ball.sum(axis=0), dtype=float).ravel()
+    return ball, costs, int(ball.data.max(initial=0)), int(round(costs.sum()))
+
+
 class LocalOperator:
     """A matrix certified to combine only values from within `radius` hops.
 
@@ -262,14 +269,15 @@ class Simulator:
     ----------
     adjacency : csr_matrix
         The graph's adjacency pattern, one stored 1 per ordered edge.
-    components, labels : int, ndarray
-        The connected components and each node's component.
+    components : int
+        The number of connected components.
     reach : int
         Twice the eccentricity of one node per component, the largest over
         the components: no two nodes of a component are farther apart.
 
-    The ball of a radius below reach is built on its first use and cached;
-    fresh() copies share the caches.
+    The ball at min(r, reach) is built on first use and cached with its
+    charges; fresh() copies share the cache. At reach or more it holds every
+    pair of a component as CSR, 8 B a pair: one dense float64 n x n array.
     """
 
     def __init__(self, graph, R=None):
@@ -277,56 +285,26 @@ class Simulator:
         self.n = graph.n
         # the radius-1 ball: one stored 1 per ordered edge
         self.adjacency = adjacency = hop_ball(graph.adjacency_matrix(), 1)
-        self.components, self.labels = csgraph.connected_components(adjacency, directed=False)
+        self.components, labels = csgraph.connected_components(adjacency, directed=False)
         # one BFS from the first node of every component at once
-        roots = np.unique(self.labels, return_index=True)[1]
+        roots = np.unique(labels, return_index=True)[1]
         depth = csgraph.dijkstra(adjacency, unweighted=True, indices=roots, min_only=True)
         self.reach = 2 * int(depth.max())
         self.transcript = SimTranscript()
-        self._balls = {1: adjacency}
-        self._radius_cache = {}
+        self._balls = {min(1, self.reach): _ball_entry(adjacency)}
 
     def fresh(self):
-        """This simulator with an empty transcript, sharing its hop data and radius totals."""
+        """This simulator with an empty transcript, sharing its cache of hop balls."""
         sim = copy.copy(self)
         sim.transcript = SimTranscript()
         return sim
 
     def _ball(self, r):
-        # hop distances 1..r of every pair within r < reach hops, as CSR
-        if r not in self._balls:
-            self._balls[r] = hop_ball(self.adjacency, r)
-        return self._balls[r]
-
-    def _radius_stats(self, r):
-        # per-node inbound relay cost c_r[v] = sum_{k != v, hop <= r} hop(k, v),
-        # the largest hop actually inside any radius-r ball, and the message
-        # total of a round in which every node sends one value
+        # (ball, costs, max_hop, messages) at min(r, reach); see _ball_entry
         key = min(r, self.reach)
-        if key not in self._radius_cache:
-            if key < self.reach:
-                ball = self._ball(key)
-                costs = np.asarray(ball.sum(axis=0), dtype=float).ravel()
-                max_hop = int(ball.data.max()) if ball.nnz else 0
-            else:
-                costs, max_hop = self._component_stats()
-            self._radius_cache[key] = (costs, max_hop, int(round(costs.sum())))
-        return self._radius_cache[key]
-
-    def _component_stats(self):
-        # c[v] and the largest hop over every pair of a component, by BFS from
-        # blocks of sources whose hop rows hold no more entries than the adjacency
-        n = self.n
-        costs = np.zeros(n)
-        max_hop = 0
-        block = max(1, self.adjacency.nnz // n)
-        for start in range(0, n, block):
-            sources = np.arange(start, min(start + block, n))
-            hops = csgraph.shortest_path(self.adjacency, method="D", unweighted=True, indices=sources)
-            hops[np.isinf(hops)] = 0.0
-            costs[sources] = hops.sum(axis=1)
-            max_hop = max(max_hop, int(hops.max()))
-        return costs, max_hop
+        if key not in self._balls:
+            self._balls[key] = _ball_entry(hop_ball(self.adjacency, key))
+        return self._balls[key]
 
     def _check_radius(self, r):
         # check_radius's rule, so a fractional radius is never truncated
@@ -363,23 +341,20 @@ class Simulator:
     def _check_support(self, matrix, radius):
         # ViolationError naming the row-major first nonzero beyond radius hops.
         # A sparse matrix is read on its stored entries, duplicates summed; a
-        # dense one on its nonzero positions. At radius >= reach only an entry
-        # between two components can lie beyond.
-        if radius >= self.reach:
-            if self.components == 1:
-                return
-            rows, cols = (_nonzero_pattern(matrix) if sparse.issparse(matrix) else matrix).nonzero()
-            across = self.labels[rows] != self.labels[cols]
-            rows, cols = rows[across], cols[across]
-        elif sparse.issparse(matrix):
+        # dense one on its nonzero positions. Past reach only a pair of two
+        # components lies beyond: it is not in the reach ball.
+        if radius >= self.reach and self.components == 1:
+            return
+        ball = self._ball(radius)[0]
+        if sparse.issparse(matrix):
             # only a 1 outside the ball exceeds the ball's entry, which is at
             # least 1; the diagonal, at hop 0, is not in the ball
-            rows, cols = (_nonzero_pattern(matrix) > self._ball(radius)).nonzero()
+            rows, cols = (_nonzero_pattern(matrix) > ball).nonzero()
             off = rows != cols
             rows, cols = rows[off], cols[off]
         else:
             beyond = matrix != 0
-            beyond &= ~self._ball(radius).astype(bool).toarray()
+            beyond &= ~ball.astype(bool).toarray()
             np.fill_diagonal(beyond, False)
             rows, cols = np.nonzero(beyond)
         if rows.size:
@@ -428,10 +403,7 @@ class Simulator:
         1): n finite, non-negative values. The radius must be an integer.
         Returns nothing; the caller performs the equivalent combine step.
         """
-        if count == 0:
-            return
         radius = self._check_radius(radius)
-        costs, max_hop, messages = self._radius_stats(radius)
         if payload is not None:
             payload = np.asarray(payload, dtype=float)
             if payload.shape != (self.n,):
@@ -440,8 +412,11 @@ class Simulator:
                 raise ValueError("payload has a non-finite entry")
             if (payload < 0).any():
                 raise ValueError("payload has a negative entry")
-            messages = int(round(float(costs @ payload)))
-        self.transcript.append(messages, max_hop, count)
+        if count:
+            _, costs, max_hop, messages = self._ball(radius)
+            if payload is not None:
+                messages = int(round(float(costs @ payload)))
+            self.transcript.append(messages, max_hop, count)
 
     def apply_round(self, op, x, count=1):
         """`count` rounds in which every node combines gathered values via its row of op.

@@ -22,11 +22,11 @@ from scipy import sparse
 
 from .graph_core import (
     StandardSplitting,
-    WeightedGraph,
     diameter_endpoints,
     ground,
     laplacian,
     open_target,
+    read_edge_list,
     save_edge_list,
 )
 from .reference_solver import direct_solve, richardson_iterations
@@ -41,6 +41,7 @@ __all__ = [
     "FlowProblem",
     "make_flow_problem",
     "load_flow_problem",
+    "problem_from_lines",
     "save_flow_problem",
     "DualState",
     "dual_state",
@@ -277,23 +278,16 @@ def load_flow_problem(path):
     Raises ValueError on a malformed file: a bad header or edge line, or a
     'b' or 'cost' line that is missing, repeated or unknown.
     """
-    with open(path) as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError("problem file is empty")
-    if len(lines[0]) != 2:
-        raise ValueError("header line %r needs the form 'n m'" % " ".join(lines[0]))
-    n, m = (int(t) for t in lines[0])
-    if not 0 <= m < len(lines):
-        raise ValueError("header promises %d edge lines" % m)
-    edges = []
-    for ln in lines[1 : 1 + m]:
-        if len(ln) != 3:
-            raise ValueError("edge line %r needs the form 'i j w'" % " ".join(ln))
-        i, j, w = ln
-        edges.append((int(i), int(j), float(w)))
+    return problem_from_lines(*read_edge_list(path))
+
+
+def problem_from_lines(graph, lines):
+    """The flow problem on graph with the 'b' and 'cost' lines that read_edge_list left over.
+
+    `lines` holds token lists. Raises ValueError as load_flow_problem does.
+    """
     rest = {}
-    for tokens in lines[1 + m :]:
+    for tokens in lines:
         if tokens[0] not in ("b", "cost"):
             raise ValueError("unknown line %r" % " ".join(tokens))
         if tokens[0] in rest:
@@ -306,7 +300,7 @@ def load_flow_problem(path):
     name, param = rest["cost"][0], rest["cost"][1:]
     cost = make_cost(name, float(param[0]) if param else None)
     b = np.array([float(t) for t in rest["b"]])
-    return FlowProblem(WeightedGraph(n, edges), b, cost)
+    return FlowProblem(graph, b, cost)
 
 
 @dataclass
@@ -635,6 +629,8 @@ def optimize(problem, method="sddm_newton", config=None):
     if not float(cfg.ground_node).is_integer():
         raise ValueError("ground_node must be an integer, got %r" % (cfg.ground_node,))
     ground_node = int(cfg.ground_node)
+    if not 0 <= ground_node < problem.n:
+        raise ValueError("ground_node must lie in [0, %d), got %d" % (problem.n, ground_node))
     eps = cfg.eps if method == "sddm_newton" else 0.0
     try:
         consts = convergence_constants(problem, eps)

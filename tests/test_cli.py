@@ -102,6 +102,19 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_bad_generator_size_named(self, capsys):
+        # a -2 x -3 grid used to fail as "generator produced a disconnected graph"
+        rc = main(["solve", "--graph", "grid", "--rows", "-2", "--cols", "-3"])
+        assert rc == 2
+        assert "grid needs rows >= 1, cols >= 1" in capsys.readouterr().err
+
+    def test_problem_file_is_not_an_edge_list(self, capsys):
+        # solve reads a bare edge list; the file's b line is named, not its edge count
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        rc = main(["solve", "--graph", "file", "--file", os.path.join(root, "tools", "snapshot_problem.txt")])
+        assert rc == 2
+        assert "edge list has a line 'b 2.0 0.0" in capsys.readouterr().err
+
     def test_missing_generator_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--graph", "random", "--n", "10", "--eps", "0.5"])

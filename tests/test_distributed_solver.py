@@ -391,11 +391,18 @@ class TestMessageAccounting:
         tr = eng.transcript
         assert (tr.rounds, tr.messages_total, tr.max_hop_used) == (rounds, messages, max_hop)
 
-    @pytest.mark.parametrize("R", [1, 2, 4, None], ids=["R1", "R2", "R4", "full"])
-    def test_solve_runs_one_per_chain_level(self, R):
-        # the solve phase of an eps-solve on the 4x4 grid, run for run: each
-        # chain level is one batch of identical rounds, never split up
-        s = ground(laplacian(generate("grid", {"rows": 4, "cols": 4})), 0)
+    @pytest.mark.parametrize("system, R", [
+        (system, R) for system in ("grid", "cut_path") for R in (1, 2, 4, 8, None)
+    ], ids=[prefix + R for prefix in ("", "cut_path-") for R in ("R1", "R2", "R4", "R8", "full")])
+    def test_solve_runs_one_per_chain_level(self, system, R):
+        # the solve phase of an eps-solve on the 4x4 grid, and on the path 9
+        # grounded at node 4, whose support falls apart in two, run for run:
+        # each chain level is one batch of identical rounds, never split up.
+        # On the split support R = 8 and full communication pass reach.
+        if system == "grid":
+            s = ground(laplacian(generate("grid", {"rows": 4, "cols": 4})), 0)
+        else:
+            s = grounded_path(9, 4)
         b = np.random.default_rng(0).standard_normal(s.n)
         d, eps = 5, 1e-2
         hops = floyd_warshall_hops(support_graph(s))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from lapflow.graph_core import (
     hop_ball,
     diameter_endpoints,
     load_edge_list,
+    read_edge_list,
     save_edge_list,
     _triu_pair,
 )
@@ -212,6 +214,26 @@ class TestTopologies:
         with pytest.raises(ValueError):
             generate("path", {"n": 5, "rows": 2})
 
+    @pytest.mark.parametrize("kind, params, named", [
+        ("path", {"n": 1}, "path needs n >= 2, got 1"),
+        # a grid of -2 x -3 used to pass as 6 nodes and fail as disconnected
+        ("grid", {"rows": -2, "cols": -3}, "grid needs rows >= 1, cols >= 1 and at least 2 nodes, "
+                                           "got rows=-2, cols=-3"),
+        ("grid", {"rows": 1, "cols": 1}, "got rows=1, cols=1"),
+        ("barbell", {"clique": 1, "path_len": 2}, "barbell needs clique >= 2 and path_len >= 0, "
+                                                  "got clique=1, path_len=2"),
+        # n = -5 used to reach scipy's "'shape' elements cannot be negative"
+        ("random", {"n": -5, "m": 0}, "random graph needs n >= 1, got -5"),
+        ("random", {"n": 5, "m": 3}, "random graph on n=5 nodes needs m in [4, 10] to be "
+                                     "connected and simple, got m=3"),
+        ("random", {"n": 5, "m": 11}, "needs m in [4, 10]"),
+        ("scale_free", {"n": 0}, "scale_free needs n >= 2, got 0"),
+    ], ids=["path", "grid_negative", "grid_one", "barbell", "random_negative_n", "random_few_edges",
+            "random_many_edges", "scale_free"])
+    def test_bad_size_named(self, kind, params, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            generate(kind, params)
+
 
 class TestHops:
     def test_matches_floyd_warshall(self):
@@ -321,3 +343,23 @@ class TestEdgeListIO:
         path.write_text("3 2\n0 1 1.0\n")
         with pytest.raises(ValueError):
             load_edge_list(str(path))
+
+    @pytest.mark.parametrize("text, named", [
+        # one line holding a header and two edges is not the line format
+        ("3 2 0 1 1.0 1 2 1.0\n", "header line '3 2 0 1 1.0 1 2 1.0' needs the form 'n m'"),
+        ("3 2\n0 1 1.0 1 2 1.0\n", "header promises 2 edge lines, the file has 1 lines after it"),
+        ("3 2\n0 1 1.0\n1 2\n9 9 9\n", "edge line '1 2' needs the form 'i j w'"),
+        ("3 2\n0 1 1.0\n1 2 1.0\nb 1.0 0.0 -1.0\n", "edge list has a line 'b 1.0 0.0 -1.0' after its 2 edges"),
+    ], ids=["one_line", "short", "edge", "extra"])
+    def test_malformed_line_named(self, tmp_path, text, named):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_edge_list(str(path))
+
+    def test_read_returns_the_lines_after_the_edges(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1 1.0\n\n1 2 2.5\nb 1.0 0.0 -1.0\ncost exp\n")
+        g, rest = read_edge_list(str(path))
+        assert (g.n, g.edges) == (3, [(0, 1, 1.0), (1, 2, 2.5)])
+        assert rest == [["b", "1.0", "0.0", "-1.0"], ["cost", "exp"]]

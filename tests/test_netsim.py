@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from lapflow import netsim
 from lapflow.distributed_solver import support_graph
@@ -67,11 +68,13 @@ class TestRoundRadius:
 
     @pytest.mark.parametrize("R", [1, 2, None])
     def test_fractional_round_radius_rejected(self, R):
-        # a radius of 1.5 used to run, and be charged, as radius 1
+        # a radius of 1.5 used to run, and be charged, as radius 1; a batch of
+        # no rounds is checked too
         sim = Simulator(path_graph(5), R=R)
         for bad in (1.5, 0.5, float("nan")):
-            with pytest.raises(ValueError, match="gather radius must be an integer"):
-                sim.account_round(bad)
+            for count in (1, 0):
+                with pytest.raises(ValueError, match="gather radius must be an integer"):
+                    sim.account_round(bad, count=count)
         assert sim.transcript.runs == []
 
     def test_fractional_certify_radius_rejected(self):
@@ -91,8 +94,9 @@ class TestRoundRadius:
     ], ids=["negative", "short", "matrix", "inf", "nan"])
     def test_bad_payload_rejected(self, payload, match):
         sim = Simulator(path_graph(3), R=1)
-        with pytest.raises(ValueError, match=match):
-            sim.account_round(1, payload=payload)
+        for count in (1, 0):
+            with pytest.raises(ValueError, match=match):
+                sim.account_round(1, payload=payload, count=count)
         assert sim.transcript.runs == []
 
 
@@ -106,7 +110,7 @@ def hop_oracle_graphs():
 
 
 class TestHopData:
-    """Round charges from the truncated balls and the component BFS, against Floyd-Warshall."""
+    """Round charges and support checks from the hop ball at min(r, reach), against Floyd-Warshall."""
 
     @pytest.mark.parametrize("g", hop_oracle_graphs(), ids=["path", "grid", "barbell", "random", "cut_path"])
     def test_every_radius_matches_floyd_warshall(self, g):
@@ -115,7 +119,7 @@ class TestHopData:
         diameter = int(fw[finite].max())
         payload = np.arange(1.0, g.n + 1)
         full = Simulator(g)
-        # past the diameter and past reach, so both ways of counting run
+        # past the diameter and past reach, where the reach ball serves every radius
         top = max(diameter + 2, full.reach + 1)
         assert diameter <= full.reach < top
         for r in range(1, top + 1):
@@ -145,7 +149,8 @@ class TestHopData:
             sim.stride(op, 2 ** 10)
         found = re.fullmatch(r"matrix entry \((\d+),(\d+)\) reaches hop inf beyond radius %d" % s,
                              str(err.value))
-        assert found and sim.labels[int(found[1])] != sim.labels[int(found[2])]
+        labels = csgraph.connected_components(sim.adjacency, directed=False)[1]
+        assert found and labels[int(found[1])] != labels[int(found[2])]
         assert op.stride is None
         # certify at a radius above reach names the forged entry itself
         for form in (W.tocsr(), W.toarray()):
@@ -186,7 +191,7 @@ class TestFresh:
         twin = sim.fresh()
         assert type(twin) is Simulator and twin.R == 2 and twin.n == sim.n
         assert twin.adjacency is sim.adjacency and twin.reach == sim.reach
-        assert twin._balls is sim._balls and twin._radius_cache is sim._radius_cache
+        assert twin._balls is sim._balls
         assert twin.transcript is not sim.transcript and twin.transcript.runs == []
         twin.account_round(1)
         twin.account_round(2)
@@ -482,6 +487,9 @@ class TestBatchedRounds:
         x = np.arange(float(op.matrix.shape[0]))
         assert sim.apply_round(op, x, count=0) is x
         sim.account_round(1, count=0)
+        # a batch of no rounds still checks its radius against R = 1
+        with pytest.raises(ViolationError, match="radius 2 > R=1"):
+            sim.account_round(2, count=0)
         assert transcript_view(sim) == before
 
     def test_negative_count_rejected(self):

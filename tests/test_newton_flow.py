@@ -764,7 +764,7 @@ class TestOptimize:
         # other methods run no engine
         assert optimize(p, "exact_newton", OptimizeConfig(R=R, max_iters=0)).iterations == 0
 
-    def test_non_integral_ground_node_rejected(self):
+    def test_non_integral_ground_node_rejected(self, monkeypatch):
         # 2.5 names no node; direct_solve's grounding message would hide that
         p = random_flow(10, 18, seed=15)
         with pytest.raises(ValueError, match="ground_node must be an integer, got 2.5"):
@@ -772,6 +772,19 @@ class TestOptimize:
         as_float = optimize(p, "exact_newton", OptimizeConfig(ground_node=2.0, max_iters=3))
         as_int = optimize(p, "exact_newton", OptimizeConfig(ground_node=2, max_iters=3))
         assert as_float.rows == as_int.rows
+        # nor does 99 of 10 nodes: the Newton methods used to fail at their
+        # first step, naming ref_node, and the other two ran and converged.
+        # Every method refuses it before any work.
+        import lapflow.newton_flow as nf
+
+        def no_work(*args):
+            raise AssertionError("optimize started work on a bad ground_node")
+
+        monkeypatch.setattr(nf, "convergence_constants", no_work)
+        for method in ("sddm_newton", "exact_newton", "subgradient", "add_neumann"):
+            for bad in (99, 10, -1):
+                with pytest.raises(ValueError, match=re.escape("ground_node must lie in [0, 10), got %d" % bad)):
+                    optimize(p, method, OptimizeConfig(ground_node=bad, max_iters=3))
 
     def test_fixed_subgradient_default_step(self):
         p = random_flow(10, 18, seed=15)

@@ -43,6 +43,8 @@ RUNS = [
     ("solve_path_2", ["solve", "--graph", "path", "--n", "2"]),
     # grounding node 4 splits the path's support in two: two components on one network
     ("solve_path_9_ground_cut_r2", ["solve", "--graph", "path", "--n", "9", "--ground", "4", "--rhop", "2"]),
+    # R = 8 passes the split support's reach: rounds and checks read its reach ball
+    ("solve_path_9_ground_cut_r8", ["solve", "--graph", "path", "--n", "9", "--ground", "4", "--rhop", "8"]),
     ("solve_scale_free_40_r2", ["solve", "--graph", "scale-free", "--n", "40", "--rhop", "2"]),
     ("flow_random_30_70_r4", ["flow", "--graph", "random", "--n", "30", "--edges", "70", "--rhop", "4"]),
     ("flow_random_40_100_exact", ["flow", "--graph", "random", "--n", "40", "--edges", "100",
@@ -73,6 +75,8 @@ RUNS = [
     # grounding path node 7 splits the barbell in two: the network of each
     # Newton step is G minus that node, with two components
     ("flow_barbell_6_4_r2_ground_cut", ["flow"] + BARBELL_6_4 + ["--rhop", "2", "--ground", "7"]),
+    # and R = 16 passes the reach of that split network
+    ("flow_barbell_6_4_r16_ground_cut", ["flow"] + BARBELL_6_4 + ["--rhop", "16", "--ground", "7"]),
     # Hessian weights 1/Phi'' far below 1: the SDDM check of the grounded
     # Hessian scales its tolerance with max D, not with 1
     ("flow_path_3_magnitude_50", ["flow", "--graph", "path", "--n", "3", "--magnitude", "50"]),
@@ -83,6 +87,8 @@ RUNS = [
     ("flow_file_problem_random_12_24", ["flow", "--graph", "file", "--file", "tools/snapshot_problem.txt"]),
     ("solve_file_edges_random_25_60_r2", ["solve", "--graph", "file", "--file", "tools/snapshot_edges.txt",
                                           "--rhop", "2"]),
+    # solve reads a bare edge list: a problem file's b line is a usage error
+    ("solve_file_problem_random_12_24", ["solve", "--graph", "file", "--file", "tools/snapshot_problem.txt"]),
 ]
 
 
