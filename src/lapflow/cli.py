@@ -86,6 +86,12 @@ def _build_graph(parser, cfg):
     return generate(cfg.graph, params, seed=cfg.seed)
 
 
+def _check_ground(parser, cfg, n):
+    """Usage error naming --ground unless it is a node of the n-node graph."""
+    if not 0 <= cfg.ground_node < n:
+        parser.error("--ground must lie in [0, %d), got %d" % (n, cfg.ground_node))
+
+
 def _write_comments(fh, items):
     for key in items:
         fh.write("# %s=%s\n" % (key, items[key]))
@@ -115,6 +121,7 @@ def _misses_eps(rel, eps):
 def cmd_solve(cfg, parser=None):
     """Solve one grounded system with the R-hop solver and emit the solution."""
     g = _build_graph(parser, cfg)
+    _check_ground(parser, cfg, g.n)
     s, b, spec, x, eng, rel = _checked_solve(g, cfg.ground_node, cfg.seed, cfg.rhop, cfg.eps)
     log.info("solve: n=%d kappa~%.3g d=%d", s.n, spec.kappa, spec.d)
     residual = float(np.linalg.norm(s.matrix() @ x - b))
@@ -178,6 +185,7 @@ def _flow_config(cfg):
 def cmd_flow(cfg, parser=None):
     """Optimize one flow problem and emit its trace."""
     problem = _build_problem(parser, cfg)
+    _check_ground(parser, cfg, problem.n)
     method = _METHODS[cfg.method]
     extra = _problem_items(cfg, problem)
     try:
@@ -202,6 +210,7 @@ def cmd_bench(cfg, parser=None):
     `# <method>.<key>=<value>` comments.
     """
     problem = _build_problem(parser, cfg)
+    _check_ground(parser, cfg, problem.n)
     extra = _problem_items(cfg, problem)
     traces = {}
     for method in ("sddm_newton", "exact_newton", "add_neumann", "subgradient"):

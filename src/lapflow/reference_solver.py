@@ -39,8 +39,8 @@ def direct_solve(s, b):
     """Ground-truth solve of M x = b by one sparse LU factorization.
 
     M is factored once by spectral.sparse_lu (minimum-degree ordering of
-    M' + M), solved, and refined by one step on the same factors; no n x n
-    array is formed.
+    M' + M, computed once per sparsity pattern), solved, and refined by one
+    step on the same factors; no n x n array is formed.
 
     Parameters
     ----------

@@ -1,12 +1,13 @@
 """Condition numbers (bound and Lanczos estimate), Laplacian spectrum, chain length, SDDM validation."""
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
 __all__ = [
     "ChainSpec",
@@ -20,6 +21,7 @@ __all__ = [
     "check_chain_length",
     "estimated_chain",
     "sparse_lu",
+    "PermutedLU",
 ]
 
 # constant in d = ceil(log2(c*kappa)); eps_d = ln(e^c/(e^c - 1))
@@ -27,6 +29,9 @@ CHAIN_C = 4
 EPS_D = math.log(math.exp(CHAIN_C) / (math.exp(CHAIN_C) - 1.0))
 # ARPACK's relative tolerance on the Ritz residual in estimate_condition
 EIGSH_TOL = 1e-6
+# sparsity patterns whose ordering sparse_lu keeps, least recently used dropped first
+ORDERING_CACHE_SIZE = 8
+_orderings = OrderedDict()
 
 
 @dataclass
@@ -152,8 +157,9 @@ def estimate_condition(s):
 
     Two ARPACK calls (scipy's ``eigsh``, largest algebraic eigenvalue) from
     one fixed start vector: one on M for lambda_max, one on M^-1, applied
-    through sparse_lu, for 1/lambda_min. ARPACK stops when the Ritz residual
-    is below EIGSH_TOL relative; the eigenvalue error is quadratic in it.
+    through sparse_lu (whose ordering direct_solve on the same pattern then
+    reuses), for 1/lambda_min. ARPACK stops when the Ritz residual is below
+    EIGSH_TOL relative; the eigenvalue error is quadratic in it.
 
     Parameters
     ----------
@@ -266,12 +272,62 @@ def estimated_chain(s):
     return chain_length(max(1.0, kappa), "estimated")
 
 
+@dataclass(frozen=True)
+class PermutedLU:
+    """SuperLU factors of M[q][:, q]; solve(b) returns M^-1 b, permuting b in and x out."""
+
+    factors: object  # scipy's SuperLU
+    q: np.ndarray
+
+    def solve(self, b):
+        y = self.factors.solve(np.asarray(b, dtype=float)[self.q])
+        x = np.empty_like(y)
+        x[self.q] = y
+        return x
+
+
 def sparse_lu(M):
     """Sparse LU of a square sparse matrix under the minimum-degree ordering of M' + M.
 
     The one exact factorization of the package (direct_solve,
     estimate_condition and laplacian_spectrum); on grounded Laplacians of
-    random graphs it fills far less than splu's default COLAMD. Returns
-    scipy's SuperLU object.
+    random graphs it fills far less than splu's default COLAMD. The
+    ordering depends only on M's sparsity pattern, so it is computed once
+    per pattern and kept for the last ORDERING_CACHE_SIZE patterns: every
+    Newton step's grounded Hessian has the same one. Every call, the first
+    on a pattern included, factors M[q][:, q] under splu's NATURAL order
+    with its default partial pivoting, so the factors do not depend on the
+    cache. M itself is never modified. Returns a PermutedLU.
     """
-    return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    C = sparse.csc_matrix(M, dtype=float, copy=True)
+    C.sum_duplicates()  # canonical: sorted indices, no duplicates
+    key = (C.shape, C.indptr.tobytes(), C.indices.tobytes())
+    order = _orderings.pop(key, None)
+    if order is None:
+        order = _min_degree_order(C)
+    _orderings[key] = order
+    if len(_orderings) > ORDERING_CACHE_SIZE:
+        _orderings.popitem(last=False)
+    q, gather, indptr, indices = order
+    P = sparse.csc_matrix((C.data[gather], indices, indptr), shape=C.shape)
+    return PermutedLU(splu(P, permc_spec="NATURAL"), q)
+
+
+def _min_degree_order(C):
+    """(q, gather, indptr, indices) of a canonical CSC C: its MMD_AT_PLUS_A order and C[q][:, q].
+
+    splu's perm_c is fixed before any numeric work, so spilu dropping every
+    off-diagonal entry yields the same perm_c at a fraction of a full
+    factorization's cost. q is its inverse (column j of C[:, q] is column
+    q[j] of C), and C[q][:, q] is the CSC (C.data[gather], indices, indptr).
+    """
+    n = C.shape[0]
+    perm_c = spilu(C, drop_tol=1e300, fill_factor=1, permc_spec="MMD_AT_PLUS_A").perm_c
+    rows = perm_c[C.indices]  # entry (r, c) of C moves to (perm_c[r], perm_c[c])
+    cols = np.repeat(perm_c, np.diff(C.indptr))
+    gather = np.lexsort((rows, cols))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))).astype(rows.dtype)
+    order = np.argsort(perm_c), gather, indptr, rows[gather]
+    for part in order:
+        part.flags.writeable = False  # shared by every later call on the pattern
+    return order

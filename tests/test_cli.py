@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end, run in process."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -101,6 +102,15 @@ class TestSolve:
             main(args)
         assert exc.value.code == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "flow", "bench"])
+    @pytest.mark.parametrize("node", ["99", "9", "-1"])
+    def test_ground_outside_graph_is_named_usage_error(self, capsys, command, node):
+        # it used to exit through the library's check, naming ref_node or ground_node
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", "path", "--n", "9", "--ground", node])
+        assert exc.value.code == 2
+        assert "--ground must lie in [0, 9), got %s" % node in capsys.readouterr().err
 
     def test_bad_generator_size_named(self, capsys):
         # a -2 x -3 grid used to fail as "generator produced a disconnected graph"
@@ -440,3 +450,34 @@ class TestLogging:
         quiet = subprocess.run(cmd, env=env, capture_output=True, text=True, cwd=cwd)
         assert quiet.returncode == 0
         assert "INFO" not in quiet.stderr
+
+
+def load_snapshot_tool():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("cli_snapshot", os.path.join(root, "tools", "cli_snapshot.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+class TestSnapshotTool:
+    def test_thread_record_names_each_variable(self):
+        tool = load_snapshot_tool()
+        record = tool.thread_record({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"})
+        assert record == "OPENBLAS_NUM_THREADS=2\nOMP_NUM_THREADS unset\nMKL_NUM_THREADS=1\n"
+
+    @pytest.mark.parametrize("after_threads", ["OPENBLAS_NUM_THREADS=2\n", "OPENBLAS_NUM_THREADS=1\n", None],
+                             ids=["same", "differ", "unrecorded"])
+    def test_compare_prints_threads_only_when_they_differ(self, tmp_path, capsys, after_threads):
+        tool = load_snapshot_tool()
+        before, after = tmp_path / "before", tmp_path / "after"
+        for side, threads in ((before, "OPENBLAS_NUM_THREADS=2\n"), (after, after_threads)):
+            side.mkdir()
+            (side / "run.exit").write_text("0\n")
+            if threads is not None:
+                (side / tool.THREADS_FILE).write_text(threads)
+        assert tool.compare(before, after) == 0
+        out = capsys.readouterr().out
+        assert ("BLAS threads differ" in out) == (after_threads != "OPENBLAS_NUM_THREADS=2\n")
+        assert tool.THREADS_FILE + ":" not in out  # not compared as a snapshot file
+        assert "run.exit: text same" in out

@@ -1,13 +1,15 @@
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 from lapflow import spectral
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
-from lapflow.newton_flow import dual_hessian, dual_state, make_flow_problem
+from lapflow.newton_flow import convergence_constants, dual_hessian, dual_state, make_flow_problem, optimize
 from lapflow.reference_solver import direct_solve
 from lapflow.spectral import (
     CHAIN_C,
@@ -179,20 +181,111 @@ class TestChainLength:
             ChainSpec(kappa=2.0, kappa_source="estimated", d=-1, eps_d=EPS_D)
 
 
+def recording_factorizations(monkeypatch):
+    """Lists of the shapes sparse_lu orders and of the permc_spec of each splu call, as they happen."""
+    orders, specs = [], []
+    real_order, real_splu = spectral._min_degree_order, spectral.splu
+
+    def order(C):
+        orders.append(C.shape)
+        return real_order(C)
+
+    def factor(A, **kw):
+        specs.append(kw.get("permc_spec"))
+        return real_splu(A, **kw)
+
+    monkeypatch.setattr(spectral, "_min_degree_order", order)
+    monkeypatch.setattr(spectral, "splu", factor)
+    return orders, specs
+
+
+def grounded_family(kind):
+    params = {"path": {"n": 30}, "grid": {"rows": 8, "cols": 9},
+              "barbell": {"clique": 8, "path_len": 6}, "random": {"n": 300, "m": 900}}[kind]
+    return ground(laplacian(generate(kind, params, seed=2)), 0)
+
+
+def exact_trace_csv(g):
+    """CSV text of exact_newton on a fresh flow problem on g."""
+    out = io.StringIO()
+    optimize(make_flow_problem(g), "exact_newton").to_csv(out)
+    return out.getvalue()
+
+
 class TestOneFactorization:
     def test_both_exact_factorizations_use_one_ordering(self, monkeypatch):
-        specs = []
-        real = spectral.splu
-
-        def recording(A, **kw):
-            specs.append(kw.get("permc_spec"))
-            return real(A, **kw)
-
-        monkeypatch.setattr(spectral, "splu", recording)
+        spectral._orderings.clear()
+        orders, specs = recording_factorizations(monkeypatch)
         s = grounded_random(40, 100, seed=1)
         estimate_condition(s)
         direct_solve(s, np.ones(s.n))
-        assert specs == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+        assert orders == [(s.n, s.n)]
+        assert specs == ["NATURAL", "NATURAL"]
+
+    def test_exact_newton_orders_its_hessian_once(self, monkeypatch):
+        p = make_flow_problem(generate("random", {"n": 60, "m": 150}, seed=3))
+        convergence_constants(p)  # the Laplacian spectrum, on a pattern of its own, is cached on p
+        spectral._orderings.clear()
+        orders, specs = recording_factorizations(monkeypatch)
+        trace = optimize(p, "exact_newton")
+        assert trace.converged and trace.iterations >= 2
+        assert orders == [(p.n - 1, p.n - 1)]
+        assert specs == ["NATURAL"] * trace.iterations
+
+    def test_cold_and_warm_cache_give_the_same_bits(self):
+        s = grounded_random(80, 200, seed=4)
+        b = np.random.default_rng(5).standard_normal(s.n)
+        spectral._orderings.clear()
+        cold = direct_solve(s, b), estimate_condition(s)
+        warm = direct_solve(s, b), estimate_condition(s)
+        spectral._orderings.clear()
+        cleared = direct_solve(s, b), estimate_condition(s)
+        for x, kappa in (warm, cleared):
+            assert x.tobytes() == cold[0].tobytes()
+            assert kappa == cold[1]
+
+    def test_exact_newton_trace_does_not_depend_on_the_cache(self):
+        g = generate("random", {"n": 50, "m": 120}, seed=6)
+        spectral._orderings.clear()
+        cold = exact_trace_csv(g)
+        warm = exact_trace_csv(g)
+        spectral._orderings.clear()
+        assert warm == cold
+        assert exact_trace_csv(g) == cold
+
+    @pytest.mark.parametrize("kind", ["path", "grid", "barbell", "random"])
+    def test_fill_and_ordering_match_splu(self, kind):
+        M = grounded_family(kind).matrix().tocsc()
+        ref = splu(M, permc_spec="MMD_AT_PLUS_A")
+        lu = spectral.sparse_lu(M)
+        assert lu.factors.L.nnz + lu.factors.U.nnz == ref.L.nnz + ref.U.nnz
+        # the ordering is spilu's perm_c, inverted: splu's own
+        assert np.array_equal(np.argsort(lu.q), ref.perm_c)
+        b = np.arange(M.shape[0], dtype=float)
+        assert np.linalg.norm(M @ lu.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_non_canonical_input_is_left_unchanged(self):
+        # column 0 lists row 1 before row 0, column 1 holds row 1 twice (2 + 2)
+        data, indices, indptr = np.array([-1.0, 3.0, -1.0, 2.0, 2.0]), np.array([1, 0, 0, 1, 1]), np.array([0, 2, 5])
+        M = sparse.csc_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(2, 2))
+        x = spectral.sparse_lu(M).solve(np.array([2.0, 3.0]))
+        assert np.allclose(np.array([[3.0, -1.0], [-1.0, 4.0]]) @ x, [2.0, 3.0])
+        assert np.array_equal(M.data, data) and np.array_equal(M.indices, indices)
+        assert np.array_equal(M.indptr, indptr)
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        spectral._orderings.clear()
+        orders, _ = recording_factorizations(monkeypatch)
+        sizes = range(3, 3 + spectral.ORDERING_CACHE_SIZE + 3)
+        for n in sizes:
+            spectral.sparse_lu(ground(laplacian(path_graph(n)), 0).matrix())
+        assert len(spectral._orderings) == spectral.ORDERING_CACHE_SIZE
+        assert len(orders) == len(sizes)
+        # the most recent pattern is kept, the oldest is ordered again
+        for n in (sizes[-1], sizes[0]):
+            spectral.sparse_lu(ground(laplacian(path_graph(n)), 0).matrix())
+        assert len(orders) == len(sizes) + 1
+        assert len(spectral._orderings) == spectral.ORDERING_CACHE_SIZE
 
 
 class TestSpectralInvariants:

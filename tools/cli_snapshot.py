@@ -6,8 +6,10 @@
 The first form runs each invocation below in a subprocess of its own, with
 lapflow imported from src/ of the checkout that holds this script, and writes
 OUTDIR/<name>.stdout, <name>.stderr, <name>.exit and <name>.csv (the file
-the run wrote through --out). Run it in two checkouts; for a change that
-keeps every output bit-identical
+the run wrote through --out), and OUTDIR/blas_threads.env, the BLAS thread
+variables the runs inherited: a threaded BLAS may sum in another order at
+another thread count. Run it in two checkouts; for a change that keeps every
+output bit-identical
 
     diff -r before/ after/
 
@@ -17,8 +19,9 @@ point, an exponent, nan or inf) and the text between them, which holds the
 integers: exit codes, message and round counts, iter, phase. It prints, per
 file, whether that text matches exactly, the largest relative and absolute
 float deviation, and how many floats differ by more than 1e-9 relative and
-1e-15 absolute at once. It exits 1 when any file is missing on one side or
-its non-float text differs. Uses only the standard library.
+1e-15 absolute at once, after the BLAS thread variables of both sides when
+they differ. It exits 1 when any file is missing on one side or its
+non-float text differs. Uses only the standard library.
 """
 
 import math
@@ -92,6 +95,15 @@ RUNS = [
 ]
 
 
+THREADS_FILE = "blas_threads.env"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def thread_record(env):
+    """One `VAR=value` line per BLAS thread variable, `VAR unset` when it is not set."""
+    return "".join("%s=%s\n" % (var, env[var]) if var in env else var + " unset\n" for var in THREAD_VARS)
+
+
 # a float literal not glued to a word or another number; integers are text
 FLOAT = re.compile(r"(?<![\w.])([-+]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|nan|inf))(?![\w.])")
 RTOL, ATOL = 1e-9, 1e-15
@@ -127,9 +139,19 @@ def compare_text(before, after):
 
 
 def compare(before_dir, after_dir):
-    """Print one report per snapshot file; return 1 if any non-float text differs."""
+    """Print both BLAS thread records when they differ, then one report per snapshot file.
+
+    Returns 1 if a snapshot file is missing on one side or its non-float text differs.
+    """
     before_dir, after_dir = Path(before_dir), Path(after_dir)
-    names = sorted({p.name for p in before_dir.iterdir()} | {p.name for p in after_dir.iterdir()})
+    threads = [(d / THREADS_FILE).read_text() if (d / THREADS_FILE).is_file() else "not recorded\n"
+               for d in (before_dir, after_dir)]
+    if threads[0] != threads[1]:
+        print("BLAS threads differ:")
+        for side, record in zip(("before", "after"), threads):
+            print("    %s: %s" % (side, record.strip().replace("\n", "; ")))
+    names = sorted(({p.name for p in before_dir.iterdir()} | {p.name for p in after_dir.iterdir()})
+                   - {THREADS_FILE})
     status = 0
     for name in names:
         pa, pb = before_dir / name, after_dir / name
@@ -159,6 +181,7 @@ def main(argv):
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("LF_LOG", None)
+    (out / THREADS_FILE).write_text(thread_record(env))
     for name, args in RUNS:
         csv = out / (name + ".csv")
         cmd = [sys.executable, "-m", "lapflow.cli"] + args + ["--out", str(csv)]
