@@ -1,7 +1,6 @@
 """Condition numbers (bound and Lanczos estimate), Laplacian spectrum, chain length, SDDM validation."""
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,8 @@ CHAIN_C = 4
 EPS_D = math.log(math.exp(CHAIN_C) / (math.exp(CHAIN_C) - 1.0))
 # ARPACK's relative tolerance on the Ritz residual in estimate_condition
 EIGSH_TOL = 1e-6
-# sparsity patterns whose ordering sparse_lu keeps, least recently used dropped first
-ORDERING_CACHE_SIZE = 8
-_orderings = OrderedDict()
+# (pattern key, q) of the last sparsity pattern sparse_lu ordered
+_last_order = None
 
 
 @dataclass
@@ -293,41 +291,28 @@ def sparse_lu(M):
     estimate_condition and laplacian_spectrum); on grounded Laplacians of
     random graphs it fills far less than splu's default COLAMD. The
     ordering depends only on M's sparsity pattern, so it is computed once
-    per pattern and kept for the last ORDERING_CACHE_SIZE patterns: every
-    Newton step's grounded Hessian has the same one. Every call, the first
-    on a pattern included, factors M[q][:, q] under splu's NATURAL order
-    with its default partial pivoting, so the factors do not depend on the
+    per pattern and kept until a call brings another pattern: every Newton
+    step's grounded Hessian has the same one. Every call, the first on a
+    pattern included, factors M[q][:, q] under splu's NATURAL order with
+    its default partial pivoting, so the factors do not depend on the
     cache. M itself is never modified. Returns a PermutedLU.
     """
+    global _last_order
     C = sparse.csc_matrix(M, dtype=float, copy=True)
     C.sum_duplicates()  # canonical: sorted indices, no duplicates
     key = (C.shape, C.indptr.tobytes(), C.indices.tobytes())
-    order = _orderings.pop(key, None)
-    if order is None:
-        order = _min_degree_order(C)
-    _orderings[key] = order
-    if len(_orderings) > ORDERING_CACHE_SIZE:
-        _orderings.popitem(last=False)
-    q, gather, indptr, indices = order
-    P = sparse.csc_matrix((C.data[gather], indices, indptr), shape=C.shape)
-    return PermutedLU(splu(P, permc_spec="NATURAL"), q)
+    if _last_order is None or _last_order[0] != key:
+        _last_order = key, _min_degree_order(C)
+    q = _last_order[1]
+    return PermutedLU(splu(C[q][:, q], permc_spec="NATURAL"), q)
 
 
 def _min_degree_order(C):
-    """(q, gather, indptr, indices) of a canonical CSC C: its MMD_AT_PLUS_A order and C[q][:, q].
+    """q of a CSC C, the inverse of splu's MMD_AT_PLUS_A perm_c: column j of C[:, q] is column q[j] of C.
 
     splu's perm_c is fixed before any numeric work, so spilu dropping every
     off-diagonal entry yields the same perm_c at a fraction of a full
-    factorization's cost. q is its inverse (column j of C[:, q] is column
-    q[j] of C), and C[q][:, q] is the CSC (C.data[gather], indices, indptr).
+    factorization's cost.
     """
-    n = C.shape[0]
     perm_c = spilu(C, drop_tol=1e300, fill_factor=1, permc_spec="MMD_AT_PLUS_A").perm_c
-    rows = perm_c[C.indices]  # entry (r, c) of C moves to (perm_c[r], perm_c[c])
-    cols = np.repeat(perm_c, np.diff(C.indptr))
-    gather = np.lexsort((rows, cols))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))).astype(rows.dtype)
-    order = np.argsort(perm_c), gather, indptr, rows[gather]
-    for part in order:
-        part.flags.writeable = False  # shared by every later call on the pattern
-    return order
+    return np.argsort(perm_c)

@@ -214,7 +214,7 @@ def exact_trace_csv(g):
 
 class TestOneFactorization:
     def test_both_exact_factorizations_use_one_ordering(self, monkeypatch):
-        spectral._orderings.clear()
+        spectral._last_order = None
         orders, specs = recording_factorizations(monkeypatch)
         s = grounded_random(40, 100, seed=1)
         estimate_condition(s)
@@ -225,7 +225,7 @@ class TestOneFactorization:
     def test_exact_newton_orders_its_hessian_once(self, monkeypatch):
         p = make_flow_problem(generate("random", {"n": 60, "m": 150}, seed=3))
         convergence_constants(p)  # the Laplacian spectrum, on a pattern of its own, is cached on p
-        spectral._orderings.clear()
+        spectral._last_order = None
         orders, specs = recording_factorizations(monkeypatch)
         trace = optimize(p, "exact_newton")
         assert trace.converged and trace.iterations >= 2
@@ -235,10 +235,10 @@ class TestOneFactorization:
     def test_cold_and_warm_cache_give_the_same_bits(self):
         s = grounded_random(80, 200, seed=4)
         b = np.random.default_rng(5).standard_normal(s.n)
-        spectral._orderings.clear()
+        spectral._last_order = None
         cold = direct_solve(s, b), estimate_condition(s)
         warm = direct_solve(s, b), estimate_condition(s)
-        spectral._orderings.clear()
+        spectral._last_order = None
         cleared = direct_solve(s, b), estimate_condition(s)
         for x, kappa in (warm, cleared):
             assert x.tobytes() == cold[0].tobytes()
@@ -246,10 +246,10 @@ class TestOneFactorization:
 
     def test_exact_newton_trace_does_not_depend_on_the_cache(self):
         g = generate("random", {"n": 50, "m": 120}, seed=6)
-        spectral._orderings.clear()
+        spectral._last_order = None
         cold = exact_trace_csv(g)
         warm = exact_trace_csv(g)
-        spectral._orderings.clear()
+        spectral._last_order = None
         assert warm == cold
         assert exact_trace_csv(g) == cold
 
@@ -273,19 +273,12 @@ class TestOneFactorization:
         assert np.array_equal(M.data, data) and np.array_equal(M.indices, indices)
         assert np.array_equal(M.indptr, indptr)
 
-    def test_cache_stays_bounded(self, monkeypatch):
-        spectral._orderings.clear()
+    def test_a_new_pattern_replaces_the_kept_ordering(self, monkeypatch):
+        spectral._last_order = None
         orders, _ = recording_factorizations(monkeypatch)
-        sizes = range(3, 3 + spectral.ORDERING_CACHE_SIZE + 3)
-        for n in sizes:
+        for n in (5, 5, 6, 6, 5):
             spectral.sparse_lu(ground(laplacian(path_graph(n)), 0).matrix())
-        assert len(spectral._orderings) == spectral.ORDERING_CACHE_SIZE
-        assert len(orders) == len(sizes)
-        # the most recent pattern is kept, the oldest is ordered again
-        for n in (sizes[-1], sizes[0]):
-            spectral.sparse_lu(ground(laplacian(path_graph(n)), 0).matrix())
-        assert len(orders) == len(sizes) + 1
-        assert len(spectral._orderings) == spectral.ORDERING_CACHE_SIZE
+        assert orders == [(4, 4), (5, 5), (4, 4)]
 
 
 class TestSpectralInvariants:
