@@ -17,7 +17,6 @@ from .spectral import (
     ConvergenceError,
     SDDMReport,
     chain_length,
-    condition_bound,
     estimate_condition,
     estimated_chain,
     validate_sddm,

@@ -69,14 +69,6 @@ class WeightedGraph:
     def m(self):
         return len(self.edges)
 
-    @property
-    def w_max(self):
-        return max(w for (_, _, w) in self.edges)
-
-    @property
-    def w_min(self):
-        return min(w for (_, _, w) in self.edges)
-
     def adjacency_matrix(self):
         """Symmetric weight matrix W as CSR (zero diagonal)."""
         ii = [e[0] for e in self.edges] + [e[1] for e in self.edges]

@@ -1,4 +1,4 @@
-"""Condition numbers (bound and Lanczos estimate), Laplacian spectrum, chain length, SDDM validation."""
+"""Condition-number estimate (Lanczos), Laplacian spectrum, chain length, SDDM validation."""
 
 import math
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ __all__ = [
     "SDDMReport",
     "ConvergenceError",
     "validate_sddm",
-    "condition_bound",
     "estimate_condition",
     "laplacian_spectrum",
     "chain_length",
@@ -34,30 +33,22 @@ _last_order = None
 
 @dataclass
 class ChainSpec:
-    """Length and budget of an inverse approximation chain.
+    """Length of an inverse approximation chain and the condition number it was sized for.
 
     Attributes
     ----------
     kappa : float
-        Condition number the chain was sized for.
-    kappa_source : str
-        Either ``"analytic_bound"`` or ``"estimated"``.
+        Condition number the chain was sized for, finite and at least 1.
     d : int
-        Chain length (number of squarings), nonnegative.
-    eps_d : float
-        Approximation budget of the last chain link; below (1/3) ln 2 when
-        produced by chain_length.
+        Chain length (number of squarings), nonnegative. Every chain's last
+        link has the budget EPS_D.
     """
 
     kappa: float
-    kappa_source: str
     d: int
-    eps_d: float
 
     def __post_init__(self):
         _check_kappa(self.kappa)
-        if self.kappa_source not in ("analytic_bound", "estimated"):
-            raise ValueError("unknown kappa_source %r" % self.kappa_source)
         check_chain_length(self.d)
 
 
@@ -77,17 +68,15 @@ def check_chain_length(d):
 
 @dataclass
 class SDDMReport:
-    """Row-by-row report of validate_sddm. Truthiness follows is_sddm."""
+    """Row-by-row report of validate_sddm. Truthiness follows positive_definite."""
 
     row_slack: np.ndarray
     diagonally_dominant: bool
     strict_rows: np.ndarray
-    support_connected: bool
-    is_sddm: bool
     positive_definite: bool
 
     def __bool__(self):
-        return self.is_sddm
+        return self.positive_definite
 
 
 class ConvergenceError(RuntimeError):
@@ -110,12 +99,10 @@ def validate_sddm(s):
     SDDMReport
         ``diagonally_dominant`` is row dominance D >= sum_j A[i][j]; symmetry
         and nonpositive off-diagonals of M hold for every StandardSplitting.
-        ``is_sddm`` additionally requires at least one strictly dominant row
-        and a connected off-diagonal support.
-        ``positive_definite`` applies the strict-row requirement per support
-        component (an isolated node counts as its own component), which is
-        the exact criterion; block-diagonal systems can be positive definite
-        without a connected support.
+        ``positive_definite`` adds a strictly dominant row in every
+        component of the off-diagonal support (an isolated node counts as
+        its own component), which is the exact criterion: block-diagonal
+        systems can be positive definite without a connected support.
     """
     D, A = s.D, s.A
     scale = float(D.max())  # > 0: the constructor refuses any D <= 0
@@ -125,29 +112,15 @@ def validate_sddm(s):
     dominant = bool(np.all(row_slack >= -1e-9 * scale))
     strict_rows = row_slack > 1e-9 * scale
 
-    support = A != 0
-    ncomp, labels = csgraph.connected_components(support, directed=False)
-    support_connected = ncomp == 1
-
-    is_sddm = dominant and bool(strict_rows.any()) and support_connected
-    pd = dominant and all(strict_rows[labels == c].any() for c in range(ncomp))
+    ncomp, labels = csgraph.connected_components(A != 0, directed=False)
+    pd = dominant and bool(np.bincount(labels, weights=strict_rows, minlength=ncomp).all())
 
     return SDDMReport(
         row_slack=row_slack,
         diagonally_dominant=dominant,
         strict_rows=strict_rows,
-        support_connected=support_connected,
-        is_sddm=is_sddm,
         positive_definite=pd,
     )
-
-
-def condition_bound(g, grounded):
-    """Analytic condition-number bound n^3 W_max/W_min, or n^4 for grounded systems."""
-    if not g.is_connected():
-        raise ValueError("condition_bound needs a connected graph")
-    power = 4 if grounded else 3
-    return float(g.n) ** power * g.w_max / g.w_min
 
 
 def estimate_condition(s):
@@ -238,25 +211,16 @@ def _lanczos_tops(ops, v0, tol):
     return rayleigh
 
 
-def chain_length(kappa, kappa_source="analytic_bound"):
-    """Chain length d = ceil(log2(4*kappa)) and its budget eps_d.
+def chain_length(kappa, _ignored=None):
+    """ChainSpec of length d = ceil(log2(CHAIN_C*kappa)), whose last link has the budget EPS_D.
 
-    Parameters
-    ----------
-    kappa : float
-        Condition number, finite and at least 1.
-    kappa_source : str
-        Recorded provenance, ``"analytic_bound"`` (default) or ``"estimated"``.
-
-    Returns
-    -------
-    ChainSpec
+    kappa must be finite and at least 1. The second parameter is ignored;
+    it stays because perfbench/workload.py still passes a provenance
+    string, which ChainSpec no longer records.
     """
     _check_kappa(kappa)
     d = max(0, math.ceil(math.log2(CHAIN_C * float(kappa))))
-    spec = ChainSpec(kappa=float(kappa), kappa_source=kappa_source, d=d, eps_d=EPS_D)
-    assert spec.eps_d < math.log(2.0) / 3.0
-    return spec
+    return ChainSpec(kappa=float(kappa), d=d)
 
 
 def estimated_chain(s):
@@ -267,7 +231,7 @@ def estimated_chain(s):
     relative). The returned spec's kappa is the padded estimate.
     """
     kappa = estimate_condition(s) * 1.05
-    return chain_length(max(1.0, kappa), "estimated")
+    return chain_length(max(1.0, kappa))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from oracles import dense, dense_chain_z, fd_gradient, fd_hessian, pinv_quadform
 
 def spec_for(s, safety=1.05):
     kappa = estimate_condition(s) * safety
-    return chain_length(max(1.0, kappa), "estimated"), kappa
+    return chain_length(max(1.0, kappa)), kappa
 
 
 def grounded(kind, params, seed=None, ref=0):

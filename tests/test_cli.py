@@ -74,7 +74,7 @@ class TestSolve:
         import lapflow.cli as cli_mod
 
         # a chain sized for kappa 1 is far too short for these grids
-        monkeypatch.setattr(cli_mod, "estimated_chain", lambda s: chain_length(1.0, "estimated"))
+        monkeypatch.setattr(cli_mod, "estimated_chain", lambda s: chain_length(1.0))
         out = str(tmp_path / "out.csv")
         rc = main(command + ["--eps", "1e-4", "--out", out])
         assert rc == 3

@@ -32,7 +32,7 @@ def grounded_path(n, ref=0):
 
 def chain_d(s, safety=1.05):
     kappa = estimate_condition(s) * safety
-    return chain_length(max(kappa, 1.0), "estimated")
+    return chain_length(max(kappa, 1.0))
 
 
 def dense_esolve(s, d, b, eps):
@@ -454,7 +454,7 @@ class TestStridedChain:
 
     def grid(self):
         s = ground(laplacian(generate("grid", {"rows": 20, "cols": 20})), 0)
-        return s, chain_length(estimate_condition(s) * 1.05, "estimated").d
+        return s, chain_length(estimate_condition(s) * 1.05).d
 
     def test_grid_r1_builds_a_stride(self):
         s, d = self.grid()
@@ -468,7 +468,7 @@ class TestStridedChain:
 
     def test_dense_random_r4_gets_its_rung_by_the_rule(self, monkeypatch):
         s = grounded_random(300, 900, seed=0)
-        d = chain_length(estimate_condition(s) * 1.05, "estimated").d
+        d = chain_length(estimate_condition(s) * 1.05).d
         eng = rhop_engine(s, d, 4)
         op = eng._op_C0
         assert isinstance(op.matrix, np.ndarray)

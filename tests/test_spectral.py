@@ -17,7 +17,6 @@ from lapflow.spectral import (
     ChainSpec,
     ConvergenceError,
     chain_length,
-    condition_bound,
     estimate_condition,
     validate_sddm,
 )
@@ -33,7 +32,6 @@ class TestValidateSDDM:
     def test_grounded_path_is_sddm(self):
         report = validate_sddm(ground(laplacian(path_graph(3)), 2))
         assert report.diagonally_dominant
-        assert report.is_sddm
         assert report.positive_definite
         assert bool(report)
 
@@ -41,7 +39,6 @@ class TestValidateSDDM:
         report = validate_sddm(laplacian(path_graph(3)))
         assert report.diagonally_dominant
         assert not report.strict_rows.any()
-        assert not report.is_sddm
         assert not report.positive_definite
         assert not bool(report)
 
@@ -49,8 +46,26 @@ class TestValidateSDDM:
         s = StandardSplitting([1.0, 1.0], [[0.0, 2.0], [2.0, 0.0]])
         report = validate_sddm(s)
         assert not report.diagonally_dominant
-        assert not report.is_sddm
+        assert not report.positive_definite
+        assert not bool(report)
         assert report.row_slack[0] == -1.0
+
+    def test_split_support_truthiness_follows_positive_definite(self):
+        # grounding a path of 7 at its middle node leaves two paths of 3,
+        # each with one strict row: positive definite, support not connected
+        report = validate_sddm(ground(laplacian(path_graph(7)), 3))
+        assert report.positive_definite
+        assert bool(report)
+        # a diagonal system: every node its own component, every row strict
+        assert bool(validate_sddm(StandardSplitting(np.ones(4), np.zeros((4, 4)))))
+        # a grounded path beside a floating one: one component has no strict row
+        L = laplacian(path_graph(3))
+        A = sparse.block_diag([ground(L, 0).A, L.A])
+        s = StandardSplitting(np.concatenate([ground(L, 0).D, L.D]), A)
+        report = validate_sddm(s)
+        assert report.diagonally_dominant and report.strict_rows.any()
+        assert not report.positive_definite
+        assert not bool(report)
 
     def test_row_slack_values(self):
         report = validate_sddm(ground(laplacian(path_graph(3)), 2))
@@ -64,23 +79,8 @@ class TestValidateSDDM:
         g = generate("path", {"n": 5, "w_min": w, "w_max": w})
         report = validate_sddm(ground(laplacian(g), 0))
         assert list(report.strict_rows) == [True, False, False, False]
-        assert report.is_sddm and report.positive_definite
+        assert report.positive_definite
         assert not validate_sddm(laplacian(g)).positive_definite
-
-
-class TestConditionBound:
-    def test_path10_ungrounded(self):
-        assert condition_bound(path_graph(10), grounded=False) == 1000.0
-
-    def test_path10_grounded(self):
-        assert condition_bound(path_graph(10), grounded=True) == 10000.0
-
-    def test_weight_ratio_scales_bound(self):
-        g = generate("path", {"n": 4, "w_min": 0.5, "w_max": 0.5})
-        h = generate("path", {"n": 4})
-        assert condition_bound(g, False) == condition_bound(h, False)
-        mixed = generate("random", {"n": 4, "m": 4, "w_min": 1.0, "w_max": 8.0}, seed=0)
-        assert condition_bound(mixed, False) == 64.0 * mixed.w_max / mixed.w_min
 
 
 class TestEstimateCondition:
@@ -143,21 +143,14 @@ class TestChainLength:
         assert EPS_D < math.log(2.0) / 3.0
 
     def test_kappa_one(self):
-        spec = chain_length(1.0)
-        assert spec.d == 2
-        assert spec.eps_d == EPS_D
-        assert spec.kappa_source == "analytic_bound"
+        assert chain_length(1.0) == ChainSpec(kappa=1.0, d=2)
 
     def test_kappa_thousand(self):
-        assert chain_length(1000.0, "estimated").d == 12
+        assert chain_length(1000.0).d == 12
 
     def test_rejects_kappa_below_one(self):
         with pytest.raises(ValueError):
             chain_length(0.5)
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError):
-            chain_length(2.0, "guessed")
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1.0, 1e9), st.floats(1.0, 1e9))
@@ -172,13 +165,13 @@ class TestChainLength:
             chain_length(kappa)
         # ChainSpec's own check was kappa < 1, which nan and inf both passed
         with pytest.raises(ValueError, match="kappa must be finite and >= 1, got %r" % kappa):
-            ChainSpec(kappa=kappa, kappa_source="estimated", d=1, eps_d=EPS_D)
+            ChainSpec(kappa=kappa, d=1)
 
     def test_chainspec_validation(self):
         with pytest.raises(ValueError):
-            ChainSpec(kappa=0.9, kappa_source="estimated", d=1, eps_d=EPS_D)
+            ChainSpec(kappa=0.9, d=1)
         with pytest.raises(ValueError):
-            ChainSpec(kappa=2.0, kappa_source="estimated", d=-1, eps_d=EPS_D)
+            ChainSpec(kappa=2.0, d=-1)
 
 
 def recording_factorizations(monkeypatch):
