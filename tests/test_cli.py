@@ -466,6 +466,12 @@ class TestSnapshotTool:
         record = tool.thread_record({"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"})
         assert record == "OPENBLAS_NUM_THREADS=2\nOMP_NUM_THREADS unset\nMKL_NUM_THREADS=1\n"
 
+    def test_pinned_env_restores_a_thread_record(self):
+        tool = load_snapshot_tool()
+        record = tool.thread_record({"OPENBLAS_NUM_THREADS": "2"})
+        env = tool.pinned_env(record, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4", "PATH": "/bin"})
+        assert env == {"OPENBLAS_NUM_THREADS": "2", "PATH": "/bin"}
+
     @pytest.mark.parametrize("after_threads", ["OPENBLAS_NUM_THREADS=2\n", "OPENBLAS_NUM_THREADS=1\n", None],
                              ids=["same", "differ", "unrecorded"])
     def test_compare_prints_threads_only_when_they_differ(self, tmp_path, capsys, after_threads):
@@ -481,3 +487,55 @@ class TestSnapshotTool:
         assert ("BLAS threads differ" in out) == (after_threads != "OPENBLAS_NUM_THREADS=2\n")
         assert tool.THREADS_FILE + ":" not in out  # not compared as a snapshot file
         assert "run.exit: text same" in out
+
+
+SNAPSHOT = load_snapshot_tool()
+GOLDEN = SNAPSHOT.ROOT / "tests" / "cli_golden"
+GOLDEN_SUFFIXES = (".stdout", ".stderr", ".exit", ".csv")
+
+
+@pytest.fixture(scope="module")
+def rerun(tmp_path_factory):
+    """Directory of a cli_snapshot of this checkout, made at the goldens' BLAS thread counts.
+
+    A threaded BLAS sums in another order at another thread count, and the
+    residuals of a solve, near 1e-13, then move by more than ATOL; so the
+    snapshot runs in a child process with the thread variables pinned to
+    the goldens' blas_threads.env.
+    """
+    out = tmp_path_factory.mktemp("cli_snapshot")
+    env = SNAPSHOT.pinned_env((GOLDEN / SNAPSHOT.THREADS_FILE).read_text(), os.environ)
+    subprocess.run([sys.executable, str(SNAPSHOT.ROOT / "tools" / "cli_snapshot.py"), str(out)],
+                   env=env, capture_output=True, check=True)
+    return out
+
+
+class TestGoldenOutputs:
+    """Each cli_snapshot invocation, run through cli.main, against its outputs under tests/cli_golden.
+
+    Compared by `cli_snapshot.py --compare`'s rules: the text between floats
+    (exit codes, message and round counts, iterations, phases) exactly, and
+    each float within RTOL relative or ATOL absolute. A change that moves an
+    output beyond that regenerates the goldens in the same commit:
+
+        OPENBLAS_NUM_THREADS=2 python3 tools/cli_snapshot.py tests/cli_golden
+    """
+
+    @pytest.mark.parametrize("name", [name for name, _ in SNAPSHOT.RUNS])
+    def test_run_matches_golden(self, rerun, name):
+        files = [name + suffix for suffix in GOLDEN_SUFFIXES]
+        assert [(GOLDEN / f).is_file() for f in files] == [(rerun / f).is_file() for f in files]
+        for f in files:
+            if not (GOLDEN / f).is_file():
+                continue
+            now = (rerun / f).read_text()
+            same, _, beyond, _, _ = SNAPSHOT.compare_text((GOLDEN / f).read_text(), now)
+            assert same, "%s: non-float text differs; now:\n%s" % (f, now)
+            assert not beyond, "%s: floats beyond %g relative and %g absolute (line, golden, now): %s" % (
+                f, SNAPSHOT.RTOL, SNAPSHOT.ATOL, beyond)
+
+    def test_every_golden_file_belongs_to_a_run(self):
+        names = {name + suffix for name, _ in SNAPSHOT.RUNS for suffix in GOLDEN_SUFFIXES}
+        files = {p.name for p in GOLDEN.iterdir()} - {SNAPSHOT.THREADS_FILE}
+        assert files <= names
+        assert {f[:-len(".exit")] for f in files if f.endswith(".exit")} == {name for name, _ in SNAPSHOT.RUNS}

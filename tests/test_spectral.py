@@ -174,8 +174,12 @@ class TestChainLength:
             ChainSpec(kappa=2.0, d=-1)
 
 
+# the settings of every numeric factorization sparse_lu runs
+NUMERIC = ("NATURAL", spectral.SUPERLU_RELAX, spectral.SUPERLU_PANEL_SIZE)
+
+
 def recording_factorizations(monkeypatch):
-    """Lists of the shapes sparse_lu orders and of the permc_spec of each splu call, as they happen."""
+    """Lists of the shapes sparse_lu orders and of the (permc_spec, relax, panel_size) of each splu call."""
     orders, specs = [], []
     real_order, real_splu = spectral._min_degree_order, spectral.splu
 
@@ -184,7 +188,7 @@ def recording_factorizations(monkeypatch):
         return real_order(C)
 
     def factor(A, **kw):
-        specs.append(kw.get("permc_spec"))
+        specs.append((kw.get("permc_spec"), kw.get("relax"), kw.get("panel_size")))
         return real_splu(A, **kw)
 
     monkeypatch.setattr(spectral, "_min_degree_order", order)
@@ -193,6 +197,9 @@ def recording_factorizations(monkeypatch):
 
 
 def grounded_family(kind):
+    """A grounded Laplacian per kind; "split" is path 9 grounded at node 4, a support of two components."""
+    if kind == "split":
+        return ground(laplacian(path_graph(9)), 4)
     params = {"path": {"n": 30}, "grid": {"rows": 8, "cols": 9},
               "barbell": {"clique": 8, "path_len": 6}, "random": {"n": 300, "m": 900}}[kind]
     return ground(laplacian(generate(kind, params, seed=2)), 0)
@@ -213,7 +220,7 @@ class TestOneFactorization:
         estimate_condition(s)
         direct_solve(s, np.ones(s.n))
         assert orders == [(s.n, s.n)]
-        assert specs == ["NATURAL", "NATURAL"]
+        assert specs == [NUMERIC, NUMERIC]
 
     def test_exact_newton_orders_its_hessian_once(self, monkeypatch):
         p = make_flow_problem(generate("random", {"n": 60, "m": 150}, seed=3))
@@ -223,7 +230,7 @@ class TestOneFactorization:
         trace = optimize(p, "exact_newton")
         assert trace.converged and trace.iterations >= 2
         assert orders == [(p.n - 1, p.n - 1)]
-        assert specs == ["NATURAL"] * trace.iterations
+        assert specs == [NUMERIC] * trace.iterations
 
     def test_cold_and_warm_cache_give_the_same_bits(self):
         s = grounded_random(80, 200, seed=4)
@@ -246,10 +253,11 @@ class TestOneFactorization:
         assert warm == cold
         assert exact_trace_csv(g) == cold
 
-    @pytest.mark.parametrize("kind", ["path", "grid", "barbell", "random"])
+    @pytest.mark.parametrize("kind", ["path", "grid", "barbell", "random", "split"])
     def test_fill_and_ordering_match_splu(self, kind):
         M = grounded_family(kind).matrix().tocsc()
-        ref = splu(M, permc_spec="MMD_AT_PLUS_A")
+        ref = splu(M, permc_spec="MMD_AT_PLUS_A", relax=spectral.SUPERLU_RELAX,
+                   panel_size=spectral.SUPERLU_PANEL_SIZE)
         lu = spectral.sparse_lu(M)
         assert lu.factors.L.nnz + lu.factors.U.nnz == ref.L.nnz + ref.U.nnz
         # the ordering is spilu's perm_c, inverted: splu's own

@@ -3,13 +3,15 @@
     python3 tools/cli_snapshot.py OUTDIR
     python3 tools/cli_snapshot.py --compare BEFORE AFTER
 
-The first form runs each invocation below in a subprocess of its own, with
-lapflow imported from src/ of the checkout that holds this script, and writes
-OUTDIR/<name>.stdout, <name>.stderr, <name>.exit and <name>.csv (the file
-the run wrote through --out), and OUTDIR/blas_threads.env, the BLAS thread
-variables the runs inherited: a threaded BLAS may sum in another order at
-another thread count. Run it in two checkouts; for a change that keeps every
-output bit-identical
+The first form runs each invocation below through lapflow.cli.main, one
+after another in this process, with lapflow imported from src/ of the
+checkout that holds this script and the working directory at its root. It
+writes OUTDIR/<name>.stdout, <name>.stderr, <name>.exit and <name>.csv (the
+file the run wrote through --out), the same bytes as `python -m lapflow.cli`
+in a process per run at a quarter of the time, and OUTDIR/blas_threads.env,
+the BLAS thread variables of the process: a threaded BLAS may sum in another
+order at another thread count. Run it in two checkouts; for a change that
+keeps every output bit-identical
 
     diff -r before/ after/
 
@@ -22,13 +24,22 @@ float deviation, and how many floats differ by more than 1e-9 relative and
 1e-15 absolute at once, after the BLAS thread variables of both sides when
 they differ. It exits 1 when any file is missing on one side or its
 non-float text differs. Uses only the standard library.
+
+tests/cli_golden holds this tool's snapshot of the current code, made with
+
+    OPENBLAS_NUM_THREADS=2 python3 tools/cli_snapshot.py tests/cli_golden
+
+and tests/test_cli.py compares a snapshot made at the thread counts
+blas_threads.env records there with it by compare_text.
 """
 
+import contextlib
+import io
 import math
 import os
 import re
-import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,6 +113,18 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def thread_record(env):
     """One `VAR=value` line per BLAS thread variable, `VAR unset` when it is not set."""
     return "".join("%s=%s\n" % (var, env[var]) if var in env else var + " unset\n" for var in THREAD_VARS)
+
+
+def pinned_env(record, env):
+    """A copy of env with the BLAS thread variables of a thread_record: set, or removed where unset."""
+    env = dict(env)
+    for line in record.splitlines():
+        var, sep, value = line.partition("=")
+        if sep:
+            env[var] = value
+        else:
+            env.pop(line.split()[0], None)
+    return env
 
 
 # a float literal not glued to a word or another number; integers are text
@@ -179,17 +202,25 @@ def main(argv):
         return 2
     out = Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("LF_LOG", None)
-    (out / THREADS_FILE).write_text(thread_record(env))
+    os.environ.pop("LF_LOG", None)
+    (out / THREADS_FILE).write_text(thread_record(os.environ))
+    os.chdir(ROOT)
+    sys.path.insert(0, str(ROOT / "src"))
+    from lapflow.cli import main as cli_main
+
     for name, args in RUNS:
         csv = out / (name + ".csv")
-        cmd = [sys.executable, "-m", "lapflow.cli"] + args + ["--out", str(csv)]
-        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
-        (out / (name + ".stdout")).write_text(proc.stdout)
-        (out / (name + ".stderr")).write_text(proc.stderr)
-        (out / (name + ".exit")).write_text("%d\n" % proc.returncode)
-        print("%s: exit %d" % (name, proc.returncode))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # a fresh warnings state per run: a warning prints once per run, as in a process of its own
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli_main(args + ["--out", str(csv)])
+            except SystemExit as exc:
+                code = exc.code
+        (out / (name + ".stdout")).write_text(stdout.getvalue())
+        (out / (name + ".stderr")).write_text(stderr.getvalue())
+        (out / (name + ".exit")).write_text("%d\n" % code)
+        print("%s: exit %d" % (name, code))
     return 0
 
 
