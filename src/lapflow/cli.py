@@ -323,13 +323,17 @@ def _parser():
 
 
 def _validate(parser, ns):
-    """Check --seed, --eps, --rhop and (flow, bench) --feas-threshold; usage error otherwise."""
+    """Usage error naming a bad --seed, --eps, --rhop, --feas-threshold, --max-iters or --magnitude."""
     if ns.seed < 0:
         parser.error("--seed must be >= 0, got %d" % ns.seed)
     if not (0.0 < ns.eps <= 0.5):
         parser.error("--eps must lie in (0, 0.5]")
     if not getattr(ns, "feas_threshold", 0.0) >= 0.0:
         parser.error("--feas-threshold must be >= 0")
+    if getattr(ns, "max_iters", 0) < 0:
+        parser.error("--max-iters must be >= 0, got %d" % ns.max_iters)
+    if not math.isfinite(getattr(ns, "magnitude", None) or 0.0):
+        parser.error("--magnitude must be finite, got %s" % ns.magnitude)
     try:
         check_rhop_radius(ns.rhop)
     except ValueError as exc:

@@ -21,13 +21,29 @@ __all__ = [
 ]
 
 
+def whole(x, name, lo=None, hi=None):
+    """x as an int; ValueError naming `name` unless x is integral and lo <= x < hi.
+
+    The package's one whole-number rule: an integral float such as 2.0 is
+    accepted, a fractional or non-finite x is refused, never truncated.
+    Each bound applies only where given; hi is given only with lo.
+    """
+    if float(x).is_integer() and (lo is None or lo <= x) and (hi is None or x < hi):
+        return int(x)
+    if hi is not None:
+        rule = " in [%d, %d)" % (lo, hi)
+    else:
+        rule = "" if lo is None else " >= %d" % lo
+    raise ValueError("%s must be an integer%s, got %r" % (name, rule, x))
+
+
 class WeightedGraph:
     """Undirected graph with strictly positive edge weights.
 
     Parameters
     ----------
     n : int
-        Number of nodes, labeled ``0 .. n-1``.
+        Number of nodes, at least 1, labeled ``0 .. n-1``.
     edges : sequence of (i, j, w)
         Undirected edges with integral ``i != j`` (2.0 is accepted, 2.5 is
         not) and finite ``w > 0``. Each unordered pair
@@ -41,9 +57,7 @@ class WeightedGraph:
     """
 
     def __init__(self, n, edges):
-        n = int(n)
-        if n < 1:
-            raise ValueError("graph needs at least one node")
+        n = whole(n, "n", 1)
         norm = []
         seen = set()
         for (i, j, w) in edges:
@@ -171,8 +185,7 @@ def ground(s, ref_node):
     n = s.n
     if n < 2:
         raise ValueError("cannot ground a 1x1 system")
-    if not (float(ref_node).is_integer() and 0 <= ref_node < n):
-        raise ValueError("ref_node must be an integer in [0, %d), got %r" % (n, ref_node))
+    ref_node = whole(ref_node, "ref_node", 0, n)
     keep = np.array([i for i in range(n) if i != ref_node])
     A = s.A[keep][:, keep]
     return StandardSplitting(s.D[keep], A)
@@ -286,8 +299,9 @@ def generate(kind, params=None, seed=None):
         One of ``path``, ``grid``, ``barbell``, ``random``, ``scale_free``.
     params : dict, optional
         ``path``: n. ``grid``: rows, cols. ``barbell``: clique, path_len.
-        ``random``: n, m. ``scale_free``: n. All kinds accept ``w_min`` and
-        ``w_max`` (defaults 1.0) for uniform random weights.
+        ``random``: n, m. ``scale_free``: n. Each size is a whole number
+        (5.0 is accepted, 5.7 raises ValueError). All kinds accept ``w_min``
+        and ``w_max`` (defaults 1.0) for uniform random weights.
     seed : int, optional
         Seed for all randomness; identical seed gives an identical edge list.
 
@@ -312,12 +326,12 @@ def generate(kind, params=None, seed=None):
     kind = kind.replace("-", "_")
 
     if kind == "path":
-        n = int(params.pop("n"))
+        n = whole(params.pop("n"), "n")
         if n < 2:
             raise ValueError("path needs n >= 2, got %d" % n)
         pairs = _path_edges(list(range(n)))
     elif kind == "grid":
-        rows, cols = int(params.pop("rows")), int(params.pop("cols"))
+        rows, cols = whole(params.pop("rows"), "rows"), whole(params.pop("cols"), "cols")
         n = rows * cols
         if rows < 1 or cols < 1 or n < 2:
             raise ValueError("grid needs rows >= 1, cols >= 1 and at least 2 nodes, got rows=%d, cols=%d"
@@ -331,7 +345,7 @@ def generate(kind, params=None, seed=None):
                 if r + 1 < rows:
                     pairs.append((v, v + cols))
     elif kind == "barbell":
-        c, p = int(params.pop("clique")), int(params.pop("path_len"))
+        c, p = whole(params.pop("clique"), "clique"), whole(params.pop("path_len"), "path_len")
         if c < 2 or p < 0:
             raise ValueError("barbell needs clique >= 2 and path_len >= 0, got clique=%d, path_len=%d"
                              % (c, p))
@@ -347,7 +361,7 @@ def generate(kind, params=None, seed=None):
         chain = [c - 1] + list(range(c, c + p)) + [c + p]
         pairs.extend(_path_edges(chain))
     elif kind == "random":
-        n, m = int(params.pop("n")), int(params.pop("m"))
+        n, m = whole(params.pop("n"), "n"), whole(params.pop("m"), "m")
         if n < 1:
             raise ValueError("random graph needs n >= 1, got %d" % n)
         if not n - 1 <= m <= n * (n - 1) // 2:
@@ -364,7 +378,7 @@ def generate(kind, params=None, seed=None):
             raise ValueError("failed to draw a connected graph in 1000 tries")
         pairs = list(zip(iu.tolist(), ju.tolist()))
     elif kind == "scale_free":
-        n = int(params.pop("n"))
+        n = whole(params.pop("n"), "n")
         if n < 2:
             raise ValueError("scale_free needs n >= 2, got %d" % n)
         # urn holds one entry per edge endpoint, so draws are degree-biased

@@ -48,13 +48,12 @@ and ``rung_length`` picks t from s, with no setting to tune.
 
 import copy
 import math
-import operator
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .graph_core import hop_ball
+from .graph_core import hop_ball, whole
 
 try:  # scipy's compiled y += A x; private, so guarded
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -83,17 +82,7 @@ def check_radius(R):
     Raises ValueError for a fractional or non-finite R (never truncated) and
     for R < 1; an integral float such as 2.0 is accepted.
     """
-    if R is None:
-        return None
-    return _whole_radius(R, "R")
-
-
-def _whole_radius(r, name):
-    if not float(r).is_integer():
-        raise ValueError("%s must be an integer, got %r" % (name, r))
-    if r < 1:
-        raise ValueError("%s must be >= 1, got %r" % (name, r))
-    return int(r)
+    return None if R is None else whole(R, "R", 1)
 
 
 def csr_apply(mat, x, count=1):
@@ -150,9 +139,7 @@ class SimTranscript:
 
         `count` must be a non-negative integer; a rejected count records nothing.
         """
-        count = operator.index(count)
-        if count < 0:
-            raise ValueError("round count must be >= 0, got %r" % (count,))
+        count = whole(count, "round count", 0)
         messages, max_hop = int(messages), int(max_hop)
         self.runs.append((messages, max_hop, count))
         self.rounds += count
@@ -307,8 +294,7 @@ class Simulator:
         return self._balls[key]
 
     def _check_radius(self, r):
-        # check_radius's rule, so a fractional radius is never truncated
-        r = _whole_radius(r, "gather radius")
+        r = whole(r, "gather radius", 1)
         if self.R is not None and r > self.R:
             raise ViolationError(
                 "collective round requested radius %d > R=%d at round %d"
@@ -380,7 +366,7 @@ class Simulator:
         mat = op.matrix
         dense = not sparse.issparse(mat)
         nnz = mat.size if dense else mat.nnz
-        s = stride_length(self.n, nnz, batch, dense=dense)
+        s = stride_length(self.n, nnz, whole(batch, "batch"), dense=dense)
         if s:
             t = rung_length(self.n, nnz, s, dense=dense)
             power = mat if dense else mat.toarray()
@@ -428,6 +414,7 @@ class Simulator:
         t = s); the charge is `count` rounds at op's radius either way.
         Below the lowest rung the result is the plain products' bits.
         """
+        count = whole(count, "round count", 0)
         self.account_round(op.radius, count=count)
         left, products = count, []
         for length, power in reversed(op.stride or ()):

@@ -28,8 +28,9 @@ from .graph_core import (
     open_target,
     read_edge_list,
     save_edge_list,
+    whole,
 )
-from .reference_solver import direct_solve, richardson_iterations
+from .reference_solver import _check_rhs, direct_solve, richardson_iterations
 from .spectral import estimated_chain, laplacian_spectrum
 from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius, support_graph
 from .netsim import Simulator, check_radius, csr_apply
@@ -162,11 +163,7 @@ class FlowProblem:
     """
 
     def __init__(self, graph, b, cost):
-        b = np.asarray(b, dtype=float).ravel()
-        if b.shape[0] != graph.n:
-            raise ValueError("b has wrong length")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b has a non-finite entry")
+        b = _check_rhs(b, graph.n)
         if abs(b.sum()) > 1e-10 * max(1.0, np.abs(b).max()):
             raise ValueError("sources must sum to zero")
         if graph.m == 0:
@@ -246,10 +243,7 @@ def make_flow_problem(g, cost="exp", magnitude=1.0, source=None, sink=None):
         u, v = diameter_endpoints(g)
         source = u if source is None else source
         sink = v if sink is None else sink
-    for name, node in (("source", source), ("sink", sink)):
-        if not (float(node).is_integer() and 0 <= node < g.n):
-            raise ValueError("%s must be an integer in [0, %d), got %r" % (name, g.n, node))
-    source, sink = int(source), int(sink)
+    source, sink = whole(source, "source", 0, g.n), whole(sink, "sink", 0, g.n)
     if source == sink:
         raise ValueError("source and sink must differ, both are %d" % source)
     b = np.zeros(g.n)
@@ -616,9 +610,7 @@ def optimize(problem, method="sddm_newton", config=None):
     cfg = config or OptimizeConfig()
     if cfg.step not in ("fixed", "alpha_star", "backtracking"):
         raise ValueError("unknown step policy %r" % cfg.step)
-    if not (float(cfg.max_iters).is_integer() and cfg.max_iters >= 0):
-        raise ValueError("max_iters must be >= 0 and an integer, got %r" % (cfg.max_iters,))
-    max_iters = int(cfg.max_iters)
+    max_iters = whole(cfg.max_iters, "max_iters", 0)
     if not cfg.feas_threshold >= 0:
         raise ValueError("feas_threshold must be >= 0")
     check_radius(cfg.R)
@@ -626,11 +618,7 @@ def optimize(problem, method="sddm_newton", config=None):
         richardson_iterations(cfg.eps)  # ValueError unless 0 < eps <= 1/2
         if cfg.R is not None:
             check_rhop_radius(cfg.R)
-    if not float(cfg.ground_node).is_integer():
-        raise ValueError("ground_node must be an integer, got %r" % (cfg.ground_node,))
-    ground_node = int(cfg.ground_node)
-    if not 0 <= ground_node < problem.n:
-        raise ValueError("ground_node must lie in [0, %d), got %d" % (problem.n, ground_node))
+    ground_node = whole(cfg.ground_node, "ground_node", 0, problem.n)
     eps = cfg.eps if method == "sddm_newton" else 0.0
     try:
         consts = convergence_constants(problem, eps)

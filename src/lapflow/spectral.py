@@ -8,6 +8,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, spilu, splu
 
+from .graph_core import whole
+
 __all__ = [
     "ChainSpec",
     "SDDMReport",
@@ -63,10 +65,7 @@ def _check_kappa(kappa):
 
 def check_chain_length(d):
     """d, or a ChainSpec's d, as an int >= 0; ValueError if fractional (never truncated) or negative."""
-    d = getattr(d, "d", d)
-    if not float(d).is_integer() or d < 0:
-        raise ValueError("chain length must be a nonnegative integer, got %r" % (d,))
-    return int(d)
+    return whole(getattr(d, "d", d), "chain length", 0)
 
 
 @dataclass

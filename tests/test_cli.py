@@ -346,6 +346,19 @@ class TestFlow:
             main(["flow", "--graph", "path", "--n", "6", "--feas-threshold", value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["flow", "bench"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("--max-iters", "-1", "--max-iters must be >= 0, got -1"),
+        ("--magnitude", "nan", "--magnitude must be finite, got nan"),
+        ("--magnitude", "inf", "--magnitude must be finite, got inf"),
+    ], ids=["max_iters", "magnitude_nan", "magnitude_inf"])
+    def test_bad_problem_option_is_named_usage_error(self, capsys, command, option, value, message):
+        # these used to exit 2 with the library's wording, naming max_iters or b
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", "path", "--n", "4", option, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_divergence_reports_partial_trace(self, tmp_path, monkeypatch, capsys):
         import lapflow.cli as cli_mod
 

@@ -19,6 +19,9 @@ from lapflow.graph_core import (
     save_edge_list,
     _triu_pair,
 )
+from lapflow.netsim import SimTranscript, Simulator
+from lapflow.newton_flow import OptimizeConfig, make_flow_problem, optimize
+from lapflow.spectral import check_chain_length
 from oracles import dense, floyd_warshall_hops, random_graph_draws
 
 
@@ -125,6 +128,81 @@ class TestGround:
         with pytest.raises(ValueError, match="ref_node must be an integer in \\[0, 4\\), got 2.5"):
             ground(s, 2.5)
         assert np.array_equal(dense(ground(s, 2.0)), dense(ground(s, 2)))
+
+
+def _rounds(step):
+    """(step(sim, op), the runs it charged) on a new R=2 simulator of path 6 and its certified adjacency."""
+    g = path_graph(6)
+    sim = Simulator(g, 2)
+    op = sim.certify(g.adjacency_matrix(), 1)
+    return step(sim, op), sim.transcript.runs
+
+
+def _apply(count):
+    return _rounds(lambda sim, op: sim.apply_round(op, np.arange(6.0), count).tobytes())
+
+
+def _stride(batch):
+    return _rounds(lambda sim, op: (sim.stride(op, batch), [(t, p.tobytes()) for t, p in op.stride]))
+
+
+def _transcript(count):
+    t = SimTranscript()
+    t.append(10, 1, count)
+    return t.runs, t.rounds, t.messages_total
+
+
+def _optimize(**config):
+    p = make_flow_problem(generate("random", {"n": 10, "m": 18}, seed=15))
+    return optimize(p, "exact_newton", OptimizeConfig(**config)).rows
+
+
+# id: (call(x) -> result, an int x, a fractional x, the name its ValueError gives)
+WHOLE_NUMBER_ARGUMENTS = {
+    "WeightedGraph_n": (lambda n: vars(WeightedGraph(n, [(0, 1, 1.0), (1, 2, 1.0)])), 3, 3.9, "n"),
+    "path_n": (lambda n: generate("path", {"n": n}).edges, 5, 5.7, "n"),
+    "grid_rows": (lambda r: generate("grid", {"rows": r, "cols": 3}).edges, 2, 2.9, "rows"),
+    "grid_cols": (lambda c: generate("grid", {"rows": 2, "cols": c}).edges, 3, 3.5, "cols"),
+    "barbell_clique": (lambda c: generate("barbell", {"clique": c, "path_len": 2}).edges, 3, 3.5, "clique"),
+    "barbell_path_len": (lambda p: generate("barbell", {"clique": 3, "path_len": p}).edges, 2, 2.5,
+                         "path_len"),
+    "random_n": (lambda n: generate("random", {"n": n, "m": 8}, seed=1).edges, 6, 6.5, "n"),
+    "random_m": (lambda m: generate("random", {"n": 6, "m": m}, seed=1).edges, 8, 8.5, "m"),
+    "scale_free_n": (lambda n: generate("scale_free", {"n": n}, seed=1).edges, 5, 5.5, "n"),
+    "ground_ref_node": (lambda v: dense(ground(laplacian(path_graph(4)), v)).tobytes(), 2, 2.5, "ref_node"),
+    "Simulator_R": (lambda R: Simulator(path_graph(4), R).R, 2, 2.5, "R"),
+    "account_round_radius": (lambda r: _rounds(lambda sim, op: sim.account_round(r)), 2, 1.5,
+                             "gather radius"),
+    "certify_radius": (lambda r: _rounds(lambda sim, op: sim.certify(op.matrix, r).radius), 2, 1.7,
+                       "gather radius"),
+    "account_round_count": (lambda c: _rounds(lambda sim, op: sim.account_round(1, count=c)), 2, 2.5,
+                            "round count"),
+    "apply_round_count": (_apply, 2, 2.5, "round count"),
+    "transcript_count": (_transcript, 2, 2.5, "round count"),
+    "stride_batch": (_stride, 64, 2.5, "batch"),
+    "chain_length": (check_chain_length, 2, 2.5, "chain length"),
+    "flow_source": (lambda v: make_flow_problem(path_graph(4), source=v).b.tobytes(), 2, 2.5, "source"),
+    "flow_sink": (lambda v: make_flow_problem(path_graph(4), sink=v).b.tobytes(), 2, 2.5, "sink"),
+    "optimize_max_iters": (lambda k: _optimize(max_iters=k), 3, 2.5, "max_iters"),
+    "optimize_ground_node": (lambda v: _optimize(ground_node=v, max_iters=3), 2, 2.5, "ground_node"),
+}
+
+
+class TestWholeNumberRule:
+    """Every size, count, radius and node argument follows graph_core.whole: an integral
+    float or numpy integer runs as the int, a fractional or non-finite one is refused."""
+
+    @pytest.mark.parametrize("case", list(WHOLE_NUMBER_ARGUMENTS))
+    def test_integral_accepted_fractional_refused(self, case):
+        call, good, fractional, name = WHOLE_NUMBER_ARGUMENTS[case]
+        # compared as repr, so a 2.0 carried through as a float would show
+        expected = repr(call(good))
+        assert repr(call(float(good))) == expected
+        assert repr(call(np.int64(good))) == expected
+        for bad in (fractional, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^%s must be an integer.*, got %s$"
+                               % (re.escape(name), re.escape(repr(bad)))):
+                call(bad)
 
 
 class TestTopologies:

@@ -612,13 +612,13 @@ class TestOptimize:
 
     def test_rejects_negative_max_iters(self):
         p = flow_on("path", {"n": 3})
-        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 0, got -1"):
             optimize(p, "exact_newton", OptimizeConfig(max_iters=-1))
 
     @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
     def test_rejects_non_integral_max_iters(self, bad):
         p = flow_on("path", {"n": 3})
-        with pytest.raises(ValueError, match="max_iters must be >= 0 and an integer"):
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 0, got %s$" % bad):
             optimize(p, "exact_newton", OptimizeConfig(max_iters=bad))
 
     def test_integral_float_max_iters_accepted(self):
@@ -767,7 +767,8 @@ class TestOptimize:
     def test_non_integral_ground_node_rejected(self, monkeypatch):
         # 2.5 names no node; direct_solve's grounding message would hide that
         p = random_flow(10, 18, seed=15)
-        with pytest.raises(ValueError, match="ground_node must be an integer, got 2.5"):
+        with pytest.raises(ValueError,
+                           match=re.escape("ground_node must be an integer in [0, 10), got 2.5")):
             optimize(p, "exact_newton", OptimizeConfig(ground_node=2.5, max_iters=3))
         as_float = optimize(p, "exact_newton", OptimizeConfig(ground_node=2.0, max_iters=3))
         as_int = optimize(p, "exact_newton", OptimizeConfig(ground_node=2, max_iters=3))
@@ -783,7 +784,8 @@ class TestOptimize:
         monkeypatch.setattr(nf, "convergence_constants", no_work)
         for method in ("sddm_newton", "exact_newton", "subgradient", "add_neumann"):
             for bad in (99, 10, -1):
-                with pytest.raises(ValueError, match=re.escape("ground_node must lie in [0, 10), got %d" % bad)):
+                with pytest.raises(ValueError,
+                                   match=re.escape("ground_node must be an integer in [0, 10), got %d" % bad)):
                     optimize(p, method, OptimizeConfig(ground_node=bad, max_iters=3))
 
     def test_fixed_subgradient_default_step(self):

@@ -103,6 +103,8 @@ RUNS = [
                                           "--rhop", "2"]),
     # solve reads a bare edge list: a problem file's b line is a usage error
     ("solve_file_problem_random_12_24", ["solve", "--graph", "file", "--file", "tools/snapshot_problem.txt"]),
+    # a usage error names the option, not the library's "b has a non-finite entry"
+    ("flow_path_4_magnitude_nan", ["flow", "--graph", "path", "--n", "4", "--magnitude", "nan"]),
 ]
 
 
