@@ -26,14 +26,16 @@ its 1-hop neighborhood and each engine keeps one stack of certified powers:
   radius R, so the transcript is the one of the round-by-round computation.
 
 Each engine runs on the Simulator it is given; FlowProblem.network builds one per topology.
-Simulator.certify alone decides whether an operator is stored dense or CSR.
+One byte rule, netsim.stores_dense, decides whether an operator is stored
+dense or CSR: Simulator.certify applies it, and RHopEngine reads it to run
+its row extension in the form certify will store.
 """
 
 import numpy as np
 from scipy import sparse
 
 from .graph_core import WeightedGraph
-from .netsim import Simulator, check_radius
+from .netsim import Simulator, check_radius, stores_dense
 from .reference_solver import crude_solve, richardson_iterates
 from .spectral import check_chain_length
 
@@ -69,6 +71,21 @@ def _row_nnz(mat):
     if sparse.issparse(mat):
         return np.diff(mat.tocsr().indptr)
     return np.count_nonzero(mat, axis=1)
+
+
+def _row_extension(one_hop, R, dense):
+    # (P^R, the row supports published in rounds 1..R-1) by R-1 products
+    # one_hop @ c, against a dense c from the first product on when `dense`.
+    # A CSR one_hop times a dense c sums each entry over one_hop's row in
+    # the order sparse @ sparse (csr_matmat) does, so the values are the
+    # same bits; csr_matmat drops exact zeros, so the supports are the same.
+    c, payloads = one_hop, []
+    for _ in range(1, R):
+        payloads.append(_row_nnz(c))
+        if dense and sparse.issparse(c):
+            c = c.toarray()
+        c = one_hop @ c
+    return c, payloads
 
 
 class _EngineBase:
@@ -146,6 +163,14 @@ class FullCommEngine(_EngineBase):
 class RHopEngine(_EngineBase):
     """Strictly R-hop solver with cached radius-R row powers.
 
+    The R-1 row-extension products run against a dense row power when the
+    radius-R hop ball is dense by certify's byte rule (netsim.stores_dense
+    on the ball's pairs and the diagonal), and stay sparse otherwise, so a
+    sparse ball never makes an n x n array. A dense P^R goes to certify as
+    the array it stores; when the rule stores P^R as CSR although its ball
+    is dense (K_{10,10} at R = 2), the products are redone sparse, so the
+    CSR keeps csr_matmat's index order and the kernel its summation order.
+
     Parameters
     ----------
     splitting : StandardSplitting
@@ -161,11 +186,12 @@ class RHopEngine(_EngineBase):
         # each node publishes its current row. The protocol's Q routine runs
         # R-1 more such rounds; supp(Q^k) = supp(P^k), so they are charged
         # with the same payloads, and Q^R = D^{-1} P^R D needs no operator
-        one_hop = c = self._op_P1.matrix
-        payloads = []
-        for _ in range(1, R):
-            payloads.append(_row_nnz(c))
-            c = one_hop @ c
+        one_hop, n = self._op_P1.matrix, sim.n
+        # the ball at R is the one the rounds at R are charged from
+        dense = R > 1 and sparse.issparse(one_hop) and stores_dense(n, sim._ball(R)[0].nnz + n)
+        c, payloads = _row_extension(one_hop, R, dense)
+        if dense and not stores_dense(n, np.count_nonzero(c)):
+            c, _ = _row_extension(one_hop, R, False)
         for payload in payloads * 2:  # the P routine's rounds, then the Q routine's
             self.sim.account_round(1, payload=payload)
         self._op_C0 = self.sim.certify(c, R)

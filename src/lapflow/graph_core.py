@@ -406,7 +406,9 @@ def read_edge_list(path):
 
     The format is an 'n m' header line, then m 'i j w' lines; blank lines
     are skipped. rest holds the token lists of the lines after the edges.
-    Raises ValueError naming a malformed header or edge line.
+    n, m, i and j follow the whole-number rule (whole): 2.0 reads as 2,
+    while 2.5 or a word raises. Raises ValueError naming a malformed header
+    or edge line, and the field.
     """
     with open(path) as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
@@ -414,7 +416,8 @@ def read_edge_list(path):
         raise ValueError("edge-list file is empty")
     if len(lines[0]) != 2:
         raise ValueError("header line %r needs the form 'n m'" % " ".join(lines[0]))
-    n, m = (int(t) for t in lines[0])
+    where = " in header line %r" % " ".join(lines[0])
+    n, m = _whole_token(lines[0][0], "n" + where, 1), _whole_token(lines[0][1], "m" + where, 0)
     if not 0 <= m < len(lines):
         raise ValueError("header promises %d edge lines, the file has %d lines after it"
                          % (m, len(lines) - 1))
@@ -423,8 +426,22 @@ def read_edge_list(path):
         if len(ln) != 3:
             raise ValueError("edge line %r needs the form 'i j w'" % " ".join(ln))
         i, j, w = ln
-        edges.append((int(i), int(j), float(w)))
+        where = " in edge line %r" % " ".join(ln)
+        edges.append((_whole_token(i, "i" + where), _whole_token(j, "j" + where), float(w)))
     return WeightedGraph(n, edges), lines[1 + m :]
+
+
+def _whole_token(token, name, lo=None):
+    # a file token by the whole-number rule; an int token is read exactly,
+    # any other as a float, and a word raises whole's message shape
+    try:
+        x = int(token)
+    except ValueError:
+        try:
+            x = float(token)
+        except ValueError:
+            raise ValueError("%s must be an integer, got %r" % (name, token)) from None
+    return whole(x, name, lo)
 
 
 def load_edge_list(path):

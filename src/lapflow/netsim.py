@@ -20,15 +20,18 @@ component as CSR, 8 bytes a pair, as much as one dense n x n operator.
 There is one execution path, the collective round: ``certify`` proves once
 that a matrix's support stays inside the r-hop ball, after which
 ``apply_round`` performs the whole-network gather-and-combine round as one
-matrix-vector product. ``certify`` also picks the smaller storage: a sparse
-matrix whose n x n array takes no more bytes than its CSR arrays is kept
-dense, so nearly dense operators (radius-R powers that cover most of the
-graph) run as BLAS matvecs. ``account_round`` charges a round whose combine
-step is done by the caller (row-extension rounds). Both take a ``count`` of
-identical rounds and charge the whole batch with one radius check and one
-cached per-radius message total; ``apply_round`` runs a CSR operator's
-``count`` products in scipy's compiled CSR kernel on two reused buffers
-(``csr_apply``, which the dual loop in ``newton_flow`` shares).
+matrix-vector product. ``certify`` also picks the smaller storage by one
+byte rule (``stores_dense``): a sparse matrix whose n x n array takes no
+more bytes than its CSR arrays is kept dense, so nearly dense operators
+(radius-R powers that cover most of the graph) run as BLAS matvecs. A
+dense operator's support check reads the outside of the ball as an n x n
+mask, built once per radius and cached with the ball. ``account_round``
+charges a round whose combine step is done by the caller (row-extension
+rounds). Both take a ``count`` of identical rounds and charge the whole
+batch with one radius check and one cached per-radius message total;
+``apply_round`` runs a CSR operator's ``count`` products in scipy's
+compiled CSR kernel on two reused buffers (``csr_apply``, which the dual
+loop in ``newton_flow`` shares).
 The tests check both against an independent per-node executor
 (``tests/oracles.py``) that runs each node's program on its own.
 
@@ -60,9 +63,13 @@ try:  # scipy's compiled y += A x; private, so guarded
 except ImportError:
     _csr_matvec = None
 
+_CSR = sparse.csr_matrix
+_F64 = np.dtype(np.float64)
+
 __all__ = [
     "check_radius",
     "csr_apply",
+    "stores_dense",
     "stride_length",
     "rung_length",
     "SimTranscript",
@@ -92,29 +99,41 @@ def csr_apply(mat, x, count=1):
     square matrix when count > 1) run in scipy's compiled CSR kernel on two
     reused buffers. The kernel computes y += A u without bounds checks, so
     the guards stay; from a zeroed y it is exactly what `mat @ u` computes.
-    Anything else, or a scipy without the kernel, takes `mat @ x`. x itself
-    is never written to.
+    Anything else (a subclass of either type too), or a scipy without the
+    kernel, takes `mat @ x`. x itself is never written to.
     """
-    # a class check, not sparse.issparse: the dual loop calls this for
-    # vectors of a few hundred entries, where issparse's abstract-class check
-    # costs a tenth of the whole product
-    if (_csr_matvec is not None and count > 0 and isinstance(mat, sparse.csr_matrix)
-            and mat.dtype == np.float64 and isinstance(x, np.ndarray)
-            and x.dtype == np.float64 and x.shape == (mat.shape[1],)
-            and (count == 1 or mat.shape[0] == mat.shape[1])):
+    # exact-type checks and one read each of mat.shape and mat.data: the dual
+    # loop calls this for vectors of a few hundred entries, where an
+    # abstract-class check or a property read is a visible share of the product
+    if _csr_matvec is not None and count > 0 and type(mat) is _CSR and type(x) is np.ndarray:
         rows, cols = mat.shape
-        u = np.zeros(rows)
-        _csr_matvec(rows, cols, mat.indptr, mat.indices, mat.data, np.ascontiguousarray(x), u)
-        if count > 1:
-            y = np.empty(rows)
-            for _ in range(count - 1):
-                y.fill(0.0)
-                _csr_matvec(rows, cols, mat.indptr, mat.indices, mat.data, u, y)
-                u, y = y, u
-        return u
+        data = mat.data
+        if (data.dtype is _F64 and x.dtype is _F64 and x.shape == (cols,)
+                and (count == 1 or rows == cols)):
+            indptr, indices = mat.indptr, mat.indices
+            u = np.zeros(rows)
+            _csr_matvec(rows, cols, indptr, indices, data, np.ascontiguousarray(x), u)
+            if count > 1:
+                y = np.empty(rows)
+                for _ in range(count - 1):
+                    y.fill(0.0)
+                    _csr_matvec(rows, cols, indptr, indices, data, u, y)
+                    u, y = y, u
+            return u
     for _ in range(count):
         x = mat @ x
     return x
+
+
+def stores_dense(n, nnz, itemsize=8, index_itemsize=4):
+    """Whether an n x n operator with nnz stored entries is kept as an array.
+
+    The package's one storage rule (certify's): the n x n array of
+    `itemsize`-byte values takes no more bytes than CSR arrays holding nnz
+    values and nnz column indices plus n + 1 row pointers, each index
+    `index_itemsize` bytes.
+    """
+    return n * n * itemsize <= nnz * (itemsize + index_itemsize) + (n + 1) * index_itemsize
 
 
 class SimTranscript:
@@ -219,10 +238,12 @@ def _nonzero_pattern(matrix):
 
 
 def _ball_entry(ball):
-    # (ball, c, its largest hop, the message total of a round in which every
-    # node sends one value), with v's inbound relay cost c[v] = sum_k hop(k, v)
+    # [ball, c, its largest hop, the message total of a round in which every
+    # node sends one value, the outside mask], with v's inbound relay cost
+    # c[v] = sum_k hop(k, v); the mask slot stays None until
+    # Simulator._outside builds it
     costs = np.asarray(ball.sum(axis=0), dtype=float).ravel()
-    return ball, costs, int(ball.data.max(initial=0)), int(round(costs.sum()))
+    return [ball, costs, int(ball.data.max(initial=0)), int(round(costs.sum())), None]
 
 
 class LocalOperator:
@@ -287,11 +308,22 @@ class Simulator:
         return sim
 
     def _ball(self, r):
-        # (ball, costs, max_hop, messages) at min(r, reach); see _ball_entry
+        # [ball, costs, max_hop, messages, outside] at min(r, reach); see _ball_entry
         key = min(r, self.reach)
         if key not in self._balls:
             self._balls[key] = _ball_entry(hop_ball(self.adjacency, key))
         return self._balls[key]
+
+    def _outside(self, r):
+        # n x n bool mask of the off-diagonal pairs beyond r hops, cached in
+        # the ball's entry; only a dense operator's check asks for it, and
+        # that operator is an n x n array already
+        entry = self._ball(r)
+        if entry[4] is None:
+            outside = ~entry[0].astype(bool).toarray()
+            np.fill_diagonal(outside, False)
+            entry[4] = outside
+        return entry[4]
 
     def _check_radius(self, r):
         r = whole(r, "gather radius", 1)
@@ -308,8 +340,8 @@ class Simulator:
         The radius must be an integer and respect R. The proof makes later
         apply_round calls locality-sound without per-entry checks. A sparse
         matrix is stored dense when the n x n array takes no more bytes than
-        its CSR arrays, and only then is that array built; a dense matrix
-        stays dense.
+        its CSR arrays (stores_dense), and only then is that array built; a
+        dense matrix stays dense.
         """
         if not sparse.issparse(matrix):
             matrix = np.asarray(matrix)
@@ -319,7 +351,7 @@ class Simulator:
         radius = self._check_radius(radius)
         if sparse.issparse(matrix):
             csr = matrix.tocsr()
-            if n * n * csr.dtype.itemsize <= csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes:
+            if stores_dense(n, csr.nnz, csr.dtype.itemsize, csr.indices.dtype.itemsize):
                 matrix = csr.toarray()
         self._check_support(matrix, radius)
         return LocalOperator(matrix, radius)
@@ -331,17 +363,15 @@ class Simulator:
         # components lies beyond: it is not in the reach ball.
         if radius >= self.reach and self.components == 1:
             return
-        ball = self._ball(radius)[0]
         if sparse.issparse(matrix):
             # only a 1 outside the ball exceeds the ball's entry, which is at
             # least 1; the diagonal, at hop 0, is not in the ball
-            rows, cols = (_nonzero_pattern(matrix) > ball).nonzero()
+            rows, cols = (_nonzero_pattern(matrix) > self._ball(radius)[0]).nonzero()
             off = rows != cols
             rows, cols = rows[off], cols[off]
         else:
             beyond = matrix != 0
-            beyond &= ~ball.astype(bool).toarray()
-            np.fill_diagonal(beyond, False)
+            beyond &= self._outside(radius)
             rows, cols = np.nonzero(beyond)
         if rows.size:
             i, j = rows[0], cols[0]
@@ -399,7 +429,7 @@ class Simulator:
             if (payload < 0).any():
                 raise ValueError("payload has a negative entry")
         if count:
-            _, costs, max_hop, messages = self._ball(radius)
+            _, costs, max_hop, messages, _ = self._ball(radius)
             if payload is not None:
                 messages = int(round(float(costs @ payload)))
             self.transcript.append(messages, max_hop, count)

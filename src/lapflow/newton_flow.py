@@ -103,7 +103,7 @@ def exp_cost(x_box=5.0):
         value=lambda x: np.exp(x) + np.exp(-x),
         deriv=lambda x: np.exp(x) - np.exp(-x),
         second=lambda x: np.exp(x) + np.exp(-x),
-        inv_deriv=lambda y: np.arcsinh(np.asarray(y, dtype=float) * 0.5),
+        inv_deriv=lambda y: np.arcsinh(0.5 * y),
         gamma=2.0,
         Gamma=2.0 * math.cosh(x_box),
         delta=0.25,  # max |d/dx (1/(2 cosh x))| attained at sinh x = 1
@@ -193,7 +193,7 @@ class FlowProblem:
 
     def cost_value(self, x):
         """Primal objective sum_e Phi(x_e)."""
-        return float(self.cost.value(x).sum())
+        return float(np.add.reduce(self.cost.value(x), axis=None))  # what ndarray.sum runs
 
     def unweighted_laplacian(self):
         """L = A A' of the incidence matrix as CSR (cached)."""
@@ -317,7 +317,7 @@ def primal_recovery(lam, problem):
     lam = np.asarray(lam, dtype=float).ravel()
     y = lam.take(problem._tails)
     y -= lam.take(problem._heads)
-    return np.asarray(problem.cost.inv_deriv(y), dtype=float)
+    return problem.cost.inv_deriv(y)
 
 
 def dual_state(lam, problem):
@@ -327,12 +327,20 @@ def dual_state(lam, problem):
     g = csr_apply(problem.incidence, x)
     g -= problem.b
     obj = problem.cost_value(x)
-    return DualState(lam=lam, x_of_lambda=x, g=g, objective=obj, value=float(lam @ g) - obj)
+    return DualState(lam, x, g, obj, float(lam @ g) - obj)
 
 
 def dual_value(lam, problem):
     """q(lambda) = lambda'(A x(lambda) - b) - sum_e Phi_e(x_e(lambda))."""
     return dual_state(lam, problem).value
+
+
+def _check_finite_positive(v, fault):
+    # min and max first, as a nan fails either comparison; the first bad
+    # edge is looked for only once the check has failed
+    if not (v.min() > 0 and v.max() < math.inf):
+        bad = int(np.flatnonzero(~((v > 0) & (v < math.inf)))[0])
+        raise RuntimeError("Hessian %s on edge %d" % (fault, bad))
 
 
 def _hessian_weights(state, problem):
@@ -342,15 +350,9 @@ def _hessian_weights(state, problem):
     and positive, or whose weight underflows or overflows.
     """
     dd = np.asarray(problem.cost.second(state.x_of_lambda), dtype=float)
-    ok = (dd > 0) & (dd < math.inf)  # finite and positive; False on nan
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
-        raise RuntimeError("Hessian curvature invalid on edge %d" % bad)
+    _check_finite_positive(dd, "curvature invalid")
     w = 1.0 / dd
-    ok = (w > 0) & (w < math.inf)
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
-        raise RuntimeError("Hessian weight underflow on edge %d" % bad)
+    _check_finite_positive(w, "weight underflow")
     n = problem.n
     t, h = problem._tails, problem._heads
     D = np.bincount(t, weights=w, minlength=n) + np.bincount(h, weights=w, minlength=n)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from lapflow.graph_core import StandardSplitting, WeightedGraph, generate, ground, laplacian
-from lapflow import netsim
+from lapflow import distributed_solver, netsim
+from lapflow.newton_flow import dual_hessian, dual_state, make_flow_problem
 from lapflow.netsim import Simulator, ViolationError
 from lapflow.reference_solver import direct_solve, richardson_iterates, richardson_iterations
 from lapflow.spectral import EPS_D, chain_length, estimate_condition, estimated_chain
@@ -28,6 +30,14 @@ from oracles import (
 
 def grounded_path(n, ref=0):
     return ground(laplacian(generate("path", {"n": n})), ref)
+
+
+def grounded_grid(rows, cols):
+    return ground(laplacian(generate("grid", {"rows": rows, "cols": cols})), 0)
+
+
+def grounded_barbell(clique, path_len):
+    return ground(laplacian(generate("barbell", {"clique": clique, "path_len": path_len})), 0)
 
 
 def chain_d(s, safety=1.05):
@@ -447,6 +457,91 @@ class TestMessageAccounting:
             eng.sim.account_round(2)
         with pytest.raises(ViolationError):
             eng.sim.certify(P @ P, 2)
+
+
+def first_random_hessian():
+    """The grounded first Newton Hessian of the exp-cost flow on random 300/900."""
+    p = make_flow_problem(generate("random", {"n": 300, "m": 900}, seed=0))
+    return ground(dual_hessian(dual_state(np.zeros(p.n), p), p), 0)
+
+
+def complete_bipartite(k):
+    """K_{k,k} with D = k + 1; at R = 2 its ball holds every pair, P^2 half of them."""
+    g = WeightedGraph(2 * k, [(i, j, 1.0) for i in range(k) for j in range(k, 2 * k)])
+    return StandardSplitting(np.full(2 * k, k + 1.0), laplacian(g).A)
+
+
+def sparse_row_power(one_hop, R):
+    """(P^R, per-round row supports) by R-1 sparse-sparse products one_hop @ c."""
+    c, payloads = one_hop, []
+    for _ in range(1, R):
+        payloads.append(np.diff(c.indptr))
+        c = one_hop @ c
+    return c, payloads
+
+
+class TestRowExtension:
+    """Dense row extension once the radius-R ball is dense, with the sparse products' bits."""
+
+    CASES = {
+        "random_hessian_r4": (first_random_hessian, 4, [True], np.ndarray),
+        "bipartite_r2": (lambda: complete_bipartite(10), 2, [True, False], sparse.csr_matrix),
+        "grid_r2": (lambda: grounded_grid(20, 20), 2, [False], sparse.csr_matrix),
+        "grid_r4": (lambda: grounded_grid(20, 20), 4, [False], sparse.csr_matrix),
+        "barbell_r8": (lambda: grounded_barbell(10, 10), 8, [False], sparse.csr_matrix),
+        # R = 8 is past the reach of this barbell: its ball holds every pair
+        "small_barbell_r8": (lambda: grounded_barbell(6, 3), 8, [True], np.ndarray),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_operator_and_transcript_match_sparse_products(self, case, monkeypatch):
+        build, R, gates, stored = self.CASES[case]
+        s = build()
+        calls = []
+        real = distributed_solver._row_extension
+
+        def spy(one_hop, radius, dense):
+            calls.append(dense)
+            return real(one_hop, radius, dense)
+
+        monkeypatch.setattr(distributed_solver, "_row_extension", spy)
+        eng = rhop_engine(s, 3, R)
+        # the oracle: sparse-sparse products, certified and charged on a
+        # simulator of their own
+        sim = Simulator(support_graph(s), R)
+        one_hop = s.A.multiply(1.0 / s.D[None, :]).tocsr()
+        c, payloads = sparse_row_power(one_hop, R)
+        sim.account_round(1)
+        for payload in payloads * 2:
+            sim.account_round(1, payload=payload)
+        want = sim.certify(c, R).matrix
+        got = eng._op_C0.matrix
+        assert calls == gates
+        assert type(got) is type(want) is stored
+        if sparse.issparse(want):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert eng.transcript.runs == sim.transcript.runs
+        for dense in (False, True):
+            _, rows = real(one_hop, R, dense)
+            assert len(rows) == len(payloads)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, payloads))
+
+    def test_sparse_ball_builds_no_square_array(self):
+        # grid 50 x 60 at R = 2: a sparse ball keeps every product sparse,
+        # far below the 72 MB of one n x n float64 array
+        s = grounded_grid(50, 60)
+        sim = Simulator(support_graph(s), 2)
+        tracemalloc.start()
+        try:
+            RHopEngine(s, 2, sim)  # d = 2: one round per level, no stride
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.n * s.n * 8 // 20
 
 
 class TestStridedChain:

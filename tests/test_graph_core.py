@@ -435,6 +435,25 @@ class TestEdgeListIO:
         with pytest.raises(ValueError, match=re.escape(named)):
             load_edge_list(str(path))
 
+    @pytest.mark.parametrize("text, named", [
+        ("3 2.5\n0 1 1.0\n1 2 1.0\n", "m in header line '3 2.5' must be an integer >= 0, got 2.5"),
+        ("3 two\n0 1 1.0\n1 2 1.0\n", "m in header line '3 two' must be an integer, got 'two'"),
+        ("3.5 2\n0 1 1.0\n1 2 1.0\n", "n in header line '3.5 2' must be an integer >= 1, got 3.5"),
+        ("3 2\n0 1 1.0\n1 x 1.0\n", "j in edge line '1 x 1.0' must be an integer, got 'x'"),
+        ("3 2\n0.5 1 1.0\n1 2 1.0\n", "i in edge line '0.5 1 1.0' must be an integer, got 0.5"),
+    ], ids=["fractional_m", "word_m", "fractional_n", "word_j", "fractional_i"])
+    def test_fields_follow_the_whole_number_rule(self, tmp_path, text, named):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            read_edge_list(str(path))
+
+    def test_integral_float_fields_read_as_ints(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 2.0\n0 1 1.0\n1.0 2 2.5\n")
+        g = load_edge_list(str(path))
+        assert (g.n, g.edges) == (3, [(0, 1, 1.0), (1, 2, 2.5)])
+
     def test_read_returns_the_lines_after_the_edges(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 2\n0 1 1.0\n\n1 2 2.5\nb 1.0 0.0 -1.0\ncost exp\n")

@@ -598,6 +598,34 @@ class TestCsrKernel:
             netsim.csr_apply(A, x, count=2)
         assert calls == [(7, 11)]
 
+    @pytest.mark.parametrize("form", ["subclass", "strided", "float32"])
+    def test_fallbacks_keep_matmul_bits(self, form, monkeypatch):
+        # a csr_matrix subclass and float32 data take `mat @ x`; a strided
+        # float64 x runs in the kernel on a contiguous copy
+        A = sparse.random(40, 40, density=0.2, random_state=5, format="csr")
+        x = np.random.default_rng(6).standard_normal(80)[::2]
+        if form == "subclass":
+            A = type("CsrSubclass", (sparse.csr_matrix,), {})(A)
+        elif form == "float32":
+            A = A.astype(np.float32)
+        else:
+            assert not x.flags.c_contiguous
+        calls = []
+        real = netsim._csr_matvec
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(netsim, "_csr_matvec", spy)
+        for count in (1, 3):
+            want = x
+            for _ in range(count):
+                want = A @ want
+            got = netsim.csr_apply(A, x, count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert calls == ([(40, 40)] * 4 if form == "strided" else [])
+
     def test_caller_vector_untouched(self):
         sim, op = grid_operator()
         x = np.random.default_rng(2).standard_normal(op.matrix.shape[0])
@@ -622,6 +650,7 @@ class TestCertifyStorage:
             csr = sparse.csr_matrix(W)
             assert csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes == 12 * nnz + 24
             op = sim.certify(csr, 4)
+            assert netsim.stores_dense(5, nnz) == promoted
             assert isinstance(op.matrix, np.ndarray) == promoted
             assert sparse.issparse(op.matrix) != promoted
             assert np.array_equal(sim.apply_round(op, np.ones(5)), W @ np.ones(5))

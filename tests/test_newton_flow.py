@@ -35,6 +35,7 @@ from lapflow.newton_flow import (
     save_flow_problem,
     strict_decrement_bound,
 )
+from lapflow.newton_flow import _hessian_weights
 from lapflow.spectral import estimated_chain
 from conftest import full_engine, rhop_engine
 from oracles import dense, fd_gradient, fd_hessian, pinv_quadform, matrix_lnorm
@@ -308,6 +309,36 @@ class TestDualCalculus:
         flat.gamma = flat.Gamma = 1.0
         with pytest.raises(RuntimeError, match="edge 0"):
             optimize(p, "add_neumann")
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "curvature invalid"),
+        (0.0, "curvature invalid"),
+        (-1.0, "curvature invalid"),
+        (math.inf, "curvature invalid"),
+        (5e-324, "weight underflow"),  # subnormal: 1/Phi'' overflows to inf
+    ], ids=["nan", "zero", "negative", "inf", "subnormal"])
+    def test_first_bad_edge_named(self, bad, message):
+        # edges 2 and 4 of the path are bad; the message names edge 2
+        curvature = np.ones(6)
+        curvature[[2, 4]] = bad
+        probe = EdgeCost(
+            "probe",
+            value=lambda x: 0.5 * np.square(x),
+            deriv=lambda x: x,
+            second=lambda x: curvature.copy(),
+            inv_deriv=lambda y: y,
+            gamma=1.0,
+            Gamma=1.0,
+            delta=0.0,
+        )
+        b = np.zeros(7)
+        b[0], b[6] = 1.0, -1.0
+        p = FlowProblem(generate("path", {"n": 7}), b, probe)
+        state = dual_state(np.zeros(7), p)
+        with pytest.raises(RuntimeError, match=re.escape("Hessian %s on edge 2" % message)):
+            _hessian_weights(state, p)
+        with pytest.raises(RuntimeError, match=re.escape("Hessian %s on edge 2" % message)):
+            dual_hessian(state, p)
 
     def test_hessian_lipschitz_in_laplacian_norm(self):
         # ||H(u) - H(v)||_L <= B ||u - v||_L with B = mun delta/(gamma sqrt(mu2))
