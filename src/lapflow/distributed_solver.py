@@ -18,12 +18,14 @@ its 1-hop neighborhood and each engine keeps one stack of certified powers:
   exponent/R strided R-hop products, each power one batch of identical
   rounds, on a simulator that rejects any round wider than R. Level i >=
   log2 R of a crude solve is 2^i/R rounds, so nearly all rounds sit in the
-  top levels; the engine asks netsim once for a stride ladder of the
-  radius-R operator, passing its largest batch 2^(d-1)/R (Simulator.stride):
-  a stride power op^s and one intermediate squaring op^t below it. Batches
-  of at least t rounds are then computed with a few products by the
-  certified powers, while every one of their rounds is still charged at
-  radius R, so the transcript is the one of the round-by-round computation.
+  top levels. Before its first crude solve the engine asks netsim once for
+  a stride ladder of the radius-R operator (Simulator.stride), passing
+  every level's batch 2^i/R and how many passes will run it: 2(q+1) for
+  esolve's q+1 crude solves, 2 for a bare rsolve. The ladder is at most
+  two certified powers, op^t and op^s. Batches of at least t rounds are
+  then computed with a few products by them, while every one of their
+  rounds is still charged at radius R, so the transcript is the one of the
+  round-by-round computation.
 
 Each engine runs on the Simulator it is given; FlowProblem.network builds one per topology.
 One byte rule, netsim.stores_dense, decides whether an operator is stored
@@ -36,7 +38,7 @@ from scipy import sparse
 
 from .graph_core import WeightedGraph
 from .netsim import Simulator, check_radius, stores_dense
-from .reference_solver import crude_solve, richardson_iterates
+from .reference_solver import crude_solve, richardson_iterates, richardson_iterations
 from .spectral import check_chain_length
 
 __all__ = [
@@ -116,13 +118,18 @@ class _EngineBase:
         """One 1-hop round computing M0 y."""
         return self.sim.apply_round(self._op_M, y)
 
+    def _plan(self, solves):
+        """Hook run before a call's crude solves, told how many the call runs; no-op here."""
+
     def esolve(self, b0, eps):
         """Preconditioned Richardson refinement of the crude solver.
 
-        Runs q = richardson_iterations(eps) outer iterations. To watch a
-        solve, iterate richardson_iterates(self.rsolve, self.apply_M, b0, eps)
-        and read self.transcript between yields.
+        Runs q = richardson_iterations(eps) outer iterations, q + 1 crude
+        solves. To watch a solve, iterate richardson_iterates(self.rsolve,
+        self.apply_M, b0, eps) and read self.transcript between yields (an
+        RHopEngine then sizes its ladder for one crude solve).
         """
+        self._plan(richardson_iterations(eps) + 1)
         *_, y = richardson_iterates(self.rsolve, self.apply_M, b0, eps)
         return y
 
@@ -171,6 +178,11 @@ class RHopEngine(_EngineBase):
     is dense (K_{10,10} at R = 2), the products are redone sparse, so the
     CSR keeps csr_matmat's index order and the kernel its summation order.
 
+    The stride ladder of the radius-R power is built once, before the
+    first crude solve, for the traffic of the call that runs it: every
+    chain level's batch 2^i/R (2^i >= R), run in 2(q+1) passes by esolve
+    at eps and in 2 by a bare rsolve (netsim.ladder_lengths prices it).
+
     Parameters
     ----------
     splitting : StandardSplitting
@@ -195,7 +207,16 @@ class RHopEngine(_EngineBase):
         for payload in payloads * 2:  # the P routine's rounds, then the Q routine's
             self.sim.account_round(1, payload=payload)
         self._op_C0 = self.sim.certify(c, R)
-        self.sim.stride(self._op_C0, 2 ** self.d // (2 * R))  # the top level's 2^(d-1)/R rounds
+        self._laddered = False
+
+    def _plan(self, solves):
+        # the ladder, once: a forward and a backward pass per crude solve
+        # run every level's batch
+        if not self._laddered:
+            R = self.R
+            levels = (2 ** i // R for i in range(self.d) if 2 ** i >= R)
+            self.sim.stride(self._op_C0, dict.fromkeys(levels, 2 * solves))
+            self._laddered = True
 
     def _apply_p(self, i, v):
         # apply P^{2^i} as one batch: straight 1-hop products below R,
@@ -207,6 +228,7 @@ class RHopEngine(_EngineBase):
 
     def rsolve(self, b0):
         """Crude solve under strict R-hop locality."""
+        self._plan(1)
         return crude_solve(b0, self.D, self.d, self._apply_p)
 
 

@@ -191,7 +191,7 @@ def ground(s, ref_node):
     return StandardSplitting(s.D[keep], A)
 
 
-def hop_ball(adjacency, r):
+def hop_ball(adjacency, r, inner=None):
     """Hop distances 1..r of every pair of nodes within r hops, as canonical CSR.
 
     `adjacency` is a graph's symmetric sparse adjacency matrix; its stored
@@ -201,14 +201,26 @@ def hop_ball(adjacency, r):
     at once, truncated at r: layer k + 1 is the neighbours of layer k that
     are in neither layer k nor layer k - 1, since a neighbour of a node k
     hops away is k - 1, k or k + 1 hops away. Time and memory grow with the
-    pairs within r hops, not with n^2.
+    pairs within r hops, not with n^2. `inner`, this function's result for
+    the same adjacency at a smaller radius, continues the BFS from that
+    ball's last two layers instead of from the first; the result is the same.
     """
     n = adjacency.shape[0]
     step = sparse.csr_matrix(adjacency, dtype=np.int32, copy=True)
     step.data[:] = 1
-    ball = layer = step
     before = sparse.identity(n, dtype=np.int32, format="csr")
-    for k in range(2, r + 1):
+    if inner is None:
+        ball = layer = step
+        start = 1
+    else:
+        ball = inner
+        # a ball that stopped short of its radius has no pair farther out,
+        # and its last layer then continues into an empty one
+        start = int(inner.data.max(initial=0))
+        layer = _hop_layer(inner, start)
+        if start > 1:
+            before = _hop_layer(inner, start - 1)
+    for k in range(start + 1, r + 1):
         # a path count is below n, so only the pairs new at hop k stay positive
         nxt = layer @ step - (layer + before) * n
         nxt.data = (nxt.data > 0).astype(np.int32)
@@ -219,6 +231,14 @@ def hop_ball(adjacency, r):
         before, layer = layer, nxt
     ball.sum_duplicates()
     return ball
+
+
+def _hop_layer(ball, k):
+    # the pairs exactly k hops apart in a hop ball, each stored as a 1
+    layer = ball.copy()
+    layer.data = (layer.data == k).astype(np.int32)
+    layer.eliminate_zeros()
+    return layer
 
 
 def diameter_endpoints(g):

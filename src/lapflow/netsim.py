@@ -13,9 +13,13 @@ made, in O(n + m): ``reach`` is twice the eccentricity of one node per
 component, an upper bound on every component's diameter. Its one hop datum
 is the ball of radius min(r, ``reach``), the hop distance of every pair
 within r hops, built on first use by a BFS truncated there
-(``graph_core.hop_ball``) and cached with its round charges; round charges
-and support checks both read it. At r >= ``reach`` it holds every pair of a
-component as CSR, 8 bytes a pair, as much as one dense n x n operator.
+(``graph_core.hop_ball``) and cached with its round charges; a new radius
+continues the BFS of the largest cached ball below it. Round charges and
+support checks below ``reach`` read it. At r >= ``reach`` it holds every
+pair of a component as CSR, 8 bytes a pair, as much as one dense n x n
+operator; only a round at that radius builds it, since a support check
+there only has to find pairs of two components, which the component labels
+tell.
 
 There is one execution path, the collective round: ``certify`` proves once
 that a matrix's support stays inside the r-hop ball, after which
@@ -37,20 +41,21 @@ The tests check both against an independent per-node executor
 
 A batch of many identical rounds need not be computed one product at a
 time. ``stride`` gives a certified operator a ladder of at most two dense
-powers: the stride power op^s, built by log2(s) dense squarings, and one of
-the intermediate squarings, op^t, kept as a second rung for the batches
-below s (``rung_length``). Each is support-checked within its length times
-op's radius. ``apply_round`` splits a batch of `count` rounds greedily:
-op^(count mod t) first, then (count mod s) div t products with op^t, then
-count div s products with op^s. The charge does not change: the batch is
-still `count` rounds at op's radius, so transcripts are the same with or
-without a ladder; only the floating-point rounding of a batch of at least t
-rounds differs. ``stride_length`` picks s from the caller's largest batch
-and ``rung_length`` picks t from s, with no setting to tune.
+powers, op^s, built by log2(s) dense squarings, and op^t, one of those
+squarings, with t < s powers of two. Each is support-checked within its
+length times op's radius. ``apply_round`` splits a batch of `count` rounds
+greedily: op^(count mod t) first, then (count mod s) div t products with
+op^t, then count div s products with op^s. The charge does not change: the
+batch is still `count` rounds at op's radius, so transcripts are the same
+with or without a ladder; only the floating-point rounding of a batch of at
+least t rounds differs. One rule, ``ladder_lengths``, picks the ladder (or
+none) that costs least over every batch the caller says it will run and
+how often: the squarings, the checks and each batch's products, with no
+setting to tune. A rung whose check would build a hop ball, one below
+``reach`` and not cached, is not a candidate.
 """
 
 import copy
-import math
 
 import numpy as np
 from scipy import sparse
@@ -70,8 +75,7 @@ __all__ = [
     "check_radius",
     "csr_apply",
     "stores_dense",
-    "stride_length",
-    "rung_length",
+    "ladder_lengths",
     "SimTranscript",
     "Simulator",
     "LocalOperator",
@@ -170,61 +174,48 @@ class SimTranscript:
 # n x n gemm. Timed on a 2-vCPU VM at n = 300 to 2000 (best of 7): a gemm
 # took 0.018-0.024 ns per multiply-add, a dense matvec 0.11-0.21 ns (4.4-11
 # gemm multiply-adds) and a csr_apply round of a sparse operator 0.98-2.5 ns
-# (47-68). Each weight sits below its measured range, so the gate prices
+# (47-68). Each weight sits below its measured range, so the rule prices
 # the squarings high against the rounds they replace.
 _DENSE_ROUND_WEIGHT = 4
 _CSR_ROUND_WEIGHT = 32
 
 
-def _power_below(n, nnz, batch):
-    # the largest power of two at or below sqrt(2 C n^2 / nnz), or 0 below 2
-    limit = math.isqrt(2 * batch * n * n // nnz)
-    return 1 << (limit.bit_length() - 1) if limit >= 2 else 0
+def ladder_lengths(n, nnz, batches, lengths, dense=False):
+    """The ladder an n x n operator with nnz stored entries runs `batches` cheapest on.
 
-
-def stride_length(n, nnz, batch, dense=False):
-    """Stride s for batches of up to C = `batch` rounds of an n x n operator with nnz stored entries.
-
-    One product at a time, a batch of C rounds costs C * nnz multiply-adds;
-    with a stride it costs (C div s) * n^2 + (C mod s) * nnz, which at an
-    expected remainder of s/2 is least near s = sqrt(2 C n^2 / nnz). s is the
-    largest power of two at or below that. Building op^s takes log2(s) dense
-    squarings, log2(s) * n^3 gemm multiply-adds; a round's multiply-add is
-    weighed as _CSR_ROUND_WEIGHT of those for a CSR operator and as
-    _DENSE_ROUND_WEIGHT for a `dense` one and for a product with op^s, which
-    is dense. The stride is built only when the squarings cost no more than
-    the stride saves on one batch of C rounds, which a chain runs at least
-    twice per crude solve. Returns 0 for no stride: C < 2, s < 2, or
-    squarings that do not pay.
+    `batches` maps each batch, a count of identical rounds, to the number
+    of times it runs; `lengths` are the powers of two >= 2 a rung may have.
+    Returns (), (s,) or (t, s) with t < s drawn from `lengths`, the one of
+    least modelled cost in dense gemm multiply-adds (on a tie no ladder,
+    then one rung, then the shorter lengths):
+    - log2(s) * n^3 for the squarings that build op^s (op^t is one of them);
+    - n^2 * _DENSE_ROUND_WEIGHT for each rung's support check, one read of
+      the power;
+    - for each batch of c rounds, times the number of its runs, apply_round's
+      greedy split: c div s products with op^s and (c mod s) div t with op^t
+      at n^2 * _DENSE_ROUND_WEIGHT each, and c mod t plain rounds at nnz
+      times the operator's weight, _DENSE_ROUND_WEIGHT when `dense` and
+      _CSR_ROUND_WEIGHT for a CSR operator.
+    Without a ladder every batch runs as plain rounds, so a ladder is built
+    only where it pays over the whole traffic.
     """
-    if batch < 2 or nnz < 1:
-        return 0
-    s = _power_below(n, nnz, batch)
-    if not s:
-        return 0
-    weight = _DENSE_ROUND_WEIGHT if dense else _CSR_ROUND_WEIGHT
-    saved = (batch - batch % s) * nnz * weight - (batch // s) * n * n * _DENSE_ROUND_WEIGHT
-    if (s.bit_length() - 1) * n ** 3 > saved:
-        return 0
-    return s
+    plain = nnz * (_DENSE_ROUND_WEIGHT if dense else _CSR_ROUND_WEIGHT)
+    rung = n * n * _DENSE_ROUND_WEIGHT
+    lengths = sorted(set(lengths))
 
+    def cost(ladder):
+        total = (ladder[-1].bit_length() - 1) * n ** 3 + len(ladder) * rung if ladder else 0
+        for count, runs in batches.items():
+            left, products = count, 0
+            for length in reversed(ladder):
+                products += left // length
+                left %= length
+            total += runs * (left * plain + products * rung)
+        return total
 
-def rung_length(n, nnz, s, dense=False):
-    """Second rung t below a stride s of an n x n operator with nnz stored entries.
-
-    The batches below s are at most s/2 rounds. stride_length's formula for
-    that batch, capped at s/2, gives t: the largest power of two at or below
-    min(sqrt(2 (s/2) n^2 / nnz), s/2). op^t is one of the squarings that
-    build op^s, so it costs no squaring of its own. It is kept only when
-    t >= 2 and one product with it, n^2 multiply-adds at
-    _DENSE_ROUND_WEIGHT, costs less than the t rounds it replaces, t * nnz
-    at the operator's weight (as in stride_length). Returns 0 for no rung.
-    """
-    t = min(_power_below(n, nnz, s // 2), s // 2)
-    weight = _DENSE_ROUND_WEIGHT if dense else _CSR_ROUND_WEIGHT
-    if t < 2 or n * n * _DENSE_ROUND_WEIGHT >= t * nnz * weight:
-        return 0
-    return t
+    candidates = [()] + [(s,) for s in lengths] + [
+        (t, s) for s in lengths for t in lengths if t < s]
+    return min(candidates, key=cost)
 
 
 def _nonzero_pattern(matrix):
@@ -294,6 +285,7 @@ class Simulator:
         # the radius-1 ball: one stored 1 per ordered edge
         self.adjacency = adjacency = hop_ball(graph.adjacency_matrix(), 1)
         self.components, labels = csgraph.connected_components(adjacency, directed=False)
+        self._labels = labels
         # one BFS from the first node of every component at once
         roots = np.unique(labels, return_index=True)[1]
         depth = csgraph.dijkstra(adjacency, unweighted=True, indices=roots, min_only=True)
@@ -311,7 +303,9 @@ class Simulator:
         # [ball, costs, max_hop, messages, outside] at min(r, reach); see _ball_entry
         key = min(r, self.reach)
         if key not in self._balls:
-            self._balls[key] = _ball_entry(hop_ball(self.adjacency, key))
+            # the ball at min(1, reach) is cached from the start
+            inner = self._balls[max(k for k in self._balls if k < key)][0]
+            self._balls[key] = _ball_entry(hop_ball(self.adjacency, key, inner))
         return self._balls[key]
 
     def _outside(self, r):
@@ -360,18 +354,25 @@ class Simulator:
         # ViolationError naming the row-major first nonzero beyond radius hops.
         # A sparse matrix is read on its stored entries, duplicates summed; a
         # dense one on its nonzero positions. Past reach only a pair of two
-        # components lies beyond: it is not in the reach ball.
-        if radius >= self.reach and self.components == 1:
+        # components lies beyond, told by the component labels: no ball.
+        far = radius >= self.reach
+        if far and self.components == 1:
             return
+        labels = self._labels
         if sparse.issparse(matrix):
-            # only a 1 outside the ball exceeds the ball's entry, which is at
-            # least 1; the diagonal, at hop 0, is not in the ball
-            rows, cols = (_nonzero_pattern(matrix) > self._ball(radius)[0]).nonzero()
-            off = rows != cols
+            pattern = _nonzero_pattern(matrix)
+            if far:
+                rows, cols = pattern.nonzero()
+                off = labels[rows] != labels[cols]
+            else:
+                # only a 1 outside the ball exceeds the ball's entry, which
+                # is at least 1; the diagonal, at hop 0, is not in the ball
+                rows, cols = (pattern > self._ball(radius)[0]).nonzero()
+                off = rows != cols
             rows, cols = rows[off], cols[off]
         else:
             beyond = matrix != 0
-            beyond &= self._outside(radius)
+            beyond &= labels[:, None] != labels if far else self._outside(radius)
             rows, cols = np.nonzero(beyond)
         if rows.size:
             i, j = rows[0], cols[0]
@@ -380,37 +381,44 @@ class Simulator:
                 "matrix entry (%d,%d) reaches hop %g beyond radius %d" % (i, j, hop, radius)
             )
 
-    def stride(self, op, batch):
-        """Give op a ladder of powers for batches of up to `batch` rounds; return s.
+    def stride(self, op, batches):
+        """Give op the ladder ladder_lengths picks for `batches`; return its lengths.
 
-        s comes from stride_length (0: no stride, op is left as it is) and
-        the second rung t from rung_length. op^s is built by log2(s) dense
-        squarings and op^t is the one among them of length t. Each is
-        checked to lie within its length times op.radius hops, op^s first
-        (ViolationError naming the first entry beyond, as certify does),
-        and kept as the dense array the squarings produce: it is in memory
-        in full while it is squared anyway, and its products run as BLAS
-        matvecs. The ladder is not a round and charges nothing;
-        apply_round still charges every round.
+        `batches` maps each count of rounds the caller will run with op to
+        the number of times it runs it; each is an integer >= 0. The rung
+        lengths offered are the powers of two up to the largest batch whose
+        support check builds no hop ball: at least reach hops, or a radius
+        whose ball is cached. () is no ladder and leaves op as it is. op^s
+        is built by log2(s) dense squarings and op^t is the one among them
+        of length t. Each is checked to lie within its length times
+        op.radius hops, op^s first (ViolationError naming the first entry
+        beyond, as certify does), and kept as the dense array the squarings
+        produce: it is in memory in full while it is squared anyway, and
+        its products run as BLAS matvecs. The ladder is not a round and
+        charges nothing; apply_round still charges every round.
         """
         mat = op.matrix
         dense = not sparse.issparse(mat)
         nnz = mat.size if dense else mat.nnz
-        s = stride_length(self.n, nnz, whole(batch, "batch"), dense=dense)
-        if s:
-            t = rung_length(self.n, nnz, s, dense=dense)
+        batches = {whole(count, "batch", 0): whole(runs, "batch runs", 0)
+                   for count, runs in batches.items()}
+        lengths = (1 << k for k in range(1, max(batches, default=0).bit_length()))
+        # a check below reach reads the ball at its radius: only a cached one
+        lengths = [length for length in lengths
+                   if length * op.radius >= self.reach or length * op.radius in self._balls]
+        ladder = ladder_lengths(self.n, nnz, batches, lengths, dense=dense)
+        if ladder:
+            t, s = ladder[0], ladder[-1]
             power = mat if dense else mat.toarray()
             for k in range(1, s.bit_length()):
                 power = power @ power
                 if 1 << k == t:
                     rung = power
             self._check_support(power, s * op.radius)
-            ladder = ((s, power),)
-            if t:
+            if t < s:
                 self._check_support(rung, t * op.radius)
-                ladder = ((t, rung),) + ladder
-            op.stride = ladder
-        return s
+            op.stride = ((t, rung), (s, power)) if t < s else ((s, power),)
+        return ladder
 
     def account_round(self, radius, payload=None, count=1):
         """Charge `count` identical whole-network gather rounds at `radius`.

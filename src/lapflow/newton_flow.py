@@ -347,12 +347,16 @@ def _hessian_weights(state, problem):
     """Edge weights w = 1/Phi''(x_e(lambda)) and their node sums D.
 
     Raises RuntimeError naming the first edge whose curvature is not finite
-    and positive, or whose weight underflows or overflows.
+    and positive, or whose weight is not finite: a subnormal curvature's
+    reciprocal overflows.
     """
     dd = np.asarray(problem.cost.second(state.x_of_lambda), dtype=float)
     _check_finite_positive(dd, "curvature invalid")
-    w = 1.0 / dd
-    _check_finite_positive(w, "weight underflow")
+    with np.errstate(over="ignore"):
+        w = 1.0 / dd
+    # the reciprocal of a finite positive curvature is positive
+    if not w.max() < math.inf:
+        raise RuntimeError("Hessian weight not finite on edge %d" % int(np.flatnonzero(w == math.inf)[0]))
     n = problem.n
     t, h = problem._tails, problem._heads
     D = np.bincount(t, weights=w, minlength=n) + np.bincount(h, weights=w, minlength=n)

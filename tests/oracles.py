@@ -357,3 +357,38 @@ def pernode_rhop_rsolve(splitting, b0, d, R):
         x = {k: 0.5 * (levels[i][k] / D[k] + x[k] + eta[k]) for k in range(n)}
     out = np.array([x[k] for k in range(n)])
     return out, sum(sim.messages_per_round), max(sim.max_hop_per_round, default=0)
+
+
+# the stride ladder's cost model, in dense gemm multiply-adds: a multiply-add
+# of a dense round (and of a product with a rung) weighs 4, one of a CSR
+# round 32
+DENSE_ROUND, CSR_ROUND = 4, 32
+
+
+def ladder_cost(n, nnz, batches, ladder, dense):
+    """Modelled cost of running `batches` ({count: runs}) with `ladder` (lengths, ascending).
+
+    log2 of the top rung's length squarings of n^3, one n^2 read per rung
+    for its check, and per run of each batch its rounds split as
+    apply_round splits them: whole top rungs, then whole lower rungs, taken
+    one at a time, then plain rounds of nnz multiply-adds.
+    """
+    total = 0
+    if ladder:
+        total = int(np.log2(ladder[-1])) * n ** 3 + len(ladder) * n * n * DENSE_ROUND
+    for count, runs in batches.items():
+        left, products = count, 0
+        for length in sorted(ladder, reverse=True):
+            while left >= length:
+                left -= length
+                products += 1
+        total += runs * (left * nnz * (DENSE_ROUND if dense else CSR_ROUND) + products * n * n * DENSE_ROUND)
+    return total
+
+
+def cheapest_ladders(n, nnz, batches, lengths, dense):
+    """(least cost, every ladder of that cost) over no ladder, (s,) and (t, s), t < s, from `lengths`."""
+    candidates = [()] + [(s,) for s in lengths] + [(t, s) for s in lengths for t in lengths if t < s]
+    costs = {ladder: ladder_cost(n, nnz, batches, ladder, dense) for ladder in candidates}
+    least = min(costs.values())
+    return least, {ladder for ladder, cost in costs.items() if cost == least}

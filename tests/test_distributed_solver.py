@@ -6,8 +6,8 @@ import pytest
 from scipy import sparse
 
 from lapflow.graph_core import StandardSplitting, WeightedGraph, generate, ground, laplacian
-from lapflow import distributed_solver, netsim
-from lapflow.newton_flow import dual_hessian, dual_state, make_flow_problem
+from lapflow import distributed_solver, netsim, newton_flow
+from lapflow.newton_flow import OptimizeConfig, dual_hessian, dual_state, make_flow_problem, optimize
 from lapflow.netsim import Simulator, ViolationError
 from lapflow.reference_solver import direct_solve, richardson_iterates, richardson_iterations
 from lapflow.spectral import EPS_D, chain_length, estimate_condition, estimated_chain
@@ -19,6 +19,7 @@ from lapflow.distributed_solver import (
 )
 from conftest import full_engine, grounded_random, mnorm_rel_error, rhop_engine, wide_ratio_system
 from oracles import (
+    cheapest_ladders,
     dense,
     dense_chain_z,
     floyd_warshall_hops,
@@ -544,6 +545,34 @@ class TestRowExtension:
         assert peak < s.n * s.n * 8 // 20
 
 
+def plain_engines(monkeypatch):
+    """Make every engine built after this call round-by-round: the rule picks no ladder."""
+    monkeypatch.setattr(netsim, "ladder_lengths", lambda *args, **kwargs: ())
+
+
+def spy_ladder_rule(monkeypatch):
+    """Record the (n, nnz, batches, lengths, dense) of every ladder_lengths call."""
+    calls = []
+    real = netsim.ladder_lengths
+
+    def spy(n, nnz, batches, lengths, dense=False):
+        calls.append((n, nnz, dict(batches), list(lengths), dense))
+        return real(n, nnz, batches, lengths, dense=dense)
+
+    monkeypatch.setattr(netsim, "ladder_lengths", spy)
+    return calls
+
+
+def ladder_systems():
+    """(id, system, R, its ladder for an eps-solve at 1e-4, its ladder for one crude solve)."""
+    return [
+        ("grid_20x20_r1", ground(laplacian(generate("grid", {"rows": 20, "cols": 20})), 0), 1,
+         (128, 2048), (128, 512)),
+        ("random_300_900_r4", grounded_random(300, 900, seed=0), 4, (8, 64), (4, 16)),
+        ("path_150_r4", grounded_path(150), 4, (128, 2048), (128, 2048)),
+    ]
+
+
 class TestStridedChain:
     """Chain levels of at least the lowest rung run as products with certified powers."""
 
@@ -554,27 +583,78 @@ class TestStridedChain:
     def test_grid_r1_builds_a_stride(self):
         s, d = self.grid()
         eng = rhop_engine(s, d, 1)
+        # sized for the call that runs it, so built at its first crude solve
+        assert eng._op_C0.stride is None
+        eng.esolve(np.ones(s.n), 1e-4)
         op = eng._op_C0
-        stride = netsim.stride_length(s.n, op.matrix.nnz, 2 ** (d - 1))
-        rung = netsim.rung_length(s.n, op.matrix.nnz, stride)
-        assert [length for length, _ in op.stride] == [rung, stride] == [256, 1024]
+        assert [length for length, _ in op.stride] == [128, 2048]
         for _, power in op.stride:
             assert isinstance(power, np.ndarray) and power.shape == (s.n, s.n)
+
+    @pytest.mark.parametrize("case", ladder_systems(), ids=lambda case: case[0])
+    def test_ladder_is_the_cheapest_for_the_passes_that_run(self, case, monkeypatch):
+        # esolve at 1e-4 runs q + 1 = 8 crude solves, 16 passes of every
+        # level; a bare rsolve runs 2. The rule gets each level's batch
+        # 2^i / R once, with its passes, and the lengths whose check needs
+        # no new ball; its pick is the cheapest by brute force.
+        _, s, R, want_esolve, want_rsolve = case
+        d = chain_length(estimate_condition(s) * 1.05).d
+        b = np.random.default_rng(8).standard_normal(s.n)
+        calls = spy_ladder_rule(monkeypatch)
+        q = richardson_iterations(1e-4)
+        for solve, passes, want in (("esolve", 2 * (q + 1), want_esolve), ("rsolve", 2, want_rsolve)):
+            eng = rhop_engine(s, d, R)
+            cached = set(eng.sim._balls)
+            eng.esolve(b, 1e-4) if solve == "esolve" else eng.rsolve(b)
+            x = eng.esolve(b, 1e-4)  # the ladder is built once
+            assert len(calls) == 1
+            n, nnz, batches, lengths, dense = calls[-1]
+            op = eng._op_C0
+            assert (n, nnz, dense) == (s.n, op.matrix.size if dense else op.matrix.nnz,
+                                       isinstance(op.matrix, np.ndarray))
+            assert batches == {2 ** i // R: passes for i in range(d) if 2 ** i >= R}
+            top = 2 ** (d - 1) // R
+            assert lengths == [2 ** k for k in range(1, d) if 2 ** k <= top
+                               and (2 ** k * R >= eng.sim.reach or 2 ** k * R in cached)]
+            least, best = cheapest_ladders(n, nnz, batches, lengths, dense)
+            ladder = tuple(length for length, _ in op.stride)
+            assert ladder == want and ladder in best, solve
+            assert mnorm_rel_error(s, x, direct_solve(s, b)) <= 1e-4
+            del calls[:]
+
+    def test_path_rungs_build_no_ball_below_reach(self):
+        # grounded path 150 at R = 4: reach is 296 hops. Offered every
+        # length, the rule would take a rung of 64 (256 hops), whose check
+        # would build the ball at 256 hops; it takes 128 instead and the
+        # checks build no ball at all
+        s = grounded_path(150)
+        d = chain_length(estimate_condition(s) * 1.05).d
+        eng = rhop_engine(s, d, 4)
+        eng.esolve(np.ones(s.n), 1e-4)
+        sim, op = eng.sim, eng._op_C0
+        ladder = [length for length, _ in op.stride]
+        assert sim.reach == 296 and ladder == [128, 2048]
+        assert all(length * 4 >= sim.reach for length in ladder)
+        assert sorted(sim._balls) == [1, 4]
+        batches = {2 ** i // 4: 16 for i in range(2, d)}
+        every = [2 ** k for k in range(1, d - 2)]
+        assert netsim.ladder_lengths(s.n, op.matrix.nnz, batches, every)[0] * 4 < sim.reach
 
     def test_dense_random_r4_gets_its_rung_by_the_rule(self, monkeypatch):
         s = grounded_random(300, 900, seed=0)
         d = chain_length(estimate_condition(s) * 1.05).d
         eng = rhop_engine(s, d, 4)
-        op = eng._op_C0
-        assert isinstance(op.matrix, np.ndarray)
-        stride = netsim.stride_length(s.n, op.matrix.size, 2 ** (d - 1) // 4, dense=True)
-        rung = netsim.rung_length(s.n, op.matrix.size, stride, dense=True)
-        assert rung >= 2
-        assert [length for length, _ in op.stride] == [rung, stride]
         b = np.random.default_rng(6).standard_normal(s.n)
         x = eng.esolve(b, 1e-4)
+        op = eng._op_C0
+        assert isinstance(op.matrix, np.ndarray)
+        levels = {2 ** i // 4: 16 for i in range(2, d)}
+        lengths = [2 ** k for k in range(1, d - 2) if 2 ** k * 4 >= eng.sim.reach]
+        ladder = netsim.ladder_lengths(s.n, op.matrix.size, levels, lengths, dense=True)
+        assert len(ladder) == 2 and ladder[0] >= 2
+        assert [length for length, _ in op.stride] == list(ladder)
         assert mnorm_rel_error(s, x, direct_solve(s, b)) <= 1e-4
-        monkeypatch.setattr(netsim, "stride_length", lambda n, nnz, batch, dense=False: 0)
+        plain_engines(monkeypatch)
         plain = rhop_engine(s, d, 4)
         y = plain.esolve(b, 1e-4)
         assert plain._op_C0.stride is None
@@ -592,15 +672,40 @@ class TestStridedChain:
         assert tr.rounds == closed_form_rounds(d, richardson_iterations(eps), 1)
         assert tr.max_hop_used == 1
         # the round-by-round engine charges the same runs
-        monkeypatch.setattr(netsim, "stride_length", lambda n, nnz, batch, dense=False: 0)
+        plain_engines(monkeypatch)
         y, plain = edist_rsolve(s, b, d, 1, eps)
         assert plain._op_C0.stride is None
         assert tr.runs == plain.transcript.runs
         assert np.linalg.norm(x - y) <= 1e-9 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("R", [2, 4])
+    def test_sddm_newton_runs_identical_without_a_ladder(self, R, monkeypatch):
+        # every Newton step's engine charges the same runs with its ladder
+        # as round by round, and the steps agree to roundoff
+        def run():
+            engines = []
+            monkeypatch.setattr(newton_flow, "RHopEngine",
+                                lambda *a: engines.append(RHopEngine(*a)) or engines[-1])
+            p = make_flow_problem(generate("random", {"n": 120, "m": 360}, seed=3))
+            trace = optimize(p, "sddm_newton", OptimizeConfig(R=R))
+            assert trace.converged
+            return engines, trace
+
+        engines, trace = run()
+        assert all(eng._op_C0.stride is not None for eng in engines)
+        plain_engines(monkeypatch)
+        plain, plain_trace = run()
+        assert all(eng._op_C0.stride is None for eng in plain)
+        assert [eng.transcript.runs for eng in engines] == [eng.transcript.runs for eng in plain]
+        assert trace.column("messages") == plain_trace.column("messages")
+        assert np.allclose(trace.column("feasibility"), plain_trace.column("feasibility"),
+                           rtol=1e-6, atol=1e-12)
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_short_chain_builds_no_stride(self, d):
         # d = 1 has one chain level, a batch of 2^0 / R rounds at most
         s, _ = self.grid()
         for R in (1, 2):
-            assert rhop_engine(s, d, R)._op_C0.stride is None
+            eng = rhop_engine(s, d, R)
+            eng.esolve(np.ones(s.n), 1e-4)
+            assert eng._op_C0.stride is None

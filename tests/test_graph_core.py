@@ -142,8 +142,8 @@ def _apply(count):
     return _rounds(lambda sim, op: sim.apply_round(op, np.arange(6.0), count).tobytes())
 
 
-def _stride(batch):
-    return _rounds(lambda sim, op: (sim.stride(op, batch), [(t, p.tobytes()) for t, p in op.stride]))
+def _stride(batch, runs=16):
+    return _rounds(lambda sim, op: (sim.stride(op, {batch: runs}), [(t, p.tobytes()) for t, p in op.stride]))
 
 
 def _transcript(count):
@@ -180,6 +180,7 @@ WHOLE_NUMBER_ARGUMENTS = {
     "apply_round_count": (_apply, 2, 2.5, "round count"),
     "transcript_count": (_transcript, 2, 2.5, "round count"),
     "stride_batch": (_stride, 64, 2.5, "batch"),
+    "stride_batch_runs": (lambda k: _stride(64, k), 16, 2.5, "batch runs"),
     "chain_length": (check_chain_length, 2, 2.5, "chain length"),
     "flow_source": (lambda v: make_flow_problem(path_graph(4), source=v).b.tobytes(), 2, 2.5, "source"),
     "flow_sink": (lambda v: make_flow_problem(path_graph(4), sink=v).b.tobytes(), 2, 2.5, "sink"),
@@ -326,6 +327,24 @@ class TestHops:
             ref = floyd_warshall_hops(g)
             for r in range(1, int(ref[np.isfinite(ref)].max()) + 3):
                 assert ball_matches_floyd_warshall(g, r), (g.n, r)
+
+    def test_ball_continued_from_a_smaller_one_is_the_same(self):
+        graphs = [
+            generate("random", {"n": 14, "m": 25}, seed=3), path_graph(7),
+            generate("grid", {"rows": 4, "cols": 5}), generate("barbell", {"clique": 4, "path_len": 3}),
+            WeightedGraph(7, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 5, 2.0)]),
+            WeightedGraph(3, []),
+        ]
+        for g in graphs:
+            adjacency = g.adjacency_matrix()
+            top = g.n + 2
+            for r in range(1, top):
+                want = hop_ball(adjacency, r)
+                for r0 in range(1, r):
+                    got = hop_ball(adjacency, r, hop_ball(adjacency, r0))
+                    assert got.has_canonical_format, (g.n, r0, r)
+                    for name in ("indptr", "indices", "data"):
+                        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (g.n, r0, r)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 10 ** 6), st.integers(1, 9))

@@ -13,7 +13,15 @@ from lapflow.distributed_solver import support_graph
 from lapflow.graph_core import WeightedGraph, generate, ground, laplacian
 from lapflow.netsim import LocalOperator, SimTranscript, Simulator, ViolationError
 from conftest import rhop_engine
-from oracles import OracleViolation, PerNodeNetwork, floyd_warshall_hops, per_round
+from oracles import (
+    CSR_ROUND,
+    DENSE_ROUND,
+    OracleViolation,
+    PerNodeNetwork,
+    cheapest_ladders,
+    floyd_warshall_hops,
+    per_round,
+)
 
 
 def path_graph(n):
@@ -133,6 +141,36 @@ class TestHopData:
                 sim.account_round(r, payload=payload)
                 assert sim.transcript.runs[before:] == want, r
 
+    @pytest.mark.parametrize("g", hop_oracle_graphs(), ids=["path", "grid", "barbell", "random", "cut_path"])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_extended_balls_equal_balls_from_scratch(self, g, order, monkeypatch):
+        # each new radius continues the BFS of the largest cached ball below
+        # it; the ball it gives is hop_ball's from scratch, array for array
+        sim = Simulator(g)
+        radii = list(range(1, sim.reach + 3))
+        if order == "descending":
+            radii.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(7).shuffle(radii)
+        inners = []
+        real = netsim.hop_ball
+
+        def spy(adjacency, r, inner=None):
+            inners.append(inner)
+            return real(adjacency, r, inner)
+
+        monkeypatch.setattr(netsim, "hop_ball", spy)
+        for r in radii:
+            key = min(r, sim.reach)
+            below = max(k for k in sim._balls if k <= key)
+            ball = sim._ball(r)[0]
+            if below < key:
+                assert inners[-1] is sim._balls[below][0], r
+            want = real(sim.adjacency, key)
+            for name in ("indptr", "indices", "data"):
+                assert getattr(ball, name).tobytes() == getattr(want, name).tobytes(), (r, name)
+        assert len(inners) == len(sim._balls) - 1
+
     def test_cross_component_stride_power_raises(self):
         # the grounded path 9 falls apart at node 4; an entry forged between
         # its halves reaches every power, and a stride power above reach can
@@ -143,20 +181,24 @@ class TestHopData:
         W = g.adjacency_matrix().tolil() * 0.5
         W[3, 4] = W[4, 3] = 0.5
         op = LocalOperator(W.tocsr(), 1)
-        s = netsim.stride_length(g.n, op.matrix.nnz, 2 ** 10)
+        s = netsim.ladder_lengths(g.n, op.matrix.nnz, {2 ** 10: 1}, powers_of_two(sim.reach, 2 ** 10))[-1]
         assert s >= sim.reach
         with pytest.raises(ViolationError) as err:
-            sim.stride(op, 2 ** 10)
+            sim.stride(op, {2 ** 10: 1})
         found = re.fullmatch(r"matrix entry \((\d+),(\d+)\) reaches hop inf beyond radius %d" % s,
                              str(err.value))
         labels = csgraph.connected_components(sim.adjacency, directed=False)[1]
         assert found and labels[int(found[1])] != labels[int(found[2])]
         assert op.stride is None
-        # certify at a radius above reach names the forged entry itself
+        # certify at a radius above reach names the forged entry itself; the
+        # component labels tell it, so no reach ball is built
         for form in (W.tocsr(), W.toarray()):
+            full = Simulator(g)
             with pytest.raises(ViolationError) as err:
-                Simulator(g).certify(form, 64)
+                full.certify(form, 64)
             assert str(err.value) == "matrix entry (3,4) reaches hop inf beyond radius 64"
+            assert sorted(full._balls) == [1]
+        assert sorted(sim._balls) == [1]
 
     def test_r1_grid_holds_no_n_by_n_array(self):
         # n = 3000: one n x n float64 array takes 72 MB
@@ -722,72 +764,87 @@ def plain_products(matrix, x, count):
     return x
 
 
+def grid_batches(runs):
+    """The grounded 20x20 grid's R=1 chain levels, batches 2^0 .. 2^14, each run `runs` times."""
+    return dict.fromkeys((2 ** i for i in range(15)), runs)
+
+
+def powers_of_two(lo, hi):
+    return [1 << k for k in range(1, 64) if lo <= 1 << k <= hi]
+
+
 class TestStride:
     """A stride power changes how a batch is computed, never what it charges."""
 
-    def test_stride_length_rule(self):
-        # the 20x20 grid's R=1 operator at its chain's top batch 2^14
-        assert netsim.stride_length(399, 1516, 2 ** 14) == 1024
-        # a dense operator: s is the power of two at or below sqrt(2 C)
-        assert netsim.stride_length(299, 299 ** 2, 512, dense=True) == 32
-        # a dense operator's rounds are cheaper, so a shorter batch of them
-        # pays for fewer squarings than a CSR operator's would
-        assert netsim.stride_length(299, 299 ** 2, 32, dense=True) == 0
-        assert netsim.stride_length(299, 299 ** 2, 32) == 8
-        # no batch to stride, or nothing to multiply
-        for batch in (0, 1):
-            assert netsim.stride_length(399, 1516, batch) == 0
-        assert netsim.stride_length(399, 0, 2 ** 14) == 0
-        # a large graph: the 9 squarings of 2000 x 2000 arrays cost far more
-        # than the 2^10 rounds they would save; at 2^17 the 13 squarings
-        # still cost more than one batch saves, at 2^19 the 14 cost less
-        assert netsim.stride_length(2000, 10000, 2 ** 10) == 0
-        assert netsim.stride_length(2000, 10000, 2 ** 17) == 0
-        assert netsim.stride_length(2000, 10000, 2 ** 19) == 16384
+    def test_ladder_lengths_rule(self):
+        # the grid's R=1 operator over an eps-solve's 16 passes of every
+        # level, with the rungs of at least its reach of 74 hops
+        assert netsim.ladder_lengths(399, 1516, grid_batches(16), powers_of_two(128, 2 ** 14)) == (128, 2048)
+        # one pass pair (a bare crude solve) pays for fewer squarings
+        assert netsim.ladder_lengths(399, 1516, grid_batches(2), powers_of_two(128, 2 ** 14)) == (128, 512)
+        # the top batch alone, once: one rung
+        assert netsim.ladder_lengths(399, 1516, {2 ** 14: 1}, powers_of_two(2, 2 ** 14)) == (128,)
+        # a dense operator's rounds are cheaper than a CSR one's, so the
+        # same batches get a longer lowest rung
+        levels = dict.fromkeys((2 ** i for i in range(10)), 16)
+        assert netsim.ladder_lengths(299, 299 ** 2, levels, powers_of_two(4, 512), dense=True) == (8, 64)
+        assert netsim.ladder_lengths(299, 299 ** 2, levels, powers_of_two(4, 512)) == (4, 64)
+        assert netsim.ladder_lengths(299, 299 ** 2, dict.fromkeys(levels, 2), powers_of_two(4, 512),
+                                     dense=True) == (4, 16)
+        # no batch to stride, no length offered, nothing to multiply, or no run
+        assert netsim.ladder_lengths(399, 1516, {0: 3, 1: 16}, powers_of_two(2, 64)) == ()
+        assert netsim.ladder_lengths(399, 1516, {}, []) == ()
+        assert netsim.ladder_lengths(399, 1516, grid_batches(16), []) == ()
+        assert netsim.ladder_lengths(399, 0, grid_batches(16), powers_of_two(2, 2 ** 14)) == ()
+        assert netsim.ladder_lengths(399, 1516, {2 ** 14: 0}, powers_of_two(2, 2 ** 14)) == ()
+        # a large graph: the squarings of 2000 x 2000 arrays cost more than
+        # 2^10 rounds twice; 2^14 rounds twice still do not pay for them,
+        # every level of a 15-level chain 16 times does
+        for batches, want in (({2 ** 10: 2}, ()), ({2 ** 14: 2}, ()), ({2 ** 17: 2}, (512,)),
+                              (dict.fromkeys((2 ** i for i in range(15)), 16), (128, 512))):
+            assert netsim.ladder_lengths(2000, 10000, batches, powers_of_two(2, max(batches))) == want
+        # a length longer than the largest batch is never a rung
+        assert netsim.ladder_lengths(399, 1516, {100: 16}, [128, 256]) == ()
 
-    def test_rung_length_rule(self):
-        # the grid's stride 1024: the batches below it are at most 512
-        # rounds, and sqrt(2 * 512 * 399^2 / 1516) = 327 gives 256
-        assert netsim.rung_length(399, 1516, 1024) == 256
-        # a dense operator: the power of two at or below sqrt(s)
-        assert netsim.rung_length(299, 299 ** 2, 32, dense=True) == 4
-        assert netsim.rung_length(299, 299 ** 2, 4, dense=True) == 2
-        # capped at s/2, where the formula would give 64
-        assert netsim.rung_length(399, 1516, 64) == 32
-        # one product with a dense op^8 costs more than 8 CSR rounds
-        assert netsim.rung_length(399, 1516, 16) == 0
-        # no rung of at least 2 below s = 2
-        assert netsim.rung_length(399, 1516, 2) == 0
-        assert netsim.rung_length(299, 299 ** 2, 2, dense=True) == 0
+    @pytest.mark.parametrize("runs", [1, 2, 16])
+    def test_rule_picks_the_cheapest_candidate(self, runs):
+        # every candidate priced by brute force (oracles.ladder_cost), for
+        # the grid's CSR operator and a dense one of the same size
+        assert (netsim._DENSE_ROUND_WEIGHT, netsim._CSR_ROUND_WEIGHT) == (DENSE_ROUND, CSR_ROUND)
+        lengths = powers_of_two(16, 2 ** 14)
+        for nnz, dense in ((1516, False), (399 ** 2, True)):
+            least, best = cheapest_ladders(399, nnz, grid_batches(runs), lengths, dense)
+            assert netsim.ladder_lengths(399, nnz, grid_batches(runs), lengths, dense=dense) in best
 
     def test_strided_batch_matches_plain_products(self):
         sim, op = grid_operator()
-        assert sim.stride(op, 2 ** 14) == 1024
+        assert sim.stride(op, grid_batches(16)) == (128, 2048)
         (t, rung), (s, power) = op.stride
-        assert (t, s) == (256, 1024)
+        assert (t, s) == (128, 2048)
         # the dense arrays the squarings produce, although the bipartite
         # grid's even powers are half-empty checkerboards
         assert isinstance(rung, np.ndarray) and isinstance(power, np.ndarray)
         x = np.random.default_rng(0).standard_normal(op.matrix.shape[0])
         kept = x.copy()
-        # 2 * 1024 + 3 * 256 + 17 straddles both rungs
-        for count in (2 * 1024 + 3 * 256 + 17, 2 * 1024 + 452, 3 * 256, 1023):
+        # 2 * 2048 + 3 * 128 + 17 straddles both rungs
+        for count in (2 * 2048 + 3 * 128 + 17, 2048 + 452, 3 * 128, 2047):
             want = plain_products(op.matrix, x, count)
             got = sim.apply_round(op, x, count=count)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert x.tobytes() == kept.tobytes()
 
     def test_ladder_without_a_rung(self):
-        # a 5-node dense operator: s = 2 leaves no rung of at least 2 below it
+        # a 5-node dense operator: a batch of 12 rounds takes op^8 alone,
+        # the one length at or past reach (8) and at most 12
         g = path_graph(5)
         sim = Simulator(g, R=None)
         W = g.adjacency_matrix().toarray() * 0.5
         op = sim.certify(W, 1)
-        assert sim.stride(op, 6) == 2
+        assert sim.reach == 8 and sim.stride(op, {12: 1}) == (8,)
         (s, power), = op.stride
-        assert s == 2 and isinstance(power, np.ndarray)
+        assert s == 8 and isinstance(power, np.ndarray)
         x = np.random.default_rng(3).standard_normal(5)
-        for count in (5, 6):
+        for count in (7, 8, 12):
             want = plain_products(W, x, count)
             got = sim.apply_round(op, x, count=count)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -795,20 +852,23 @@ class TestStride:
 
     @pytest.mark.parametrize("batch", [2 ** k for k in range(1, 21, 3)])
     def test_ladder_holds_at_most_two_arrays(self, batch):
-        sim, op = grid_operator()
-        s = sim.stride(op, batch)
-        if not s:
-            assert op.stride is None
-            return
-        lengths = [length for length, _ in op.stride]
-        assert 1 <= len(lengths) <= 2 and lengths[-1] == s
-        assert lengths == sorted(set(lengths)) and lengths[0] >= 2
+        for runs in (1, 2, 16):
+            sim, op = grid_operator()
+            ladder = sim.stride(op, {batch: runs, batch // 2 + 1: runs})
+            if not ladder:
+                assert op.stride is None
+                continue
+            lengths = [length for length, _ in op.stride]
+            assert tuple(lengths) == ladder and 1 <= len(lengths) <= 2
+            assert lengths == sorted(set(lengths)) and lengths[0] >= 2 and lengths[-1] <= batch
+            assert all(isinstance(power, np.ndarray) for _, power in op.stride)
 
     def test_strided_batch_charges_every_round(self):
         (strided, op), (plain, plain_op) = grid_operator(), grid_operator()
-        strided.stride(op, 2 ** 14)
+        strided.stride(op, grid_batches(16))
+        assert op.stride is not None
         x = np.ones(op.matrix.shape[0])
-        for count in (3, 256, 1024, 2500, 2 * 1024 + 3 * 256 + 17, 4096):
+        for count in (3, 128, 2048, 2500, 2 * 2048 + 3 * 128 + 17, 4096):
             strided.apply_round(op, x, count=count)
             plain.apply_round(plain_op, x, count=count)
         assert strided.transcript.runs == plain.transcript.runs
@@ -816,29 +876,57 @@ class TestStride:
 
     def test_forged_out_of_radius_stride_raises(self):
         # P^2 on a path reaches 2 hops; forged past certify as a radius-1
-        # operator, its stride P^(2 s) reaches beyond s hops (to even hops
-        # only: the path is bipartite)
+        # operator, its power P^(2 t) reaches beyond t hops (to even hops
+        # only: the path is bipartite). Below reach (38) only a cached ball
+        # is offered as a rung: a round at 16 hops caches that ball.
         g = path_graph(20)
-        sim = Simulator(g, R=1)
+        sim = Simulator(g)
+        sim.account_round(16)
+        assert sim.reach == 38 and sorted(sim._balls) == [1, 16]
         W = g.adjacency_matrix().tocsr() * 0.5
         op = LocalOperator((W @ W).tocsr(), 1)
-        assert netsim.stride_length(20, op.matrix.nnz, 64) == 16
+        assert netsim.ladder_lengths(20, op.matrix.nnz, {64: 1}, [16, 64]) == (16,)
         with pytest.raises(ViolationError) as err:
-            sim.stride(op, 64)
+            sim.stride(op, {64: 1})
         assert str(err.value) == "matrix entry (0,18) reaches hop 18 beyond radius 16"
         assert op.stride is None
 
+    def test_rung_below_reach_needs_a_cached_ball(self, monkeypatch):
+        # path 20 at R = 1, reach 38: without a cached ball below it the
+        # rule is offered 64 only, and the check builds no ball
+        g = path_graph(20)
+        sim = Simulator(g, R=1)
+        op = sim.certify(g.adjacency_matrix().tocsr() * 0.5, 1)
+        offered = []
+        real = netsim.ladder_lengths
+        monkeypatch.setattr(netsim, "ladder_lengths", lambda *a, **k: offered.append(a[3]) or real(*a, **k))
+        assert sim.stride(op, {64: 1}) == (64,)
+        assert sim.stride(op, {63: 1}) == ()
+        assert offered == [[64], []] and sorted(sim._balls) == [1]
+        # a cached ball at 16 hops offers length 16 too
+        sim._ball(16)
+        sim.stride(op, {64: 1})
+        assert offered[-1] == [16, 64]
+
     def test_operator_without_stride_keeps_matvec_bits(self):
         sim, op = grid_operator()
-        assert sim.stride(op, 1) == 0 and op.stride is None
+        assert sim.stride(op, {1: 16}) == () and op.stride is None
         x = np.random.default_rng(1).standard_normal(op.matrix.shape[0])
         assert sim.apply_round(op, x, count=9).tobytes() == plain_products(op.matrix, x, 9).tobytes()
         # below the lowest rung, a strided operator runs the plain products too
-        sim.stride(op, 2 ** 14)
-        assert op.stride[0][0] == 256
-        for count in (9, 255):
+        sim.stride(op, grid_batches(16))
+        assert op.stride[0][0] == 128
+        for count in (9, 127):
             got = sim.apply_round(op, x, count=count)
             assert got.tobytes() == plain_products(op.matrix, x, count).tobytes()
+
+    def test_batches_and_runs_are_whole_numbers(self):
+        sim, op = grid_operator()
+        for batches, name in (({2.5: 1}, "batch"), ({64: 1.5}, "batch runs"), ({-1: 1}, "batch"),
+                              ({64: -2}, "batch runs")):
+            with pytest.raises(ValueError, match="%s must be an integer" % name):
+                sim.stride(op, batches)
+        assert op.stride is None
 
     def test_dense_operator_keeps_dense_stride(self):
         g = generate("random", {"n": 30, "m": 90}, seed=0)
@@ -846,11 +934,13 @@ class TestStride:
         W = g.adjacency_matrix().tocsr() * 0.1
         op = sim.certify((W @ W @ W @ W).tocsr(), 4)
         assert isinstance(op.matrix, np.ndarray)
-        assert sim.stride(op, 64) == 8
-        assert [length for length, _ in op.stride] == [2, 8]
+        # reach 6: every length is offered
+        levels = dict.fromkeys((2 ** i for i in range(7)), 16)
+        assert sim.reach == 6 and sim.stride(op, levels) == (4, 16)
+        assert [length for length, _ in op.stride] == [4, 16]
         assert all(isinstance(power, np.ndarray) for _, power in op.stride)
         x = np.random.default_rng(2).standard_normal(g.n)
-        for count in (64, 3 * 8 + 2 + 1):
+        for count in (64, 3 * 16 + 2 * 4 + 1):
             want = plain_products(op.matrix, x, count)
             got = sim.apply_round(op, x, count=count)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

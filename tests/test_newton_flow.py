@@ -315,7 +315,7 @@ class TestDualCalculus:
         (0.0, "curvature invalid"),
         (-1.0, "curvature invalid"),
         (math.inf, "curvature invalid"),
-        (5e-324, "weight underflow"),  # subnormal: 1/Phi'' overflows to inf
+        (5e-324, "weight not finite"),  # subnormal: 1/Phi'' overflows to inf
     ], ids=["nan", "zero", "negative", "inf", "subnormal"])
     def test_first_bad_edge_named(self, bad, message):
         # edges 2 and 4 of the path are bad; the message names edge 2
