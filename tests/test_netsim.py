@@ -776,21 +776,9 @@ def powers_of_two(lo, hi):
 class TestStride:
     """A stride power changes how a batch is computed, never what it charges."""
 
-    def test_ladder_lengths_rule(self):
-        # the grid's R=1 operator over an eps-solve's 16 passes of every
-        # level, with the rungs of at least its reach of 74 hops
-        assert netsim.ladder_lengths(399, 1516, grid_batches(16), powers_of_two(128, 2 ** 14)) == (128, 2048)
-        # one pass pair (a bare crude solve) pays for fewer squarings
-        assert netsim.ladder_lengths(399, 1516, grid_batches(2), powers_of_two(128, 2 ** 14)) == (128, 512)
-        # the top batch alone, once: one rung
+    def test_stride_length_rule(self):
+        # the grid's R=1 operator, its top batch alone, once: one length
         assert netsim.ladder_lengths(399, 1516, {2 ** 14: 1}, powers_of_two(2, 2 ** 14)) == (128,)
-        # a dense operator's rounds are cheaper than a CSR one's, so the
-        # same batches get a longer lowest rung
-        levels = dict.fromkeys((2 ** i for i in range(10)), 16)
-        assert netsim.ladder_lengths(299, 299 ** 2, levels, powers_of_two(4, 512), dense=True) == (8, 64)
-        assert netsim.ladder_lengths(299, 299 ** 2, levels, powers_of_two(4, 512)) == (4, 64)
-        assert netsim.ladder_lengths(299, 299 ** 2, dict.fromkeys(levels, 2), powers_of_two(4, 512),
-                                     dense=True) == (4, 16)
         # no batch to stride, no length offered, nothing to multiply, or no run
         assert netsim.ladder_lengths(399, 1516, {0: 3, 1: 16}, powers_of_two(2, 64)) == ()
         assert netsim.ladder_lengths(399, 1516, {}, []) == ()
@@ -803,8 +791,22 @@ class TestStride:
         for batches, want in (({2 ** 10: 2}, ()), ({2 ** 14: 2}, ()), ({2 ** 17: 2}, (512,)),
                               (dict.fromkeys((2 ** i for i in range(15)), 16), (128, 512))):
             assert netsim.ladder_lengths(2000, 10000, batches, powers_of_two(2, max(batches))) == want
-        # a length longer than the largest batch is never a rung
+        # a length longer than the largest batch is never taken
         assert netsim.ladder_lengths(399, 1516, {100: 16}, [128, 256]) == ()
+
+    def test_rung_length_rule(self):
+        # the grid's R=1 operator over an eps-solve's 16 passes of every
+        # level, with the rungs of at least its reach of 74 hops
+        assert netsim.ladder_lengths(399, 1516, grid_batches(16), powers_of_two(128, 2 ** 14)) == (128, 2048)
+        # one pass pair (a bare crude solve) pays for fewer squarings
+        assert netsim.ladder_lengths(399, 1516, grid_batches(2), powers_of_two(128, 2 ** 14)) == (128, 512)
+        # a dense operator's rounds are cheaper than a CSR one's, so the
+        # same batches get a longer lowest rung
+        levels = dict.fromkeys((2 ** i for i in range(10)), 16)
+        assert netsim.ladder_lengths(299, 299 ** 2, levels, powers_of_two(4, 512), dense=True) == (8, 64)
+        assert netsim.ladder_lengths(299, 299 ** 2, levels, powers_of_two(4, 512)) == (4, 64)
+        assert netsim.ladder_lengths(299, 299 ** 2, dict.fromkeys(levels, 2), powers_of_two(4, 512),
+                                     dense=True) == (4, 16)
 
     @pytest.mark.parametrize("runs", [1, 2, 16])
     def test_rule_picks_the_cheapest_candidate(self, runs):
