@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .graph_core import generate, ground, laplacian, load_edge_list, open_target, read_edge_list
+from .graph_core import generate, ground, laplacian, load_edge_list, read_edge_list, write_csv
 from .spectral import ConvergenceError, estimated_chain
 from .reference_solver import direct_solve, richardson_iterations
 from .distributed_solver import check_rhop_radius, edist_rsolve
@@ -92,11 +92,6 @@ def _check_ground(parser, cfg, n):
         parser.error("--ground must lie in [0, %d), got %d" % (n, cfg.ground_node))
 
 
-def _write_comments(fh, items):
-    for key in items:
-        fh.write("# %s=%s\n" % (key, items[key]))
-
-
 def _checked_solve(g, ground_node, seed, R, eps):
     """Ground g's Laplacian, eps-solve it for a seeded b with the R-hop engine, check x.
 
@@ -135,11 +130,8 @@ def cmd_solve(cfg, parser=None):
         max_hop_used=eng.transcript.max_hop_used,
         mnorm_rel_error=repr(rel),
     )
-    with open_target(cfg.out or sys.stdout) as fh:
-        _write_comments(fh, items)
-        fh.write("node,x\n")
-        for k in range(x.shape[0]):
-            fh.write("%d,%r\n" % (k, float(x[k])))
+    write_csv(cfg.out or sys.stdout, items, ("node", "x"),
+              ("%d,%r" % (k, float(x[k])) for k in range(x.shape[0])))
     print("solve: n=%d residual=%.3e messages=%d" % (s.n, residual, eng.transcript.messages_total))
     if _misses_eps(rel, cfg.eps):
         print("numerical failure: mnorm_rel_error %r exceeds eps %r" % (rel, cfg.eps), file=sys.stderr)
@@ -220,17 +212,12 @@ def cmd_bench(cfg, parser=None):
             trace = exc.trace
         traces[method] = trace
         extra.update(("%s.%s" % (method, key), val) for key, val in trace.header_items().items())
-    with open_target(cfg.out or sys.stdout) as fh:
-        _write_comments(fh, extra)
-        fh.write("method," + ",".join(Trace.COLUMNS) + "\n")
-        for method, trace in traces.items():
-            for row in trace.rows:
-                fh.write("%s,%s\n" % (method, Trace.format_row(row)))
-            msgs = sum(trace.column("messages"))
-            print(
-                "bench: method=%s iterations=%d converged=%s messages=%d"
-                % (method, trace.iterations, trace.converged, msgs)
-            )
+    write_csv(cfg.out or sys.stdout, extra, ("method",) + Trace.COLUMNS,
+              ("%s,%s" % (method, Trace.format_row(row))
+               for method, trace in traces.items() for row in trace.rows))
+    for method, trace in traces.items():
+        print("bench: method=%s iterations=%d converged=%s messages=%d"
+              % (method, trace.iterations, trace.converged, sum(trace.column("messages"))))
     return EXIT_OK
 
 
@@ -272,11 +259,8 @@ def cmd_scale(cfg, parser=None):
         slope = float(np.polyfit(xs, ys, 1)[0])
     items = dict(command=cfg.command, seed=cfg.seed, family=cfg.family, eps=cfg.eps, R=cfg.rhop,
                  loglog_slope=repr(slope))
-    with open_target(cfg.out or sys.stdout) as fh:
-        _write_comments(fh, items)
-        fh.write("n,rounds,messages,iterations\n")
-        for row in rows:
-            fh.write("%d,%d,%d,%d\n" % row)
+    write_csv(cfg.out or sys.stdout, items, ("n", "rounds", "messages", "iterations"),
+              ("%d,%d,%d,%d" % row for row in rows))
     print("scale: family=%s slope=%.3f" % (cfg.family, slope))
     for n_actual, rel in misses:
         print("numerical failure: n=%d mnorm_rel_error %r exceeds eps %r" % (n_actual, rel, cfg.eps),

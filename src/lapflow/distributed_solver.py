@@ -6,26 +6,26 @@ walk-power applier apply_p(i, v) = P^{2^i} v with P = A0 D0^{-1}, which runs
 as synchronous rounds on netsim with per-round message charges. The
 backward pass applies Q = D0^{-1} A0 as P on D-scaled values
 (Q^p = D0^{-1} P^p D0), so no node ever needs diagonal entries from beyond
-its 1-hop neighborhood and each engine keeps one stack of certified powers:
+its 1-hop neighborhood. Each engine builds one level table, `_levels`: per
+chain level i a certified operator and a round count whose power is P^{2^i},
+which apply_p runs as one batch of identical rounds:
 
 * FullCommEngine squares the walk operator d times (each node extends its
-  row using rows gathered from the half-power radius), then each solve runs
-  d forward and d backward gather rounds.
+  row using rows gathered from the half-power radius); level i is one
+  gather round of P^{2^i}.
 * RHopEngine first caches each node's row of P^R through R-1 one-hop
   row-extension rounds, and charges the protocol's R-1 rounds for the row of
-  Q^R too (same support, so the same payloads). It then applies powers
-  2^{i-1} either as repeated 1-hop products (exponent below R) or as
-  exponent/R strided R-hop products, each power one batch of identical
-  rounds, on a simulator that rejects any round wider than R. Level i >=
-  log2 R of a crude solve is 2^i/R rounds, so nearly all rounds sit in the
-  top levels. Before its first crude solve the engine asks netsim once for
-  a stride ladder of the radius-R operator (Simulator.stride), passing
-  every level's batch 2^i/R and how many passes will run it: 2(q+1) for
-  esolve's q+1 crude solves, 2 for a bare rsolve. The ladder is at most
-  two certified powers, op^t and op^s. Batches of at least t rounds are
-  then computed with a few products by them, while every one of their
-  rounds is still charged at radius R, so the transcript is the one of the
-  round-by-round computation.
+  Q^R too (same support, so the same payloads). Level i is 2^i one-hop
+  rounds of P below R and 2^i/R rounds of P^R from R on, on a simulator
+  that rejects any round wider than R, so nearly all rounds sit in the top
+  levels. Before its first crude solve the engine asks netsim once for a
+  stride ladder of the radius-R operator (Simulator.stride), passing the
+  batches of the table's radius-R levels and how many passes will run
+  them: 2(q+1) for esolve's q+1 crude solves, 2 for a bare rsolve. The
+  ladder is at most two certified powers, op^t and op^s. Batches of at
+  least t rounds are then computed with a few products by them, while every
+  one of their rounds is still charged at radius R, so the transcript is
+  the one of the round-by-round computation.
 
 Each engine runs on the Simulator it is given; FlowProblem.network builds one per topology.
 One byte rule, netsim.stores_dense, decides whether an operator is stored
@@ -118,6 +118,11 @@ class _EngineBase:
         """One 1-hop round computing M0 y."""
         return self.sim.apply_round(self._op_M, y)
 
+    def _apply_p(self, i, v):
+        """P^{2^i} v as one batch: `count` rounds of level i's operator in the subclass's `_levels`."""
+        op, count = self._levels[i]
+        return self.sim.apply_round(op, v, count=count)
+
     def _plan(self, solves):
         """Hook run before a call's crude solves, told how many the call runs; no-op here."""
 
@@ -151,16 +156,13 @@ class FullCommEngine(_EngineBase):
 
     def __init__(self, splitting, d, sim):
         super().__init__(splitting, d, sim)
-        # cache P^{2^s} for s = 0..d-1; squaring round s gathers rows of the
-        # half power from radius 2^{s-1}
-        self._ops = [self._op_P1]
+        # level s applies the cached P^{2^s} in one round; squaring round s
+        # gathers rows of the half power from radius 2^{s-1}
+        self._levels = [(self._op_P1, 1)]
         for s in range(1, self.d):
-            prev = self._ops[-1].matrix
+            prev = self._levels[-1][0].matrix
             self.sim.account_round(2 ** (s - 1), payload=_row_nnz(prev))
-            self._ops.append(self.sim.certify(prev @ prev, 2 ** s))
-
-    def _apply_p(self, s, v):
-        return self.sim.apply_round(self._ops[s], v)
+            self._levels.append((self.sim.certify(prev @ prev, 2 ** s), 1))
 
     def rsolve(self, b0):
         """Crude solve; d forward and d backward gather rounds."""
@@ -207,24 +209,17 @@ class RHopEngine(_EngineBase):
         for payload in payloads * 2:  # the P routine's rounds, then the Q routine's
             self.sim.account_round(1, payload=payload)
         self._op_C0 = self.sim.certify(c, R)
+        self._levels = [(self._op_P1, 2 ** i) if 2 ** i < R else (self._op_C0, 2 ** i // R)
+                        for i in range(self.d)]
         self._laddered = False
 
     def _plan(self, solves):
         # the ladder, once: a forward and a backward pass per crude solve
-        # run every level's batch
+        # run every radius-R level's batch
         if not self._laddered:
-            R = self.R
-            levels = (2 ** i // R for i in range(self.d) if 2 ** i >= R)
-            self.sim.stride(self._op_C0, dict.fromkeys(levels, 2 * solves))
+            batches = (count for op, count in self._levels if op is self._op_C0)
+            self.sim.stride(self._op_C0, dict.fromkeys(batches, 2 * solves))
             self._laddered = True
-
-    def _apply_p(self, i, v):
-        # apply P^{2^i} as one batch: straight 1-hop products below R,
-        # the cached radius-R power and its stride ladder otherwise
-        exponent = 2 ** i
-        if exponent < self.R:
-            return self.sim.apply_round(self._op_P1, v, count=exponent)
-        return self.sim.apply_round(self._op_C0, v, count=exponent // self.R)
 
     def rsolve(self, b0):
         """Crude solve under strict R-hop locality."""

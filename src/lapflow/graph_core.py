@@ -18,6 +18,7 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
     "open_target",
+    "write_csv",
 ]
 
 
@@ -488,3 +489,14 @@ def open_target(target):
             yield fh
     else:
         yield target
+
+
+def write_csv(target, items, header, lines):
+    """Write `# key=value` per item of dict items, the header's names joined by commas,
+    then each string of lines, to a path or file object: the package's one CSV layout."""
+    with open_target(target) as fh:
+        for key in items:
+            fh.write("# %s=%s\n" % (key, items[key]))
+        fh.write(",".join(header) + "\n")
+        for line in lines:
+            fh.write(line + "\n")

@@ -7,11 +7,12 @@ weights 1/Phi''. Newton directions are obtained by grounding a reference
 node and solving the SDDM subsystem with the distributed solvers (or the
 direct oracle), then re-inserting zero and shifting to mean zero.
 
-The dual loop's products with A and A' run in scipy's compiled CSR kernel
-through netsim.csr_apply, on the incidence and its transpose that
-FlowProblem builds once. No n x n array is formed: the Laplacian
-seminorm gathers A'v per arc, and the spectral constants come from
-Lanczos on the sparse L = A A'.
+The dual loop's products with A run in scipy's compiled CSR kernel
+through netsim.csr_apply, on the incidence that FlowProblem builds once;
+its products with A' are one gather per arc, FlowProblem.arc_differences,
+behind primal recovery, the Laplacian seminorm and the Neumann baseline.
+No n x n array is formed: the spectral constants come from Lanczos on the
+sparse L = A A'.
 """
 
 import math
@@ -29,8 +30,9 @@ from .graph_core import (
     read_edge_list,
     save_edge_list,
     whole,
+    write_csv,
 )
-from .reference_solver import _check_rhs, direct_solve, richardson_iterations
+from .reference_solver import RICHARDSON_CONTRACTION, _check_rhs, direct_solve, richardson_iterations
 from .spectral import estimated_chain, laplacian_spectrum
 from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius, support_graph
 from .netsim import Simulator, check_radius, csr_apply
@@ -158,8 +160,6 @@ class FlowProblem:
     n, E : int
         Node and arc counts.
     incidence : CSR matrix, shape (n, E)
-    incidence_t : CSR matrix, shape (E, n)
-        The transpose of incidence, built once for the dual loop's A' products.
     """
 
     def __init__(self, graph, b, cost):
@@ -186,7 +186,6 @@ class FlowProblem:
               np.repeat(np.arange(self.E), 2))),
             shape=(self.n, self.E),
         )
-        self.incidence_t = self.incidence.T.tocsr()
         self._lap = None
         self._spectrum = None
         self._networks = {}
@@ -198,7 +197,7 @@ class FlowProblem:
     def unweighted_laplacian(self):
         """L = A A' of the incidence matrix as CSR (cached)."""
         if self._lap is None:
-            self._lap = self.incidence @ self.incidence_t
+            self._lap = self.incidence @ self.incidence.T
         return self._lap
 
     def spectrum(self):
@@ -218,10 +217,18 @@ class FlowProblem:
             self._networks[key] = Simulator(support_graph(ground(laplacian(self.graph), ref_node)), R)
         return self._networks[key]
 
-    def lnorm(self, v):
-        """Laplacian seminorm sqrt(v' L v) = ||A'v||, with A'v gathered per arc as v_tail - v_head."""
+    def arc_differences(self, v):
+        """A'v gathered per arc as v_tail - v_head: the bits of incidence.T @ v but for
+        the sign of a zero. That kernel sums from +0.0, so a -0.0 tail over a +0.0 head
+        gives +0.0 there and -0.0 here; a v with no -0.0, such as a kernel sum (every
+        Neumann term), gets the kernel's bits."""
         y = v.take(self._tails)
         y -= v.take(self._heads)
+        return y
+
+    def lnorm(self, v):
+        """Laplacian seminorm sqrt(v' L v) = ||A'v||."""
+        y = self.arc_differences(v)
         return math.sqrt(y.dot(y))
 
 
@@ -315,9 +322,7 @@ class DualState:
 def primal_recovery(lam, problem):
     """Per-arc primal flows x_e = [Phi']^{-1}(lambda_tail - lambda_head)."""
     lam = np.asarray(lam, dtype=float).ravel()
-    y = lam.take(problem._tails)
-    y -= lam.take(problem._heads)
-    return problem.cost.inv_deriv(y)
+    return problem.cost.inv_deriv(problem.arc_differences(lam))
 
 
 def dual_state(lam, problem):
@@ -477,7 +482,7 @@ def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
         messages = eng.transcript.messages_total
         rounds = eng.transcript.rounds
         q = richardson_iterations(eps)
-        eps_prime = (2.0 ** (1.0 / 3.0) - 1.0) ** (q + 1)
+        eps_prime = RICHARDSON_CONTRACTION ** (q + 1)
     d = np.insert(y, int(ref_node), 0.0)
     d -= d.mean()
     if report is not None:
@@ -565,12 +570,7 @@ class Trace:
         items = self.header_items()
         if extra_header:
             items.update(extra_header)
-        with open_target(target) as fh:
-            for key in items:
-                fh.write("# %s=%s\n" % (key, items[key]))
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(self.format_row(row) + "\n")
+        write_csv(target, items, self.COLUMNS, map(self.format_row, self.rows))
 
 
 def _phase_label(gl, consts):
@@ -670,7 +670,7 @@ def optimize(problem, method="sddm_newton", config=None):
             t = state.g / D_H
             acc = t.copy()
             for _ in range(NEUMANN_TERMS):
-                ht = csr_apply(problem.incidence, w * csr_apply(problem.incidence_t, t))
+                ht = csr_apply(problem.incidence, w * problem.arc_differences(t))
                 t = (D_H * t - ht) / D_H
                 acc += t
             direction = -acc

@@ -13,9 +13,10 @@ __all__ = [
     "richardson_iterations",
 ]
 
-# ln(1/(2^{1/3}-1)); per-iteration contraction guarantee of the
-# chain-preconditioned Richardson scheme
-RICHARDSON_RATE = math.log(1.0 / (2.0 ** (1.0 / 3.0) - 1.0))
+# 2^{1/3}-1, the per-iteration contraction guarantee of the
+# chain-preconditioned Richardson scheme, and its rate ln(1/(2^{1/3}-1))
+RICHARDSON_CONTRACTION = 2.0 ** (1.0 / 3.0) - 1.0
+RICHARDSON_RATE = math.log(1.0 / RICHARDSON_CONTRACTION)
 
 
 def richardson_iterations(eps):

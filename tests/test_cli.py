@@ -398,6 +398,20 @@ class TestBench:
         assert items["add_neumann.neumann_terms"] == "2"
         assert "sddm_newton.consts_eps" not in items
 
+    def test_stdout_holds_one_csv_block_then_the_summaries(self, capsys):
+        rc = main(["bench", "--graph", "path", "--n", "6", "--max-iters", "3"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        comments = [ln for ln in lines if ln.startswith("# ")]
+        assert lines[:len(comments)] == comments
+        header, *rest = lines[len(comments):]
+        assert header == "method,iter,objective,feasibility,grad_lnorm,step,phase,messages"
+        # three iterations, four rows, per method; its summary line after all rows
+        methods = ("sddm_newton", "exact_newton", "add_neumann", "subgradient")
+        rows, summaries = rest[:-4], rest[-4:]
+        assert [ln.split(",")[0] for ln in rows] == [m for m in methods for _ in range(4)]
+        assert [ln.split()[:2] for ln in summaries] == [["bench:", "method=" + m] for m in methods]
+
     def test_fallback_constants_named_per_method(self, tmp_path):
         # eps 1e-3 lies above this barbell's bound 9.8e-4, so sddm_newton
         # takes the eps = 0 convergence constants

@@ -335,8 +335,71 @@ class TestOperatorStorage:
             for op in (eng._op_P1, eng._op_M):
                 assert sparse.issparse(op.matrix) and op.matrix.format == "csr"
         rhop = rhop_engine(clique, 2, 2)
-        for op in (rhop._op_P1, rhop._op_M, rhop._op_C0, *full_engine(clique, 2)._ops):
+        full = full_engine(clique, 2)
+        for op in (rhop._op_P1, rhop._op_M, rhop._op_C0, *(op for op, _ in full._levels)):
             assert isinstance(op.matrix, np.ndarray)
+
+
+class TestLevelTable:
+    """Each engine's one level table: level i runs P^{2^i} as one batch of rounds."""
+
+    def check_level(self, eng, i, op, count):
+        # op^count is P^{2^i}, and _apply_p charges `count` rounds at op's radius
+        walk, power = (m.toarray() if sparse.issparse(m) else m for m in (eng._op_P1.matrix, op.matrix))
+        want = np.linalg.matrix_power(walk, 2 ** i)
+        assert np.allclose(np.linalg.matrix_power(power, count), want, rtol=1e-12, atol=1e-15)
+        v = np.random.default_rng(i).standard_normal(eng.sim.n)
+        runs, rounds = len(eng.transcript.runs), eng.transcript.rounds
+        assert np.allclose(eng._apply_p(i, v), want @ v, rtol=1e-12, atol=1e-14)
+        assert eng.transcript.rounds - rounds == count
+        assert [run[2] for run in eng.transcript.runs[runs:]] == [count]
+
+    def test_full_comm_level_is_one_round_at_radius_two_to_the_i(self):
+        s = grounded_random(12, 24, seed=4)
+        eng = full_engine(s, 5)
+        assert len(eng._levels) == 5
+        for i, (op, count) in enumerate(eng._levels):
+            assert count == 1 and op.radius == 2 ** i
+            self.check_level(eng, i, op, count)
+
+    @pytest.mark.parametrize("R", [1, 2, 4, 8])
+    def test_rhop_level_is_one_hop_below_r_and_radius_r_from_r(self, R):
+        s = grounded_path(30)
+        eng = rhop_engine(s, 6, R)
+        assert len(eng._levels) == 6
+        for i, (op, count) in enumerate(eng._levels):
+            if 2 ** i < R:
+                assert op is eng._op_P1 and count == 2 ** i
+            else:
+                assert op is eng._op_C0 and count == 2 ** i // R
+            self.check_level(eng, i, op, count)
+
+    @pytest.mark.parametrize("R, d", [(1, 7), (4, 7), (8, 5)])
+    def test_plan_strides_exactly_the_radius_r_batches(self, R, d, monkeypatch):
+        # esolve at 1e-4 runs q + 1 crude solves, a forward and a backward
+        # pass each; a bare rsolve runs one. stride is asked once, for the
+        # table's radius-R levels only (at R = 8, d = 5 the one-hop level
+        # of 4 rounds is not among them), on the operator those levels run.
+        s = grounded_path(40)
+        q = richardson_iterations(1e-4)
+        calls = []
+        real = Simulator.stride
+
+        def spy(sim, op, batches):
+            calls.append((op, dict(batches)))
+            return real(sim, op, batches)
+
+        monkeypatch.setattr(Simulator, "stride", spy)
+        b = np.ones(s.n)
+        for solve, passes in (("esolve", 2 * (q + 1)), ("rsolve", 2)):
+            eng = rhop_engine(s, d, R)
+            eng.esolve(b, 1e-4) if solve == "esolve" else eng.rsolve(b)
+            eng.rsolve(b)
+            want = {2 ** i // R: passes for i in range(d) if 2 ** i >= R}
+            assert calls == [(eng._op_C0, want)], solve
+            del calls[:]
+        full_engine(s, d).esolve(b, 1e-4)
+        assert calls == []
 
 
 class TestMessageAccounting:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import re
 import tracemalloc
@@ -17,6 +18,7 @@ from lapflow.graph_core import (
     load_edge_list,
     read_edge_list,
     save_edge_list,
+    write_csv,
     _triu_pair,
 )
 from lapflow.netsim import SimTranscript, Simulator
@@ -479,3 +481,22 @@ class TestEdgeListIO:
         g, rest = read_edge_list(str(path))
         assert (g.n, g.edges) == (3, [(0, 1, 1.0), (1, 2, 2.5)])
         assert rest == [["b", "1.0", "0.0", "-1.0"], ["cost", "exp"]]
+
+
+class TestWriteCSV:
+    """The one CSV layout: `# key=value` lines, the header, the rows."""
+
+    WANT = "# command=solve\n# eps=0.0001\nnode,x\n0,1.5\n1,-2.0\n"
+
+    def write(self, target):
+        write_csv(target, {"command": "solve", "eps": 1e-4}, ("node", "x"), iter(["0,1.5", "1,-2.0"]))
+
+    def test_path_is_written_and_closed(self, tmp_path):
+        path = tmp_path / "out.csv"
+        self.write(str(path))
+        assert path.read_text() == self.WANT
+
+    def test_file_object_is_written_and_left_open(self):
+        buf = io.StringIO()
+        self.write(buf)
+        assert not buf.closed and buf.getvalue() == self.WANT

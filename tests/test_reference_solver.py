@@ -7,6 +7,7 @@ import scipy.sparse
 
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
 from lapflow.reference_solver import (
+    RICHARDSON_CONTRACTION,
     RICHARDSON_RATE,
     crude_solve,
     direct_solve,
@@ -109,6 +110,9 @@ class TestSparseDirectSolve:
 class TestRichardsonIterations:
     def test_rate_constant(self):
         assert RICHARDSON_RATE == pytest.approx(1.347377348329, abs=1e-12)
+        # the rate is ln(1/c) of the one contraction constant, bit for bit
+        assert RICHARDSON_CONTRACTION == 2.0 ** (1.0 / 3.0) - 1.0
+        assert RICHARDSON_RATE == math.log(1.0 / (2.0 ** (1.0 / 3.0) - 1.0))
 
     def test_frozen_counts(self):
         table = {0.5: 1, 0.1: 2, 1e-2: 4, 1e-4: 7, 2.0 ** -14: 8}
