@@ -34,8 +34,9 @@ charges a round whose combine step is done by the caller (row-extension
 rounds). Both take a ``count`` of identical rounds and charge the whole
 batch with one radius check and one cached per-radius message total;
 ``apply_round`` runs a CSR operator's ``count`` products in scipy's
-compiled CSR kernel on two reused buffers (``csr_apply``, which the dual
-loop in ``newton_flow`` shares).
+compiled CSR kernel on two reused buffers (``csr_apply``). The dual loop
+in ``newton_flow`` runs the same guarded kernel through ``csr_product``,
+which checks its one matrix, the incidence, once.
 The tests check both against an independent per-node executor
 (``tests/oracles.py``) that runs each node's program on its own.
 
@@ -74,6 +75,7 @@ _F64 = np.dtype(np.float64)
 __all__ = [
     "check_radius",
     "csr_apply",
+    "csr_product",
     "stores_dense",
     "ladder_lengths",
     "SimTranscript",
@@ -127,6 +129,31 @@ def csr_apply(mat, x, count=1):
     for _ in range(count):
         x = mat @ x
     return x
+
+
+def csr_product(mat):
+    """x -> mat @ x for one matrix, bit for bit what csr_apply(mat, x) gives.
+
+    csr_apply's guard in two halves: the matrix half (an exact float64
+    csr_matrix; its shape and arrays read once) runs here, once, and the
+    returned function checks only x. It reads the kernel at call time, so
+    without it, or for another x, it takes `mat @ x`. For a matrix that is
+    never changed afterwards, such as a flow problem's incidence.
+    """
+    if type(mat) is not _CSR or mat.data.dtype is not _F64:
+        return lambda x: mat @ x
+    rows, cols = mat.shape
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+
+    def product(x):
+        kernel = _csr_matvec
+        if kernel is not None and type(x) is np.ndarray and x.dtype is _F64 and x.shape == (cols,):
+            y = np.zeros(rows)
+            kernel(rows, cols, indptr, indices, data, np.ascontiguousarray(x), y)
+            return y
+        return mat @ x
+
+    return product
 
 
 def stores_dense(n, nnz, itemsize=8, index_itemsize=4):

@@ -7,12 +7,19 @@ weights 1/Phi''. Newton directions are obtained by grounding a reference
 node and solving the SDDM subsystem with the distributed solvers (or the
 direct oracle), then re-inserting zero and shifting to mean zero.
 
+Each dual point is evaluated once, by FlowProblem.dual_point behind
+dual_state (Armijo trials included): x = [Phi']^{-1}(A' lambda), g = A x - b,
+the per-arc costs Phi(x), their sum (the objective) and q. The state keeps
+the per-arc costs, and for the exp cost, whose curvature is its value
+(Phi'' = Phi), the Hessian weights 1/Phi'' are read from them instead of
+evaluating the cost again.
+
 The dual loop's products with A run in scipy's compiled CSR kernel
-through netsim.csr_apply, on the incidence that FlowProblem builds once;
-its products with A' are one gather per arc, FlowProblem.arc_differences,
-behind primal recovery, the Laplacian seminorm and the Neumann baseline.
-No n x n array is formed: the spectral constants come from Lanczos on the
-sparse L = A A'.
+through netsim.csr_product, on the incidence that FlowProblem builds and
+checks once; its products with A' are one gather per arc,
+FlowProblem.arc_differences, behind primal recovery, the Laplacian
+seminorm and the Neumann baseline. No n x n array is formed: the spectral
+constants come from Lanczos on the sparse L = A A'.
 """
 
 import math
@@ -35,7 +42,7 @@ from .graph_core import (
 from .reference_solver import RICHARDSON_CONTRACTION, _check_rhs, direct_solve, richardson_iterations
 from .spectral import estimated_chain, laplacian_spectrum
 from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius, support_graph
-from .netsim import Simulator, check_radius, csr_apply
+from .netsim import Simulator, check_radius, csr_product
 
 __all__ = [
     "EdgeCost",
@@ -73,7 +80,9 @@ class EdgeCost:
     name : str
     value, deriv, second, inv_deriv : callables
         Phi, Phi', Phi'' and the inverse of Phi', all vectorized: an array
-        of flows in, an array of the same shape out.
+        of flows in, an array of the same shape out. Pass one function as
+        both value and second when Phi'' = Phi: the Hessian weights then
+        reuse the per-arc costs that each dual evaluation computes.
     gamma, Gamma : float
         Curvature bounds gamma <= Phi'' <= Gamma on the working domain.
     delta : float
@@ -97,14 +106,19 @@ class EdgeCost:
 
 
 def exp_cost(x_box=5.0):
-    """Cost e^x + e^{-x}; Gamma is evaluated over the flow box [-x_box, x_box]."""
+    """Cost e^x + e^{-x}; Gamma is evaluated over the flow box [-x_box, x_box].
+
+    Phi'' = Phi, so one function is both value and second: the Hessian
+    weights are the reciprocals of the per-arc costs of the dual state.
+    """
     if not 0.0 < x_box <= 700.0:  # Gamma = 2 cosh(x_box) overflows a float above about 710
         raise ValueError("exp cost box must lie in (0, 700], got %r" % x_box)
+    phi = lambda x: np.exp(x) + np.exp(-x)  # noqa: E731
     return EdgeCost(
         "exp",
-        value=lambda x: np.exp(x) + np.exp(-x),
+        value=phi,
         deriv=lambda x: np.exp(x) - np.exp(-x),
-        second=lambda x: np.exp(x) + np.exp(-x),
+        second=phi,
         inv_deriv=lambda y: np.arcsinh(0.5 * y),
         gamma=2.0,
         Gamma=2.0 * math.cosh(x_box),
@@ -160,6 +174,7 @@ class FlowProblem:
     n, E : int
         Node and arc counts.
     incidence : CSR matrix, shape (n, E)
+        Built and checked for the compiled kernel once; never changed.
     """
 
     def __init__(self, graph, b, cost):
@@ -186,13 +201,10 @@ class FlowProblem:
               np.repeat(np.arange(self.E), 2))),
             shape=(self.n, self.E),
         )
+        self._apply_incidence = csr_product(self.incidence)
         self._lap = None
         self._spectrum = None
         self._networks = {}
-
-    def cost_value(self, x):
-        """Primal objective sum_e Phi(x_e)."""
-        return float(np.add.reduce(self.cost.value(x), axis=None))  # what ndarray.sum runs
 
     def unweighted_laplacian(self):
         """L = A A' of the incidence matrix as CSR (cached)."""
@@ -230,6 +242,19 @@ class FlowProblem:
         """Laplacian seminorm sqrt(v' L v) = ||A'v||."""
         y = self.arc_differences(v)
         return math.sqrt(y.dot(y))
+
+    def dual_point(self, lam):
+        """The DualState at lambda: x = [Phi']^{-1}(A' lambda), g = A x - b, the
+        per-arc costs Phi(x), the objective as their sum and q = lambda'g - objective.
+
+        Call it through dual_state, the one entry for every dual point."""
+        lam = np.asarray(lam, dtype=float).ravel()
+        x = self.cost.inv_deriv(self.arc_differences(lam))
+        g = self._apply_incidence(x)
+        g -= self.b
+        costs = self.cost.value(x)
+        obj = float(np.add.reduce(costs, axis=None))  # what ndarray.sum runs
+        return DualState(lam, x, g, obj, float(lam.dot(g)) - obj, costs)
 
 
 def make_flow_problem(g, cost="exp", magnitude=1.0, source=None, sink=None):
@@ -306,10 +331,13 @@ def problem_from_lines(graph, lines):
 
 @dataclass
 class DualState:
-    """Dual iterate: variables, flows x(lambda), gradient, objective and q.
+    """Dual iterate: variables, flows x(lambda), gradient, objective, q and
+    the per-arc costs Phi(x_e) that the objective sums.
 
     ``lam`` is the dual vector (called lambda in the docs; renamed because
-    of the Python keyword).
+    of the Python keyword). ``arc_costs`` is None on a state built by hand;
+    the Hessian weights of a cost with Phi'' = Phi (exp_cost) read it when
+    it is there and evaluate the curvature otherwise.
     """
 
     lam: np.ndarray
@@ -317,6 +345,7 @@ class DualState:
     g: np.ndarray
     objective: float = math.nan
     value: float = math.nan
+    arc_costs: np.ndarray = None
 
 
 def primal_recovery(lam, problem):
@@ -326,13 +355,9 @@ def primal_recovery(lam, problem):
 
 
 def dual_state(lam, problem):
-    """Evaluate x(lambda), g = A x - b, objective sum_e Phi(x_e) and q = lambda'g - objective."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    x = primal_recovery(lam, problem)
-    g = csr_apply(problem.incidence, x)
-    g -= problem.b
-    obj = problem.cost_value(x)
-    return DualState(lam, x, g, obj, float(lam @ g) - obj)
+    """Evaluate x(lambda), g = A x - b, the per-arc costs, objective sum_e Phi(x_e)
+    and q = lambda'g - objective (FlowProblem.dual_point)."""
+    return problem.dual_point(lam)
 
 
 def dual_value(lam, problem):
@@ -348,23 +373,38 @@ def _check_finite_positive(v, fault):
         raise RuntimeError("Hessian %s on edge %d" % (fault, bad))
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
 def _hessian_weights(state, problem):
     """Edge weights w = 1/Phi''(x_e(lambda)) and their node sums D.
 
+    When the cost's curvature is its value (exp_cost), Phi'' is the state's
+    per-arc costs; otherwise, or on a state without them, cost.second runs.
     Raises RuntimeError naming the first edge whose curvature is not finite
     and positive, or whose weight is not finite: a subnormal curvature's
-    reciprocal overflows.
+    reciprocal may overflow.
     """
-    dd = np.asarray(problem.cost.second(state.x_of_lambda), dtype=float)
-    _check_finite_positive(dd, "curvature invalid")
-    with np.errstate(over="ignore"):
+    cost = problem.cost
+    if cost.second is cost.value and state.arc_costs is not None:
+        dd = state.arc_costs
+    else:
+        dd = cost.second(state.x_of_lambda)
+    dd = np.asarray(dd, dtype=float)
+    # a finite curvature of at least the smallest normal double has a
+    # finite reciprocal (a nan fails the first comparison)
+    if dd.min() >= _TINY and dd.max() < math.inf:
         w = 1.0 / dd
-    # the reciprocal of a finite positive curvature is positive
-    if not w.max() < math.inf:
-        raise RuntimeError("Hessian weight not finite on edge %d" % int(np.flatnonzero(w == math.inf)[0]))
+    else:
+        _check_finite_positive(dd, "curvature invalid")
+        with np.errstate(over="ignore"):
+            w = 1.0 / dd
+        # the reciprocal of a finite positive curvature is positive
+        if not w.max() < math.inf:
+            raise RuntimeError("Hessian weight not finite on edge %d" % int(np.flatnonzero(w == math.inf)[0]))
     n = problem.n
-    t, h = problem._tails, problem._heads
-    D = np.bincount(t, weights=w, minlength=n) + np.bincount(h, weights=w, minlength=n)
+    D = np.bincount(problem._tails, weights=w, minlength=n)
+    D += np.bincount(problem._heads, weights=w, minlength=n)
     return w, D
 
 
@@ -584,7 +624,7 @@ def _phase_label(gl, consts):
 def _armijo(problem, state, direction, alpha0, c1=1e-4, shrink=0.5):
     """Backtrack from alpha0 to the first Armijo step; return (alpha, its DualState),
     or (alpha, None) once alpha falls to 1e-12."""
-    slope = float(state.g @ direction)
+    slope = float(state.g.dot(direction))
     alpha = alpha0
     while alpha > 1e-12:
         trial = dual_state(state.lam + alpha * direction, problem)
@@ -643,48 +683,57 @@ def optimize(problem, method="sddm_newton", config=None):
     else:
         alpha = 0.5  # backtracking warm-starts at twice the last accepted step
 
+    threshold = cfg.feas_threshold
+    backtracking = cfg.step == "backtracking"
+    lnorm, differences = problem.lnorm, problem.arc_differences
+    apply_incidence = problem._apply_incidence
     state = dual_state(np.zeros(problem.n), problem)
     for k in range(max_iters + 1):
-        feas = math.sqrt(state.g.dot(state.g))  # what np.linalg.norm computes
-        gl = problem.lnorm(state.g)
+        g = state.g
+        feas = math.sqrt(g.dot(g))  # what np.linalg.norm computes
+        gl = lnorm(g)
         if not (math.isfinite(state.objective) and math.isfinite(feas)):
             raise DivergenceError("objective diverged at iteration %d" % k, trace)
-        row = dict(iter=k, objective=state.objective, feasibility=feas, grad_lnorm=gl,
-                   step=0.0, phase=_phase_label(gl, consts), messages=0)
-        if feas <= cfg.feas_threshold or k == max_iters:
-            trace.add(row, state.value)
-            trace.converged = feas <= cfg.feas_threshold
-            break
-
-        solver_msgs = 0
-        if method in ("sddm_newton", "exact_newton"):
-            report = {}
-            direction = newton_direction(state, problem, eps=eps, R=cfg.R,
-                                         ref_node=ground_node, report=report)
-            solver_msgs = report.get("messages", 0)
-        elif method == "subgradient":
-            direction = -state.g
-        else:  # add_neumann
-            # H = inc diag(w) inc' applied matrix-free: A_H t = D_H t - H t
-            w, D_H = _hessian_weights(state, problem)
-            t = state.g / D_H
-            acc = t.copy()
-            for _ in range(NEUMANN_TERMS):
-                ht = csr_apply(problem.incidence, w * problem.arc_differences(t))
-                t = (D_H * t - ht) / D_H
-                acc += t
-            direction = -acc
-            solver_msgs = NEUMANN_TERMS * one_hop
-
-        if cfg.step == "backtracking":
-            alpha, nxt = _armijo(problem, state, direction, alpha0=min(1.0, 2.0 * alpha))
-            if nxt is None:
-                raise DivergenceError("line search found no decrease at iteration %d" % k,
-                                      trace)
+        done = feas <= threshold or k == max_iters
+        if done:
+            step, messages = 0.0, 0
         else:
-            nxt = dual_state(state.lam + alpha * direction, problem)
-        row.update(step=float(alpha), messages=int(solver_msgs + one_hop))
-        trace.add(row, state.value)
+            solver_msgs = 0
+            if method in ("sddm_newton", "exact_newton"):
+                report = {}
+                direction = newton_direction(state, problem, eps=eps, R=cfg.R,
+                                             ref_node=ground_node, report=report)
+                solver_msgs = report.get("messages", 0)
+            elif method == "subgradient":
+                direction = -g
+            else:  # add_neumann
+                # H = inc diag(w) inc' applied matrix-free: A_H t = D_H t - H t
+                w, D_H = _hessian_weights(state, problem)
+                t = g / D_H
+                acc = t.copy()
+                for _ in range(NEUMANN_TERMS):
+                    ht = apply_incidence(w * differences(t))
+                    t = D_H * t
+                    t -= ht
+                    t /= D_H
+                    acc += t
+                direction = -acc
+                solver_msgs = NEUMANN_TERMS * one_hop
+
+            if backtracking:
+                alpha, nxt = _armijo(problem, state, direction, alpha0=min(1.0, 2.0 * alpha))
+                if nxt is None:
+                    raise DivergenceError("line search found no decrease at iteration %d" % k,
+                                          trace)
+            else:
+                nxt = dual_state(state.lam + alpha * direction, problem)
+            step, messages = float(alpha), int(solver_msgs + one_hop)
+        trace.add(dict(iter=k, objective=state.objective, feasibility=feas, grad_lnorm=gl,
+                       step=step, phase=_phase_label(gl, consts), messages=messages),
+                  state.value)
+        if done:
+            trace.converged = feas <= threshold
+            break
         state = nxt
 
     trace.final_state = state

@@ -668,6 +668,40 @@ class TestCsrKernel:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert calls == ([(40, 40)] * 4 if form == "strided" else [])
 
+    @pytest.mark.parametrize("form", ["kernel", "subclass", "float32", "strided", "int64",
+                                      "kernel_gone"])
+    def test_product_checks_its_matrix_once(self, form, monkeypatch):
+        # csr_product takes the matrix's half of the guard when it is made
+        # and the vector's, and the kernel itself, at each call
+        A = sparse.random(7, 11, density=0.4, random_state=3, format="csr")
+        x = np.random.default_rng(4).standard_normal(22)[::2].copy()
+        if form == "subclass":
+            A = type("CsrSubclass", (sparse.csr_matrix,), {})(A)
+        elif form == "float32":
+            A = A.astype(np.float32)
+        elif form == "strided":
+            x = np.repeat(x, 2)[::2]
+            assert not x.flags.c_contiguous
+        elif form == "int64":
+            x = np.arange(11)
+        calls = []
+        real = netsim._csr_matvec
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(netsim, "_csr_matvec", spy)
+        product = netsim.csr_product(A)
+        if form == "kernel_gone":
+            monkeypatch.setattr(netsim, "_csr_matvec", None)
+        want = A @ x
+        got = product(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert calls == ([(7, 11)] if form in ("kernel", "strided") else [])
+        with pytest.raises(ValueError):
+            product(np.ones(10))
+
     def test_caller_vector_untouched(self):
         sim, op = grid_operator()
         x = np.random.default_rng(2).standard_normal(op.matrix.shape[0])
