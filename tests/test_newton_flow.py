@@ -957,7 +957,7 @@ class TestKernelPath:
         rng = np.random.default_rng(6)
         for _ in range(5):
             lam = rng.standard_normal(p.n)
-            lam[::5] = 0.0  # no -0.0, where the gather and A' differ in sign
+            lam[::5] = 0.0  # zeros, but no -0.0, where the gather and A' differ in sign
             x = c.inv_deriv(A.T @ lam)
             g = A @ x - p.b
             costs = c.value(x)
