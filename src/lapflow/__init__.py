@@ -23,6 +23,7 @@ from .spectral import (
 )
 from .reference_solver import (
     RICHARDSON_RATE,
+    KeptFactors,
     direct_solve,
     richardson_iterations,
 )

@@ -39,7 +39,13 @@ from .graph_core import (
     whole,
     write_csv,
 )
-from .reference_solver import RICHARDSON_CONTRACTION, _check_rhs, direct_solve, richardson_iterations
+from .reference_solver import (
+    RICHARDSON_CONTRACTION,
+    KeptFactors,
+    _check_rhs,
+    direct_solve,
+    richardson_iterations,
+)
 from .spectral import estimated_chain, laplacian_spectrum
 from .distributed_solver import FullCommEngine, RHopEngine, check_rhop_radius, support_graph
 from .netsim import Simulator, check_radius, csr_product
@@ -493,15 +499,20 @@ def strict_decrement_bound(consts):
     ) * (c.mu2 ** 2 / c.mun ** 4) * c.eta1 ** 2
 
 
-def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
+def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None, kept=None):
     """Approximate Newton direction d with H(lambda) d = -g.
 
     Grounds `ref_node`, solves the SDDM subsystem to accuracy eps with the
     R-hop engine (R=None: the full-communication engine; eps=0: exactly,
     with direct_solve, as exact_newton does), re-inserts 0 at the reference
-    node and shifts the result to mean zero. When `report` is a dict it
+    node and shifts the result to mean zero. An exact solve reads and
+    refills `kept`, a KeptFactors that exact_newton makes once per run, so
+    the run factors its first grounded Hessian and solves the later ones,
+    which share its pattern, by CG on those factors (a fresh holder when
+    None: factored once, for this step alone). When `report` is a dict it
     receives eps_prime (the guaranteed relative H-norm error of the
-    direction, derived from eps), messages and rounds.
+    direction, derived from eps), messages and rounds; for an exact step
+    also factored (whether the step factored its Hessian) and cg_iterations.
     """
     g = state.g
     if abs(g.sum()) > 1e-8 * max(1.0, float(np.abs(g).max())):
@@ -512,7 +523,8 @@ def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
     messages = 0
     rounds = 0
     if eps == 0:
-        y = direct_solve(Hg, rhs)
+        kept = KeptFactors() if kept is None else kept
+        y = direct_solve(Hg, rhs, kept)
         eps_prime = 0.0
     else:
         spec = estimated_chain(Hg)
@@ -527,6 +539,8 @@ def newton_direction(state, problem, eps=1e-4, R=1, ref_node=0, report=None):
     d -= d.mean()
     if report is not None:
         report.update(eps_prime=eps_prime, messages=messages, rounds=rounds)
+        if eps == 0:
+            report.update(factored=kept.factored, cg_iterations=kept.cg_iterations)
     return d
 
 
@@ -687,6 +701,7 @@ def optimize(problem, method="sddm_newton", config=None):
     backtracking = cfg.step == "backtracking"
     lnorm, differences = problem.lnorm, problem.arc_differences
     apply_incidence = problem._apply_incidence
+    kept = KeptFactors()  # the exact steps' factors, for this run only
     state = dual_state(np.zeros(problem.n), problem)
     for k in range(max_iters + 1):
         g = state.g
@@ -702,7 +717,7 @@ def optimize(problem, method="sddm_newton", config=None):
             if method in ("sddm_newton", "exact_newton"):
                 report = {}
                 direction = newton_direction(state, problem, eps=eps, R=cfg.R,
-                                             ref_node=ground_node, report=report)
+                                             ref_node=ground_node, report=report, kept=kept)
                 solver_msgs = report.get("messages", 0)
             elif method == "subgradient":
                 direction = -g

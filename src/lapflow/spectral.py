@@ -257,11 +257,14 @@ def sparse_lu(M):
     estimate_condition and laplacian_spectrum); on grounded Laplacians of
     random graphs it fills far less than splu's default COLAMD. The
     ordering depends only on M's sparsity pattern, so it is computed once
-    per pattern and kept until a call brings another pattern: every Newton
-    step's grounded Hessian has the same one. Every call, the first on a
-    pattern included, factors M[q][:, q] under splu's NATURAL order with
-    its default partial pivoting, so the factors do not depend on the
-    cache, and with the supernode settings SUPERLU_RELAX and
+    per pattern and kept until a call brings another pattern: every
+    grounded Hessian of a flow problem has the same one. The numeric
+    factors are never cached here: direct_solve keeps them only in a
+    caller's KeptFactors, one per exact_newton run, so such a run calls
+    this once and solves its later steps by CG on those factors. Every
+    call, the first on a pattern included, factors M[q][:, q] under splu's
+    NATURAL order with its default partial pivoting, so the factors do not
+    depend on the cache, and with the supernode settings SUPERLU_RELAX and
     SUPERLU_PANEL_SIZE. scipy's defaults (relax 10, panel_size 20) pad
     small elimination subtrees into dense supernodes; these settings
     factor the first grounded Hessian of random 2000/6000 in about a

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from lapflow import netsim, spectral
+from lapflow import netsim, newton_flow, reference_solver, spectral
 from lapflow.graph_core import WeightedGraph, generate, ground, laplacian, load_edge_list
 from lapflow.newton_flow import (
     ConvergenceConstants,
@@ -36,6 +36,7 @@ from lapflow.newton_flow import (
     strict_decrement_bound,
 )
 from lapflow.newton_flow import _hessian_weights
+from lapflow.reference_solver import KeptFactors, direct_solve
 from lapflow.spectral import estimated_chain
 from conftest import full_engine, rhop_engine
 from oracles import dense, fd_gradient, fd_hessian, pinv_quadform, matrix_lnorm
@@ -576,6 +577,84 @@ class TestNewtonDirection:
             v = rng.standard_normal(p.n)
             v -= v.mean()
             assert pinv_quadform(H, v) == pytest.approx(float(v @ pinv @ v), rel=1e-9)
+
+
+EXACT_RUNS = {
+    "barbell_20_20": lambda: flow_on("barbell", {"clique": 20, "path_len": 20}),
+    "grid_20x20": lambda: flow_on("grid", {"rows": 20, "cols": 20}),
+    "random_300_900": lambda: random_flow(300, 900, seed=0),
+    "path_6_magnitude_20": lambda: flow_on("path", {"n": 6}, magnitude=20.0),
+    "random_60_150_magnitude_5": lambda: random_flow(60, 150, seed=3, magnitude=5.0),
+}
+
+
+def recorded_exact_run(monkeypatch, p):
+    """exact_newton on p, with (system, rhs, x, factored, cg_iterations) of each of its solves."""
+    solves = []
+    real = newton_flow.direct_solve
+
+    def spy(s, b, kept=None):
+        x = real(s, b, kept)
+        solves.append((s, b, x, kept.factored, kept.cg_iterations))
+        return x
+
+    with monkeypatch.context() as mp:
+        mp.setattr(newton_flow, "direct_solve", spy)
+        trace = optimize(p, "exact_newton")
+    return trace, solves
+
+
+class TestOneFactorizationPerRun:
+    """exact_newton factors its first grounded Hessian and solves the later ones by CG on those factors."""
+
+    @pytest.mark.parametrize("name", EXACT_RUNS)
+    def test_kept_factor_directions_are_exact(self, monkeypatch, name):
+        p = EXACT_RUNS[name]()
+        trace, solves = recorded_exact_run(monkeypatch, p)
+        assert trace.converged and len(solves) == trace.iterations >= 2
+        assert [factored for *_, factored, _ in solves] == [True] + [False] * (len(solves) - 1)
+        u = np.finfo(float).eps
+        for s, b, x, _, iterations in solves:
+            M = s.matrix()
+            # normwise backward error of at most 8u
+            m_norm = abs(M).sum(axis=1).max()
+            assert np.abs(b - M @ x).max() <= 8 * u * (m_norm * np.abs(x).max() + np.abs(b).max())
+            assert iterations <= reference_solver.CG_MAX_ITERATIONS
+            fresh = direct_solve(s, b)
+            err = x - fresh
+            assert math.sqrt(err @ (M @ err)) <= 1e-10 * math.sqrt(fresh @ (M @ fresh))
+        monkeypatch.setattr(reference_solver, "CG_MAX_ITERATIONS", 0)
+        assert optimize(p, "exact_newton").iterations == trace.iterations
+
+    def test_without_cg_every_step_factors_as_before(self, monkeypatch):
+        # a cap of 0 sends every step to the fallback, which is the
+        # factor-every-step solve of a holder-free direct_solve
+        p = random_flow(60, 150, seed=3, magnitude=5.0)
+        real = newton_flow.direct_solve
+        with monkeypatch.context() as mp:
+            mp.setattr(newton_flow, "direct_solve", lambda s, b, kept=None: real(s, b))
+            factor_each = trace_bytes(optimize(p, "exact_newton"))
+        monkeypatch.setattr(reference_solver, "CG_MAX_ITERATIONS", 0)
+        trace, solves = recorded_exact_run(monkeypatch, p)
+        assert all(factored and iterations == 0 for *_, factored, iterations in solves)
+        assert trace_bytes(trace) == factor_each
+
+    def test_exact_steps_report_how_they_solved(self):
+        p = random_flow(60, 150, seed=3, magnitude=5.0)
+        st0 = dual_state(np.zeros(p.n), p)
+        kept = KeptFactors()
+        first, second = {}, {}
+        d = newton_direction(st0, p, eps=0.0, report=first, kept=kept)
+        newton_direction(dual_state(st0.lam + 0.5 * d, p), p, eps=0.0, report=second, kept=kept)
+        assert first == dict(eps_prime=0.0, messages=0, rounds=0, factored=True, cg_iterations=0)
+        assert second["factored"] is False and 0 < second["cg_iterations"] <= 11
+        # without a holder a step factors for itself; inexact steps report no solve detail
+        alone = {}
+        assert np.array_equal(newton_direction(st0, p, eps=0.0, report=alone), d)
+        assert alone == first
+        inexact = {}
+        newton_direction(st0, p, eps=1e-4, report=inexact)
+        assert set(inexact) == {"eps_prime", "messages", "rounds"}
 
 
 class TestOneNetworkPerProblem:

@@ -7,8 +7,10 @@ import scipy.sparse
 
 from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
 from lapflow.reference_solver import (
+    CG_MAX_ITERATIONS,
     RICHARDSON_CONTRACTION,
     RICHARDSON_RATE,
+    KeptFactors,
     crude_solve,
     direct_solve,
     richardson_iterates,
@@ -105,6 +107,69 @@ class TestSparseDirectSolve:
         # forward error of a backward-stable solve: a small multiple of cond(M) * unit roundoff
         bound = 100 * np.finfo(float).eps * np.linalg.cond(M)
         assert np.linalg.norm(x - xo) <= bound * np.linalg.norm(xo)
+
+
+class FakeFactors:
+    """Stand-in factors whose solve is a given map."""
+
+    def __init__(self, solve):
+        self.solve = solve
+
+
+def forbidden(b):
+    raise AssertionError("factors of another matrix pattern were used")
+
+
+def pattern_of(s):
+    M = s.matrix()
+    return M.shape, M.indptr.tobytes(), M.indices.tobytes()
+
+
+class TestKeptFactors:
+    """direct_solve with a holder: CG on kept factors of the same pattern, else factor, solve and refine."""
+
+    def test_an_empty_holder_gets_the_factors_and_the_same_bits(self):
+        s = grounded_random(40, 100, seed=2)
+        b = np.random.default_rng(3).standard_normal(s.n)
+        kept = KeptFactors()
+        assert direct_solve(s, b, kept).tobytes() == direct_solve(s, b).tobytes()
+        assert kept.factored and kept.cg_iterations == 0
+        assert kept.pattern == pattern_of(s)
+        # the same system again: solved by CG on the kept factors
+        lu = kept.lu
+        x = direct_solve(s, 2.0 * b, kept)
+        assert not kept.factored and kept.lu is lu and 1 <= kept.cg_iterations <= 2
+        assert np.linalg.norm(s.matrix() @ x - 2.0 * b) <= 1e-10 * np.linalg.norm(2.0 * b)
+
+    @pytest.mark.parametrize("other", [
+        lambda: grounded_random(40, 100, seed=2, ref=5),  # another shape
+        lambda: grounded_random(41, 100, seed=7),  # the same shape, another pattern
+    ])
+    def test_factors_of_another_shape_or_pattern_are_never_used(self, other):
+        s = grounded_random(41, 100, seed=2)
+        t = other()
+        assert pattern_of(t) != pattern_of(s)
+        b = np.random.default_rng(4).standard_normal(s.n)
+        kept = KeptFactors(pattern=pattern_of(t), lu=FakeFactors(forbidden))
+        assert direct_solve(s, b, kept).tobytes() == direct_solve(s, b).tobytes()
+        assert kept.factored and kept.cg_iterations == 0
+        assert kept.pattern == pattern_of(s) and not isinstance(kept.lu, FakeFactors)
+
+    def test_a_breakdown_falls_back_to_factoring(self):
+        s = grounded_random(41, 100, seed=2)
+        b = np.random.default_rng(4).standard_normal(s.n)
+        for bad in (lambda r: np.full_like(r, math.nan), lambda r: -r):
+            kept = KeptFactors(pattern=pattern_of(s), lu=FakeFactors(bad))
+            assert direct_solve(s, b, kept).tobytes() == direct_solve(s, b).tobytes()
+            assert kept.factored and kept.cg_iterations == 0
+
+    def test_the_iteration_cap_falls_back_to_factoring(self):
+        # unpreconditioned CG needs more than the cap on the grounded 20 x 20 grid
+        s = ground(laplacian(generate("grid", {"rows": 20, "cols": 20})), 0)
+        b = np.random.default_rng(5).standard_normal(s.n)
+        kept = KeptFactors(pattern=pattern_of(s), lu=FakeFactors(lambda r: r.copy()))
+        assert direct_solve(s, b, kept).tobytes() == direct_solve(s, b).tobytes()
+        assert kept.factored and kept.cg_iterations == CG_MAX_ITERATIONS
 
 
 class TestRichardsonIterations:

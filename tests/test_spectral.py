@@ -229,8 +229,14 @@ class TestOneFactorization:
         orders, specs = recording_factorizations(monkeypatch)
         trace = optimize(p, "exact_newton")
         assert trace.converged and trace.iterations >= 2
+        # one ordering and one numeric factorization per run: the later
+        # steps solve by CG on the run's kept factors
         assert orders == [(p.n - 1, p.n - 1)]
-        assert specs == [NUMERIC] * trace.iterations
+        assert specs == [NUMERIC]
+        # no factors outlive a run: a second run factors exactly once more
+        assert optimize(p, "exact_newton").iterations == trace.iterations
+        assert orders == [(p.n - 1, p.n - 1)]
+        assert specs == [NUMERIC, NUMERIC]
 
     def test_cold_and_warm_cache_give_the_same_bits(self):
         s = grounded_random(80, 200, seed=4)
