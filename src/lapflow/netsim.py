@@ -34,9 +34,10 @@ charges a round whose combine step is done by the caller (row-extension
 rounds). Both take a ``count`` of identical rounds and charge the whole
 batch with one radius check and one cached per-radius message total;
 ``apply_round`` runs a CSR operator's ``count`` products in scipy's
-compiled CSR kernel on two reused buffers (``csr_apply``). The dual loop
-in ``newton_flow`` runs the same guarded kernel through ``csr_product``,
-which checks its one matrix, the incidence, once.
+compiled CSR kernel on two reused buffers, through ``csr_product``, the
+package's one guarded entry to that kernel: a ``LocalOperator`` makes its
+product when it is made, which checks the matrix once, and the dual loop
+in ``newton_flow`` makes one for the incidence.
 The tests check both against an independent per-node executor
 (``tests/oracles.py``) that runs each node's program on its own.
 
@@ -74,7 +75,6 @@ _F64 = np.dtype(np.float64)
 
 __all__ = [
     "check_radius",
-    "csr_apply",
     "csr_product",
     "stores_dense",
     "ladder_lengths",
@@ -98,60 +98,44 @@ def check_radius(R):
     return None if R is None else whole(R, "R", 1)
 
 
-def csr_apply(mat, x, count=1):
-    """mat^count x, bit for bit what `count` products `mat @ x` give.
+def csr_product(mat):
+    """(x, count=1) -> mat^count x for one matrix, bit for bit what `count` products `mat @ x` give.
 
-    A float64 csr_matrix and a float64 vector of length mat.shape[1] (and a
-    square matrix when count > 1) run in scipy's compiled CSR kernel on two
-    reused buffers. The kernel computes y += A u without bounds checks, so
-    the guards stay; from a zeroed y it is exactly what `mat @ u` computes.
-    Anything else (a subclass of either type too), or a scipy without the
-    kernel, takes `mat @ x`. x itself is never written to.
+    The package's one entry to scipy's compiled CSR kernel, guarded in two
+    halves. The matrix half (an exact float64 csr_matrix; its shape and
+    arrays read once) runs here, once, for a matrix that is never changed
+    afterwards. The returned function checks the other half at each call:
+    a float64 vector of length mat.shape[1], and a square matrix when
+    count > 1. It reads the kernel at call time too. The kernel computes
+    y += A u without bounds checks, so the guards stay; from a zeroed y it
+    is exactly what `mat @ u` computes, and `count` products run on two
+    reused buffers. Anything else (a subclass of either type too), or a
+    scipy without the kernel, takes `mat @ x`. x itself is never written to.
     """
-    # exact-type checks and one read each of mat.shape and mat.data: the dual
-    # loop calls this for vectors of a few hundred entries, where an
-    # abstract-class check or a property read is a visible share of the product
-    if _csr_matvec is not None and count > 0 and type(mat) is _CSR and type(x) is np.ndarray:
-        rows, cols = mat.shape
-        data = mat.data
-        if (data.dtype is _F64 and x.dtype is _F64 and x.shape == (cols,)
-                and (count == 1 or rows == cols)):
-            indptr, indices = mat.indptr, mat.indices
+    rows, cols = mat.shape
+    square = rows == cols
+    checked = type(mat) is _CSR and mat.data.dtype is _F64
+    if checked:
+        indptr, indices, data = mat.indptr, mat.indices, mat.data
+
+    def product(x, count=1):
+        # exact-type checks: the dual loop calls this for vectors of a few
+        # hundred entries, where an abstract-class check is a visible share
+        kernel = _csr_matvec
+        if (checked and kernel is not None and (count == 1 or count > 1 and square)
+                and type(x) is np.ndarray and x.dtype is _F64 and x.shape == (cols,)):
             u = np.zeros(rows)
-            _csr_matvec(rows, cols, indptr, indices, data, np.ascontiguousarray(x), u)
+            kernel(rows, cols, indptr, indices, data, np.ascontiguousarray(x), u)
             if count > 1:
                 y = np.empty(rows)
                 for _ in range(count - 1):
                     y.fill(0.0)
-                    _csr_matvec(rows, cols, indptr, indices, data, u, y)
+                    kernel(rows, cols, indptr, indices, data, u, y)
                     u, y = y, u
             return u
-    for _ in range(count):
-        x = mat @ x
-    return x
-
-
-def csr_product(mat):
-    """x -> mat @ x for one matrix, bit for bit what csr_apply(mat, x) gives.
-
-    csr_apply's guard in two halves: the matrix half (an exact float64
-    csr_matrix; its shape and arrays read once) runs here, once, and the
-    returned function checks only x. It reads the kernel at call time, so
-    without it, or for another x, it takes `mat @ x`. For a matrix that is
-    never changed afterwards, such as a flow problem's incidence.
-    """
-    if type(mat) is not _CSR or mat.data.dtype is not _F64:
-        return lambda x: mat @ x
-    rows, cols = mat.shape
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-
-    def product(x):
-        kernel = _csr_matvec
-        if kernel is not None and type(x) is np.ndarray and x.dtype is _F64 and x.shape == (cols,):
-            y = np.zeros(rows)
-            kernel(rows, cols, indptr, indices, data, np.ascontiguousarray(x), y)
-            return y
-        return mat @ x
+        for _ in range(count):
+            x = mat @ x
+        return x
 
     return product
 
@@ -200,7 +184,7 @@ class SimTranscript:
 # What one multiply-add of a round costs, counted in multiply-adds of a dense
 # n x n gemm. Timed on a 2-vCPU VM at n = 300 to 2000 (best of 7): a gemm
 # took 0.018-0.024 ns per multiply-add, a dense matvec 0.11-0.21 ns (4.4-11
-# gemm multiply-adds) and a csr_apply round of a sparse operator 0.98-2.5 ns
+# gemm multiply-adds) and a csr_product round of a sparse operator 0.98-2.5 ns
 # (47-68). Each weight sits below its measured range, so the rule prices
 # the squarings high against the rounds they replace.
 _DENSE_ROUND_WEIGHT = 4
@@ -267,15 +251,17 @@ def _ball_entry(ball):
 class LocalOperator:
     """A matrix certified to combine only values from within `radius` hops.
 
-    `stride` is None or the ladder ((t, op^t), (s, op^s)), or ((s, op^s),)
-    without a second rung: certified powers, each a dense array, in
-    ascending length, that apply_round uses for batches of at least t
-    rounds (Simulator.stride).
+    `product` is csr_product(matrix), made with the operator; the matrix is
+    not changed afterwards. `stride` is None or the ladder ((t, op^t),
+    (s, op^s)), or ((s, op^s),) without a second rung: certified powers,
+    each a dense array, in ascending length, that apply_round uses for
+    batches of at least t rounds (Simulator.stride).
     """
 
     def __init__(self, matrix, radius):
         self.matrix = matrix
         self.radius = radius
+        self.product = csr_product(matrix)
         self.stride = None
 
 
@@ -485,7 +471,8 @@ class Simulator:
         for length, power in reversed(op.stride or ()):
             products.append((power, left // length))
             left %= length
-        x = csr_apply(op.matrix, x, left)
+        x = op.product(x, left)
         for power, k in reversed(products):
-            x = csr_apply(power, x, k)
+            for _ in range(k):
+                x = power @ x
         return x

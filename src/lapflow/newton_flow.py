@@ -7,8 +7,8 @@ weights 1/Phi''. Newton directions are obtained by grounding a reference
 node and solving the SDDM subsystem with the distributed solvers (or the
 direct oracle), then re-inserting zero and shifting to mean zero.
 
-Each dual point is evaluated once, by FlowProblem.dual_point behind
-dual_state (Armijo trials included): x = [Phi']^{-1}(A' lambda), g = A x - b,
+Each dual point is evaluated once, by dual_state (Armijo trials included,
+and primal_recovery reads its x): x = [Phi']^{-1}(A' lambda), g = A x - b,
 the per-arc costs Phi(x), their sum (the objective) and q. The state keeps
 the per-arc costs, and for the exp cost, whose curvature is its value
 (Phi'' = Phi), the Hessian weights 1/Phi'' are read from them instead of
@@ -17,8 +17,8 @@ evaluating the cost again.
 The dual loop's products with A run in scipy's compiled CSR kernel
 through netsim.csr_product, on the incidence that FlowProblem builds and
 checks once; its products with A' are one gather per arc,
-FlowProblem.arc_differences, behind primal recovery, the Laplacian
-seminorm and the Neumann baseline. No n x n array is formed: the spectral
+FlowProblem.arc_differences, behind dual_state, the Laplacian seminorm
+and the Neumann baseline. No n x n array is formed: the spectral
 constants come from Lanczos on the sparse L = A A'.
 """
 
@@ -249,19 +249,6 @@ class FlowProblem:
         y = self.arc_differences(v)
         return math.sqrt(y.dot(y))
 
-    def dual_point(self, lam):
-        """The DualState at lambda: x = [Phi']^{-1}(A' lambda), g = A x - b, the
-        per-arc costs Phi(x), the objective as their sum and q = lambda'g - objective.
-
-        Call it through dual_state, the one entry for every dual point."""
-        lam = np.asarray(lam, dtype=float).ravel()
-        x = self.cost.inv_deriv(self.arc_differences(lam))
-        g = self._apply_incidence(x)
-        g -= self.b
-        costs = self.cost.value(x)
-        obj = float(np.add.reduce(costs, axis=None))  # what ndarray.sum runs
-        return DualState(lam, x, g, obj, float(lam.dot(g)) - obj, costs)
-
 
 def make_flow_problem(g, cost="exp", magnitude=1.0, source=None, sink=None):
     """Flow instance on a graph with source/sink a diameter apart.
@@ -355,15 +342,22 @@ class DualState:
 
 
 def primal_recovery(lam, problem):
-    """Per-arc primal flows x_e = [Phi']^{-1}(lambda_tail - lambda_head)."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    return problem.cost.inv_deriv(problem.arc_differences(lam))
+    """Per-arc primal flows x_e = [Phi']^{-1}(lambda_tail - lambda_head): dual_state's x."""
+    return dual_state(lam, problem).x_of_lambda
 
 
 def dual_state(lam, problem):
-    """Evaluate x(lambda), g = A x - b, the per-arc costs, objective sum_e Phi(x_e)
-    and q = lambda'g - objective (FlowProblem.dual_point)."""
-    return problem.dual_point(lam)
+    """The DualState at lambda: x = [Phi']^{-1}(A' lambda), g = A x - b, the
+    per-arc costs Phi(x), the objective as their sum and q = lambda'g - objective.
+
+    The one evaluation of a dual point, Armijo trials included."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    x = problem.cost.inv_deriv(problem.arc_differences(lam))
+    g = problem._apply_incidence(x)
+    g -= problem.b
+    costs = problem.cost.value(x)
+    obj = float(np.add.reduce(costs, axis=None))  # what ndarray.sum runs
+    return DualState(lam, x, g, obj, float(lam.dot(g)) - obj, costs)
 
 
 def dual_value(lam, problem):

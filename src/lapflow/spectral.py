@@ -132,7 +132,11 @@ def estimate_condition(s):
     one fixed start vector: one on M for lambda_max, one on M^-1, applied
     through sparse_lu (whose ordering direct_solve on the same pattern then
     reuses), for 1/lambda_min. ARPACK stops when the Ritz residual is below
-    EIGSH_TOL relative; the eigenvalue error is quadratic in it.
+    EIGSH_TOL relative; the eigenvalue error is quadratic in it. Both run
+    on 2^-e M, with 2^e the power of two just above max D: ARPACK measures
+    its residual against max(|theta|, eps^(2/3)), so on M itself a
+    lambda_max below about 4e-11 (tiny weights) would stop on an absolute
+    residual. The scaling is exact, so kappa does not depend on it.
 
     Parameters
     ----------
@@ -158,7 +162,7 @@ def estimate_condition(s):
     n = s.n
     if n == 1:
         return 1.0
-    M = s.matrix()
+    M = s.matrix() * math.ldexp(1.0, -math.frexp(float(s.D.max()))[1])
     inv = LinearOperator((n, n), matvec=sparse_lu(M).solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     rayleigh = _lanczos_tops((("lambda_max", "largest", M), ("inv_lambda_min", "smallest", inv)),

@@ -634,10 +634,11 @@ class TestCsrKernel:
             return real(*args)
 
         monkeypatch.setattr(netsim, "_csr_matvec", spy)
-        assert netsim.csr_apply(A, x).tobytes() == (A @ x).tobytes()
+        product = netsim.csr_product(A)
+        assert product(x).tobytes() == (A @ x).tobytes()
         assert calls == [(7, 11)]
         with pytest.raises(ValueError):
-            netsim.csr_apply(A, x, count=2)
+            product(x, count=2)
         assert calls == [(7, 11)]
 
     @pytest.mark.parametrize("form", ["subclass", "strided", "float32"])
@@ -664,7 +665,7 @@ class TestCsrKernel:
             want = x
             for _ in range(count):
                 want = A @ want
-            got = netsim.csr_apply(A, x, count)
+            got = netsim.csr_product(A)(x, count)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert calls == ([(40, 40)] * 4 if form == "strided" else [])
 

@@ -1021,7 +1021,7 @@ class TestKernelPath:
             x = signed_zero_vector(rng, p.E)
             lam = signed_zero_vector(rng, p.n)
             # signbits included: tobytes tells -0.0 from 0.0
-            assert netsim.csr_apply(p.incidence, x).tobytes() == (p.incidence @ x).tobytes()
+            assert netsim.csr_product(p.incidence)(x).tobytes() == (p.incidence @ x).tobytes()
             dual_state(lam, p)
         # A x once per check and once per dual_state; A' is a gather, no kernel call
         assert calls == [(p.n, p.E)] * 10

@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 from lapflow import spectral
-from lapflow.graph_core import StandardSplitting, generate, ground, laplacian
+from lapflow.graph_core import StandardSplitting, WeightedGraph, generate, ground, laplacian
 from lapflow.newton_flow import convergence_constants, dual_hessian, dual_state, make_flow_problem, optimize
 from lapflow.reference_solver import direct_solve
 from lapflow.spectral import (
@@ -26,6 +26,19 @@ from oracles import dense
 
 def path_graph(n):
     return generate("path", {"n": n})
+
+
+UNIFORM = [("grid", {"rows": 20, "cols": 20}), ("path", {"n": 150})]
+
+
+def uniform_weights(kind, params, w):
+    # the generated graph's Laplacian grounded at node 0, every edge of weight w
+    return ground(laplacian(generate(kind, dict(params, w_min=w, w_max=w))), 0)
+
+
+def graded_path(n, steps):
+    # a path grounded at node 0 whose k-th edge weighs 10^(-k/steps)
+    return ground(laplacian(WeightedGraph(n, [(k, k + 1, 10.0 ** (-k / steps)) for k in range(n - 1)])), 0)
 
 
 class TestValidateSDDM:
@@ -119,7 +132,8 @@ class TestEstimateCondition:
         with pytest.raises(ValueError):
             estimate_condition(s)
 
-    @pytest.mark.parametrize("system", ["path150", "grid20x20", "random60_150", "newton_hessian"])
+    @pytest.mark.parametrize("system", ["path150", "grid20x20", "random60_150", "newton_hessian",
+                                        "graded_path40_8", "graded_path40_4"])
     def test_matches_dense_eigenvalue_ratio(self, system):
         if system == "path150":
             s = ground(laplacian(path_graph(150)), 0)
@@ -127,6 +141,9 @@ class TestEstimateCondition:
             s = ground(laplacian(generate("grid", {"rows": 20, "cols": 20})), 0)
         elif system == "random60_150":
             s = ground(laplacian(generate("random", {"n": 60, "m": 150}, seed=3)), 0)
+        elif system.startswith("graded_path40"):
+            # weights 10^(-k/8) or 10^(-k/4) along the path: kappa 1.5e6 and 2.2e10
+            s = graded_path(40, int(system[-1]))
         else:
             p = make_flow_problem(generate("random", {"n": 300, "m": 900}, seed=0))
             lam = 0.1 * np.random.default_rng(1).standard_normal(p.n)
@@ -134,6 +151,21 @@ class TestEstimateCondition:
         eig = np.linalg.eigvalsh(dense(s))
         exact = eig.max() / eig.min()
         assert estimate_condition(s) == pytest.approx(exact, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("kind, params", UNIFORM)
+    @pytest.mark.parametrize("w", [1e-15, 1e-18])
+    def test_tiny_weights_match_dense(self, kind, params, w):
+        # ARPACK's stop is relative only above |theta| ~ 4e-11: on M itself
+        # lambda_max would stop on an absolute residual and kappa come out low
+        s = uniform_weights(kind, params, w)
+        eig = np.linalg.eigvalsh(dense(s))
+        exact = eig.max() / eig.min()
+        assert estimate_condition(s) == pytest.approx(exact, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("kind, params", UNIFORM)
+    def test_power_of_two_scaling_keeps_bits(self, kind, params):
+        kappas = {estimate_condition(uniform_weights(kind, params, 2.0 ** k)) for k in (0, -40, -70, 40)}
+        assert len(kappas) == 1
 
 
 class TestChainLength:
